@@ -5,6 +5,13 @@ decomposes. Replicate b's indices come from a generator seeded with
 (seed, b), so results are reproducible and independent of execution order.
 Rank-deficient (or empty-cell) resamples are excluded and counted; a run
 with more than 5% exclusions is invalid.
+
+The closed-form estimator refits a chunk of replicates at once: each
+replicate's indices become a row of counts, and CountWeightedFit solves the
+count-weighted least-squares problems against one QR of the full data. A
+replicate whose resampled design is not clearly full rank is refit from its
+copied rows instead, so failures are decided exactly as a plain per-replicate
+refit decides them.
 """
 
 from __future__ import annotations
@@ -24,9 +31,20 @@ from .core import (
     component_names,
 )
 from .empirical import decompose_empirical_sequential, estimate_tables
-from .regression import Dataset, fit_all
+from .regression import CountWeightedFit, Dataset, fit_all
 
 ESTIMATORS = ("closed-form", "empirical-categorical")
+
+# A replicate takes the count-weighted route only while this bounds the
+# condition number of its resampled designs. numpy's lstsq calls a design rank
+# deficient near cond = 1 / (eps * n), about 2e12 at n = 2,000 and still above
+# 1e8 up to n = 4e7, so every replicate below the bound is one the reference
+# refit would accept.
+_COND_LIMIT = 1e8
+
+# Bytes of float64 counts per chunk of replicates. The chunk size depends on n
+# alone, so a run's arithmetic, and hence its output, is the same every time.
+_CHUNK_BYTES = 128 * 1024
 
 
 @dataclass(frozen=True)
@@ -45,6 +63,11 @@ class BootstrapResult:
     replicates: int
     failed_replicates: int
     seed: int
+
+
+def _resample_indices(seed: int, b: int, n: int) -> np.ndarray:
+    """Replicate b's row indices: the seeding contract."""
+    return np.random.default_rng([seed, b]).integers(0, n, size=n)
 
 
 def _estimate_once(d: Dataset, cfg: ReferenceConfig, estimator: str) -> ComponentSet:
@@ -84,18 +107,34 @@ def bootstrap_decomposition(
     draws = {k: [] for k in names}
     n = d.n
     failed = 0
-    for b in range(B):
-        rng = np.random.default_rng([seed, b])
-        idx = rng.integers(0, n, size=n)
-        try:
-            cs = _estimate_once(d.take(idx), cfg, estimator)
-        except EstimationError:
-            failed += 1
-            continue
-        for k in component_names(cfg.topology):
-            draws[k].append(cs.component(k))
-        for k in AGGREGATE_NAMES:
-            draws[k].append(cs.aggregates[k])
+    fitter = CountWeightedFit(d, cfg.topology) if estimator == "closed-form" else None
+    chunk = max(1, _CHUNK_BYTES // (8 * n))
+    for start in range(0, B, chunk):
+        stop = min(start + chunk, B)
+        if fitter is None:
+            fast = [None] * (stop - start)
+        else:
+            counts = np.empty((stop - start, n))
+            for row, b in zip(counts, range(start, stop)):
+                row[:] = np.bincount(_resample_indices(seed, b, n), minlength=n)
+            fast = fitter.fit(counts, _COND_LIMIT)
+        for b, coefficients in zip(range(start, stop), fast):
+            try:
+                if coefficients is None:
+                    rows = d.take(_resample_indices(seed, b, n))
+                    cs = _estimate_once(rows, cfg, estimator)
+                else:
+                    cs = decompose_closed_form(coefficients, cfg)
+            except (EstimationError, ConfigError):
+                # the full-data estimate already passed the configuration
+                # checks, so a ConfigError here means the resample lost a
+                # reference level or stratum: a failed replicate
+                failed += 1
+                continue
+            for k in component_names(cfg.topology):
+                draws[k].append(cs.component(k))
+            for k in AGGREGATE_NAMES:
+                draws[k].append(cs.aggregates[k])
 
     if failed > 0.05 * B:
         raise InferenceError(

@@ -316,9 +316,18 @@ def validate(spec_path, config_path, topology, seed, mc_n, tol, mc_z):
             exact = decompose_closed_form(coefs, cfg)
             mc = simulate_linear_components(scm, cfg, n=mc_n, seed=rc.seed)
             worst_name, worst_z = "", 0.0
+            constant, worst_rel = [], 0.0
             for name in names:
-                se = max(mc.standard_errors[name], 1e-300)
-                z = abs(_value(mc.components, name) - _value(exact, name)) / se
+                want = _value(exact, name)
+                delta = abs(_value(mc.components, name) - want)
+                se = mc.standard_errors[name]
+                if se == 0.0:
+                    # the same value for every individual: the Monte Carlo mean
+                    # is exact up to rounding, so compare it like an exact path
+                    constant.append(name)
+                    worst_rel = max(worst_rel, delta / max(1.0, abs(want)))
+                    continue
+                z = delta / se
                 if z > worst_z:
                     worst_name, worst_z = name, z
             ok = worst_z <= mc_z
@@ -327,6 +336,14 @@ def validate(spec_path, config_path, topology, seed, mc_n, tol, mc_z):
                 f"  closed form vs Monte Carlo: worst |z| = {worst_z:.2f} "
                 f"({worst_name}; allowed {mc_z:g}) {'PASS' if ok else 'FAIL'}"
             )
+            if constant:
+                ok = worst_rel <= tol
+                failures += 0 if ok else 1
+                click.echo(
+                    "  closed form vs Monte Carlo, zero-spread terms "
+                    f"({', '.join(constant)}): max rel |delta| = {worst_rel:.3e} "
+                    f"(rel tol {tol:g}) {'PASS' if ok else 'FAIL'}"
+                )
             if cfg.topology is Topology.SEQUENTIAL:
                 w1 = expected_counterfactual("W1", coefs, cfg)
                 w8 = expected_counterfactual("W8", coefs, cfg)

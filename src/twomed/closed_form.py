@@ -139,14 +139,10 @@ def expected_counterfactual(
     t8c, b4c, g2c = _contractions(m, cfg)
     lv = {"a": cfg.a, "s": cfg.a_star}
     x, y, z = (lv[k] for k in _W_SLOTS[which])
-    return _w_value(m, x, y, z, t8c, b4c, g2c)
+    return _w_value(m.theta, m.beta, m.gamma, m.sigma_m1 ** 2, x, y, z, t8c, b4c, g2c)
 
 
-def _w_value(m, x, y, z, t8c, b4c, g2c):
-    t = m.theta
-    b = m.beta
-    g = m.gamma
-    var1 = m.sigma_m1 ** 2
+def _w_value(t, b, g, var1, x, y, z, t8c, b4c, g2c):
     gy = g[0] + g[1] * y + g2c        # E[M1(y) | c]
     bz = b[0] + b[1] * z + b4c        # M2 model baseline at exposure z
     kz = b[2] + b[3] * z              # M2 model slope in m1 at exposure z
@@ -294,14 +290,39 @@ def decompose_sequential_closed_form(
         ) * d,
     }
     aggs = _aggregates_from_w(m, cfg, t8c, b4c, g2c)
-    return ComponentSet(Topology.SEQUENTIAL, comps, aggs)
+    return ComponentSet(
+        Topology.SEQUENTIAL, comps, aggs, _rounding_scale(m, cfg, t8c, b4c, g2c)
+    )
+
+
+def _rounding_scale(m, cfg, t8c, b4c, g2c) -> float:
+    """A bound on the absolute monomials any W or component polynomial sums.
+
+    It is the W polynomial with every coefficient and level replaced by its
+    absolute value, the mediator reference levels added to the mediator
+    intercepts. The aggregates are differences of W values and the components
+    are signed sums of the same monomials, so their rounding error is a
+    multiple of this however far the results cancel.
+    """
+    level = max(abs(cfg.a), abs(cfg.a_star))
+    b = [abs(v) for v in m.beta]
+    b[0] += abs(cfg.m2_star)
+    return _w_value(
+        [abs(v) for v in m.theta],
+        b,
+        [abs(m.gamma[0]) + abs(cfg.m1_star), abs(m.gamma[1])],
+        m.sigma_m1 ** 2,
+        level, level, level,
+        abs(t8c), abs(b4c), abs(g2c),
+    )
 
 
 def _aggregates_from_w(m, cfg, t8c, b4c, g2c):
     a, s = cfg.a, cfg.a_star
+    var1 = m.sigma_m1 ** 2
 
     def w(x, y, z):
-        return _w_value(m, x, y, z, t8c, b4c, g2c)
+        return _w_value(m.theta, m.beta, m.gamma, var1, x, y, z, t8c, b4c, g2c)
 
     return {
         PDE: w(a, s, s) - w(s, s, s),
@@ -354,7 +375,9 @@ def decompose_nonsequential_closed_form(
         PIE_M2: (b[1] * (t[3] + t[5] * s) + b[1] * (t[6] + t[7] * s) * gs) * d,
     }
     aggs = _aggregates_from_w(m, cfg, t8c, b4c, g2c)
-    return ComponentSet(Topology.NONSEQUENTIAL, comps, aggs)
+    return ComponentSet(
+        Topology.NONSEQUENTIAL, comps, aggs, _rounding_scale(m, cfg, t8c, b4c, g2c)
+    )
 
 
 def decompose_closed_form(m: ModelCoefficients, cfg: ReferenceConfig) -> ComponentSet:

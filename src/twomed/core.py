@@ -11,7 +11,7 @@ ComponentSet carrying one is unconstructible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from typing import Mapping
 
@@ -133,7 +133,7 @@ class ReferenceConfig:
 
 
 def _check_identity(label: str, lhs: float, rhs: float, scale: float) -> None:
-    tol = _IDENTITY_RTOL * max(1.0, abs(scale))
+    tol = _IDENTITY_RTOL * max(1.0, scale)
     if not (abs(lhs - rhs) <= tol):
         raise EstimationError(
             f"component-set identity violated: {label}: "
@@ -150,14 +150,17 @@ class ComponentSet:
     re-orders it. aggregates holds PDE, TDE, SIE_M1, TE. The defining
     identities (components sum to TE; TDE = PDE + exposure-mediator
     interactions; SIE_M1 = PIE_M1 + NatINT_M1M2) are enforced at construction
-    to 1e-10 relative.
+    to 1e-10 of the summed absolute components. A producer whose values are
+    differences of larger intermediates passes the intermediates' magnitude as
+    rounding_scale, which then sets the tolerance when it is the larger.
     """
 
     topology: Topology
     components: Mapping[str, float]
     aggregates: Mapping[str, float]
+    rounding_scale: InitVar[float] = 0.0
 
-    def __post_init__(self):
+    def __post_init__(self, rounding_scale):
         names = component_names(self.topology)
         got = set(self.components)
         want = set(names)
@@ -183,27 +186,32 @@ class ComponentSet:
         aggs = {k: float(self.aggregates[k]) for k in AGGREGATE_NAMES}
         object.__setattr__(self, "aggregates", aggs)
 
+        # Every identity is a partial sum of the components, and the rounding
+        # error of a computed sum is bounded by a multiple of the sum of its
+        # terms' absolute values (Higham, Accuracy and Stability of Numerical
+        # Algorithms, ch. 4). |TE| is no such bound: it can cancel to near zero.
+        scale = max(math.fsum(abs(v) for v in ordered.values()), rounding_scale)
         te = aggs[TE]
-        _check_identity("sum(components) = TE", sum(ordered.values()), te, te)
+        _check_identity("sum(components) = TE", sum(ordered.values()), te, scale)
         pde_sum = ordered[CDE] + sum(
             ordered[n] for n in _INT_REF_NAMES[self.topology]
         )
-        _check_identity("PDE = CDE + INT_ref terms", aggs[PDE], pde_sum, te)
+        _check_identity("PDE = CDE + INT_ref terms", aggs[PDE], pde_sum, scale)
         tde_sum = (
             aggs[PDE] + ordered[NATINT_AM1] + ordered[NATINT_AM2] + ordered[NATINT_AM1M2]
         )
-        _check_identity("TDE = PDE + NatINT_A*", aggs[TDE], tde_sum, te)
+        _check_identity("TDE = PDE + NatINT_A*", aggs[TDE], tde_sum, scale)
         _check_identity(
             "SIE_M1 = PIE_M1 + NatINT_M1M2",
             aggs[SIE_M1],
             ordered[PIE_M1] + ordered[NATINT_M1M2],
-            te,
+            scale,
         )
         _check_identity(
             "TE = TDE + SIE_M1 + PIE_M2",
             te,
             aggs[TDE] + aggs[SIE_M1] + ordered[PIE_M2],
-            te,
+            scale,
         )
 
     def component(self, name: str) -> float:

@@ -133,6 +133,50 @@ def _dependent_columns(x: np.ndarray, names) -> list[str]:
     return bad
 
 
+def _design_matrices(d: Dataset, topology: Topology) -> dict[str, np.ndarray]:
+    """The three design matrices, keyed and ordered like _design_names."""
+    a, m1, m2, c = d.a, d.m1, d.m2, d.covariates
+    one = np.ones(d.n)
+    x_y = np.column_stack([one, a, m1, m2, a * m1, a * m2, m1 * m2, a * m1 * m2, c])
+    if topology is Topology.SEQUENTIAL:
+        x_m2 = np.column_stack([one, a, m1, a * m1, c])
+    else:
+        x_m2 = np.column_stack([one, a, c])
+    x_m1 = np.column_stack([one, a, c])
+    return {"y": x_y, "m2": x_m2, "m1": x_m1}
+
+
+def _coefficients(
+    fits: dict, rss: dict, n: int, topology: Topology
+) -> ModelCoefficients:
+    """Plug-in coefficients from the three fitted vectors and residual sums of squares.
+
+    Each residual sigma is unbiased, with denominator n minus the model's column
+    count; for the first mediator that is n - (2 + k), the sigma_m1 the closed
+    forms need. The non-sequential second-mediator model has no m1 terms, so
+    beta[2] = beta[3] = 0 exactly.
+    """
+    theta, b_fit, g_fit = fits["y"], fits["m2"], fits["m1"]
+    sigma = {key: float(np.sqrt(rss[key] / (n - len(fits[key])))) for key in fits}
+    if topology is Topology.SEQUENTIAL:
+        beta = (b_fit[0], b_fit[1], b_fit[2], b_fit[3])
+        beta_c = tuple(b_fit[4:])
+    else:
+        beta = (b_fit[0], b_fit[1], 0.0, 0.0)
+        beta_c = tuple(b_fit[2:])
+    return ModelCoefficients(
+        theta=tuple(theta[:8]),
+        beta=beta,
+        gamma=(g_fit[0], g_fit[1]),
+        theta_c=tuple(theta[8:]),
+        beta_c=beta_c,
+        gamma_c=tuple(g_fit[2:]),
+        sigma_m1=sigma["m1"],
+        sigma_y=sigma["y"],
+        sigma_m2=sigma["m2"],
+    )
+
+
 def _fit_one(x: np.ndarray, y: np.ndarray, names, label: str):
     n, p = x.shape
     coefs, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
@@ -153,7 +197,17 @@ def _fit_one(x: np.ndarray, y: np.ndarray, names, label: str):
     stderr = {nm: float(v) for nm, v in zip(names, np.sqrt(np.diag(vcov)))}
     tss = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - rss / tss if tss > 0.0 else 1.0
-    return coefs, stderr, r2, vcov, resid, s2
+    return coefs, stderr, r2, vcov, rss
+
+
+_LABELS = {"y": "outcome", "m2": "m2", "m1": "m1"}
+
+
+def _check_rows(d: Dataset) -> None:
+    if d.n <= 8 + d.k:
+        raise DataError(
+            f"need more than {8 + d.k} rows to fit the outcome design, got {d.n}"
+        )
 
 
 def fit_all(d: Dataset, topology: Topology) -> FittedModels:
@@ -164,52 +218,93 @@ def fit_all(d: Dataset, topology: Topology) -> FittedModels:
     """
     if not isinstance(topology, Topology):
         raise ConfigError(f"unknown topology {topology!r}")
-    n, k = d.n, d.k
-    if n <= 8 + k:
-        raise DataError(
-            f"need more than {8 + k} rows to fit the outcome design, got {n}"
-        )
+    _check_rows(d)
     names = _design_names(topology, d.covariate_names)
-    a, m1, m2, y, c = d.a, d.m1, d.m2, d.y, d.covariates
-    one = np.ones(n)
-
-    x_y = np.column_stack([one, a, m1, m2, a * m1, a * m2, m1 * m2, a * m1 * m2, c])
-    if topology is Topology.SEQUENTIAL:
-        x_m2 = np.column_stack([one, a, m1, a * m1, c])
-    else:
-        x_m2 = np.column_stack([one, a, c])
-    x_m1 = np.column_stack([one, a, c])
-
-    theta, se_y, r2_y, v_y, _, s2_y = _fit_one(x_y, y, names["y"], "outcome")
-    b_fit, se_m2, r2_m2, v_m2, _, s2_m2 = _fit_one(x_m2, m2, names["m2"], "m2")
-    g_fit, se_m1, r2_m1, v_m1, resid_m1, _ = _fit_one(x_m1, m1, names["m1"], "m1")
-
-    dof_m1 = n - (2 + k)
-    sigma2_m1 = float(resid_m1 @ resid_m1) / dof_m1
-    if topology is Topology.SEQUENTIAL:
-        beta = (b_fit[0], b_fit[1], b_fit[2], b_fit[3])
-        beta_c = tuple(b_fit[4:])
-    else:
-        beta = (b_fit[0], b_fit[1], 0.0, 0.0)
-        beta_c = tuple(b_fit[2:])
-
-    coefficients = ModelCoefficients(
-        theta=tuple(theta[:8]),
-        beta=beta,
-        gamma=(g_fit[0], g_fit[1]),
-        theta_c=tuple(theta[8:]),
-        beta_c=beta_c,
-        gamma_c=tuple(g_fit[2:]),
-        sigma_m1=float(np.sqrt(sigma2_m1)),
-        sigma_y=float(np.sqrt(s2_y)),
-        sigma_m2=float(np.sqrt(s2_m2)),
-    )
+    fits, stderr, r2, vcov, rss = {}, {}, {}, {}, {}
+    for key, x in _design_matrices(d, topology).items():
+        fits[key], stderr[key], r2[key], vcov[key], rss[key] = _fit_one(
+            x, getattr(d, key), names[key], _LABELS[key]
+        )
+    coefficients = _coefficients(fits, rss, d.n, topology)
     return FittedModels(
         coefficients=coefficients,
-        stderr_diagnostics={"y": se_y, "m2": se_m2, "m1": se_m1},
-        r_squared={"y": r2_y, "m2": r2_m2, "m1": r2_m1},
-        residual_sigma_m1=float(np.sqrt(sigma2_m1)),
-        vcov={"y": v_y, "m2": v_m2, "m1": v_m1},
+        stderr_diagnostics=stderr,
+        r_squared=r2,
+        residual_sigma_m1=coefficients.sigma_m1,
+        vcov=vcov,
         design_names=names,
-        n=n,
+        n=d.n,
     )
+
+
+class CountWeightedFit:
+    """Refits of all three models under row-count weights, against one QR.
+
+    A bootstrap resample that takes row i w_i times has the same least-squares
+    fit as the weighted problem min sum_i w_i (y_i - x_i b)^2. Each design is
+    factored once as X = Q0 R0; a replicate then solves the p x p system
+    (Q0' W Q0) z = Q0' W y and maps back with b = R0^{-1} z (least squares
+    through QR, never X'WX itself). Q0' W Q0 is close to n times the identity
+    for a typical resample, so these small solves are well conditioned.
+    """
+
+    def __init__(self, d: Dataset, topology: Topology):
+        _check_rows(d)
+        self._n = d.n
+        self._topology = topology
+        self._models = {}
+        for key, x in _design_matrices(d, topology).items():
+            q, r = np.linalg.qr(x)
+            p = r.shape[0]
+            # column products q_i * q_j for i <= j, in np.triu_indices order,
+            # written in place to keep the set-up's peak memory down
+            pairs = np.empty((d.n, p * (p + 1) // 2))
+            start = 0
+            for i in range(p):
+                stop = start + p - i
+                np.multiply(q[:, i : i + 1], q[:, i:], out=pairs[:, start:stop])
+                start = stop
+            iu = np.triu_indices(p)
+            self._models[key] = (getattr(d, key), q, r, np.linalg.cond(r), iu, pairs)
+
+    def fit(self, counts: np.ndarray, cond_limit: float) -> list:
+        """Coefficients for each row of a (replicates, n) count matrix.
+
+        A replicate gets None unless cond(R0) * sqrt(cond(Q0' W Q0)), an upper
+        bound on the condition number of its resampled design, is below
+        cond_limit for every model; the caller refits those the reference
+        way, so rank decisions stay with the per-replicate fit. Residual sums
+        of squares come from explicit residuals, not from y'Wy - h'z, which
+        cancels.
+        """
+        reps = counts.shape[0]
+        ok = np.ones(reps, dtype=bool)
+        fits, rss = {}, {}
+        for key, (y, q, r, cond_r, iu, pairs) in self._models.items():
+            p = r.shape[0]
+            gram = np.empty((reps, p, p))
+            upper = counts @ pairs
+            gram[:, iu[0], iu[1]] = upper
+            gram[:, iu[1], iu[0]] = upper
+            eig = np.linalg.eigvalsh(gram)
+            # cond_r * sqrt(max eig / min eig) < cond_limit, squared and
+            # cleared of the division; false whenever min eig <= 0
+            ok &= cond_r**2 * eig[:, -1] < cond_limit**2 * eig[:, 0]
+            gram[~ok] = np.eye(p)  # skipped replicates must not make solve raise
+            z = np.linalg.solve(gram, ((counts * y) @ q)[:, :, None])[:, :, 0]
+            fits[key] = np.linalg.solve(r, z.T).T.tolist()
+            resid = z @ q.T
+            np.subtract(y, resid, out=resid)
+            resid *= resid
+            rss[key] = np.einsum("bi,bi->b", counts, resid).tolist()
+        return [
+            _coefficients(
+                {key: fits[key][b] for key in fits},
+                {key: rss[key][b] for key in rss},
+                self._n,
+                self._topology,
+            )
+            if ok[b]
+            else None
+            for b in range(reps)
+        ]

@@ -1,8 +1,11 @@
 """Percentile-bootstrap behavior: determinism, seeding contract, failure policy."""
 
+import math
+
 import numpy as np
 import pytest
 
+import twomed.bootstrap
 from conftest import make_linear_dataset, random_linear_scm, random_reference
 from twomed import (
     ConfigError,
@@ -66,8 +69,13 @@ def test_point_estimate_is_the_full_data_fit():
         assert r.point.component(name) == value, name
 
 
-def test_replicates_follow_the_seeding_contract():
-    """Replicate b draws its indices from a generator seeded with (seed, b)."""
+def test_replicates_follow_the_seeding_contract(monkeypatch):
+    """Replicate b draws its indices from a generator seeded with (seed, b).
+
+    A zero condition limit sends every replicate down the reference route,
+    fit_all on the copied rows, which this loop repeats bit for bit.
+    """
+    monkeypatch.setattr(twomed.bootstrap, "_COND_LIMIT", 0.0)
     d, _ = _noisy_dataset(5, n=80)
     seed, B = 21, 100
     r = bootstrap_decomposition(d, CFG, B=B, seed=seed)
@@ -177,3 +185,47 @@ def test_level_changes_interval_width():
     assert (wide.upper["TE"] - wide.lower["TE"]) > (
         narrow.upper["TE"] - narrow.lower["TE"]
     )
+
+
+@pytest.mark.parametrize("topology", list(Topology))
+def test_count_weighted_engine_matches_reference_refits(monkeypatch, topology):
+    """The batched closed-form engine reproduces per-replicate refits.
+
+    The rare-rows data makes some resamples rank deficient, and B is not a
+    multiple of the chunk size, so failures land inside chunks and the last
+    chunk is short. Agreement is to rounding, not bit for bit: the batched
+    solve sums in another order than lstsq.
+    """
+    n, B, seed = 200, 200, 5
+    d = _dataset_with_rare_rows(n=n, rare=4, seed=9)
+    cfg = ReferenceConfig(
+        a=1.0, a_star=0.0, m1_star=0.5, m2_star=-0.5,
+        covariates=(0.0,), topology=topology,
+    )
+    chunk = max(1, twomed.bootstrap._CHUNK_BYTES // (8 * n))
+    assert B % chunk != 0
+    flag = d.covariates[:, 0]
+    misses = [
+        b for b in range(B)
+        if not flag[np.random.default_rng([seed, b]).integers(0, n, size=n)].any()
+    ]
+    assert any(0 < b % chunk < chunk - 1 for b in misses)
+
+    taken = []
+    take = Dataset.take
+    monkeypatch.setattr(
+        Dataset, "take", lambda ds, idx: taken.append(idx) or take(ds, idx)
+    )
+    batched = bootstrap_decomposition(d, cfg, B=B, seed=seed)
+    # only the resamples that miss every flagged row leave the batched route
+    assert len(taken) == len(misses)
+    monkeypatch.setattr(twomed.bootstrap, "_COND_LIMIT", 0.0)
+    reference = bootstrap_decomposition(d, cfg, B=B, seed=seed)
+
+    assert batched.failed_replicates == reference.failed_replicates == len(misses)
+    assert batched.point == reference.point
+    for bounds, want in ((batched.lower, reference.lower),
+                         (batched.upper, reference.upper)):
+        assert bounds.keys() == want.keys()
+        for name, value in bounds.items():
+            assert math.isclose(value, want[name], rel_tol=1e-10, abs_tol=1e-12), name

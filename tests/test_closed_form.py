@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_linear_scm, random_reference
 from twomed import (
+    ComponentSet,
     ConfigError,
+    EstimationError,
     ModelCoefficients,
     ReferenceConfig,
     Topology,
@@ -338,3 +342,78 @@ def test_monte_carlo_sharding_is_reproducible():
     two = simulate_linear_components(scm, cfg, n=10_000, seed=3, shards=4)
     for name, value in one.components.components.items():
         assert two.components.component(name) == value, name
+
+
+def _signed_power(exponent, negative):
+    return (-1.0 if negative else 1.0) * 10.0 ** exponent
+
+
+# coefficient magnitudes from 1e-3 to 1e6, either sign
+_wide = st.builds(_signed_power, st.floats(-3.0, 6.0), st.booleans())
+
+
+@st.composite
+def _wide_model(draw):
+    topology = draw(st.sampled_from(list(Topology)))
+    beta = draw(st.lists(_wide, min_size=4, max_size=4))
+    if topology is Topology.NONSEQUENTIAL:
+        beta[2] = beta[3] = 0.0
+    m = ModelCoefficients(
+        theta=draw(st.lists(_wide, min_size=8, max_size=8)),
+        beta=beta,
+        gamma=draw(st.lists(_wide, min_size=2, max_size=2)),
+        theta_c=draw(st.lists(_wide, min_size=2, max_size=2)),
+        beta_c=draw(st.lists(_wide, min_size=2, max_size=2)),
+        gamma_c=draw(st.lists(_wide, min_size=2, max_size=2)),
+        sigma_m1=abs(draw(_wide)),
+    )
+    level = st.floats(-2.0, 2.0)
+    cfg = ReferenceConfig(
+        a=draw(level), a_star=draw(level), m1_star=draw(level), m2_star=draw(level),
+        covariates=(draw(level), draw(level)), topology=topology,
+    )
+    return m, cfg
+
+
+# found by random search: TE's own polynomial and the component sum differ by
+# 12 in 2.2e9, which is rounding in terms far larger than TE, yet more than
+# the old 1e-10 * |TE| tolerance allowed
+_CANCELLING = (
+    ModelCoefficients(
+        theta=(1e3, -1e5, 10.0, 1e6, -10.0, -10.0, 1e3, -1e6),
+        beta=(0.01, -100.0, 1.0, -1e3),
+        gamma=(10.0, 1e4),
+        theta_c=(-100.0, -1e4),
+        beta_c=(-1e4, -1e3),
+        gamma_c=(0.01, 1e4),
+        sigma_m1=1.0,
+    ),
+    ReferenceConfig(
+        a=1.0, a_star=0.0, m1_star=0.0, m2_star=0.0,
+        covariates=(1.0, -1.0), topology=Topology.SEQUENTIAL,
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_wide_model())
+@example(_CANCELLING)
+def test_identity_checks_pass_wide_scale_coefficients(model):
+    """Rounding alone never trips the component-set identities."""
+    m, cfg = model
+    decompose_closed_form(m, cfg)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_wide_model())
+@example(_CANCELLING)
+def test_identity_checks_catch_a_planted_relative_error(model):
+    """A 1e-8 relative error in the largest component breaks an identity."""
+    m, cfg = model
+    cs = decompose_closed_form(m, cfg)
+    name = max(cs.components, key=lambda k: abs(cs.components[k]))
+    assume(abs(cs.components[name]) > 1.0)
+    planted = dict(cs.components)
+    planted[name] *= 1.0 + 1e-8
+    with pytest.raises(EstimationError, match="identity violated"):
+        ComponentSet(cfg.topology, planted, cs.aggregates)

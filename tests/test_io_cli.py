@@ -403,6 +403,51 @@ def test_cli_validate_linear_pass_and_forced_fail(runner, tmp_path):
     assert "RESULT: FAIL" in forced.output
 
 
+def test_cli_validate_compares_zero_spread_terms_by_tolerance(runner, tmp_path):
+    """A component that is the same for every simulated individual has Monte
+    Carlo SE exactly 0; its mean may still differ from the closed form in the
+    last bit, which must pass --tol rather than fail a z-score."""
+    spec = dict(LINEAR_SPEC, beta=[0.1, 0.8, 0.0, 0.0],
+                theta=[0.3] + LINEAR_SPEC["theta"][1:])
+    path = _write(tmp_path / "spec.json", json.dumps(spec))
+    args = ["validate", "--spec", path, "--topology", "nonsequential",
+            "--mc-n", "1000", "--seed", "1"]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 0, res.output
+    assert "zero-spread terms (CDE, NatINT_M1M2)" in res.output
+    exact = runner.invoke(main, args + ["--tol", "0"])
+    assert exact.exit_code == 5, exact.output
+    assert "zero-spread" in exact.output and "FAIL" in exact.output
+
+
+def test_cli_exit_code_does_not_depend_on_the_seed(runner, tmp_path):
+    """A resample that loses a reference level is a failed replicate, not a
+    configuration error, so the exit code is the same for every seed."""
+    rng = np.random.default_rng(0)
+    n = 400
+    a = rng.integers(0, 2, n)
+    m1 = rng.integers(0, 2, n)
+    m2 = rng.integers(0, 2, n)
+    # the reference level m1 = 2 sits on eight rows, two per (a, m2) cell
+    a[:8] = [0, 0, 0, 0, 1, 1, 1, 1]
+    m2[:8] = [0, 0, 1, 1, 0, 0, 1, 1]
+    m1[:8] = 2
+    y = a + m1 + m2 + rng.normal(0.0, 1.0, n)
+    rows = ["a,m1,m2,y"] + [f"{r[0]},{r[1]},{r[2]},{float(r[3])!r}"
+                            for r in zip(a, m1, m2, y)]
+    data = _write(tmp_path / "rare.csv", "\n".join(rows) + "\n")
+    cfg = _write(tmp_path / "cfg.json", json.dumps({"m1_star": 2, "m2_star": 0}))
+    codes = [
+        runner.invoke(main, [
+            "analyze", "--data", data, "--config", cfg,
+            "--estimator", "empirical-categorical", "--bootstrap-B", "1000",
+            "--seed", str(seed),
+        ]).exit_code
+        for seed in range(5)
+    ]
+    assert codes == [4] * 5
+
+
 def test_cli_validate_rejects_binary_refs_off_support(runner, tmp_path):
     spec = _write(tmp_path / "spec.json", json.dumps(BINARY_SPEC))
     cfg = _write(tmp_path / "cfg.json", json.dumps({"a": 2.0}))
