@@ -12,6 +12,11 @@ count-weighted least-squares problems against one QR of the full data. A
 replicate whose resampled design is not clearly full rank is refit from its
 copied rows instead, so failures are decided exactly as a plain per-replicate
 refit decides them.
+
+The empirical-categorical estimator codes each row's table cell once
+(CellCoder); a replicate's tables then come from bincounts over its indices'
+codes, without copying rows. They are exactly the tables of the copied rows,
+so estimates, bounds and failures are those of a per-replicate refit.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from .core import (
     ReferenceConfig,
     component_names,
 )
-from .empirical import decompose_empirical_sequential, estimate_tables
+from .empirical import CellCoder, decompose_empirical_sequential, estimate_tables
 from .regression import CountWeightedFit, Dataset, fit_all
 
 ESTIMATORS = ("closed-form", "empirical-categorical")
@@ -107,7 +112,8 @@ def bootstrap_decomposition(
     draws = {k: [] for k in names}
     n = d.n
     failed = 0
-    fitter = CountWeightedFit(d, cfg.topology) if estimator == "closed-form" else None
+    coder = CellCoder(d) if estimator == "empirical-categorical" else None
+    fitter = CountWeightedFit(d, cfg.topology) if coder is None else None
     chunk = max(1, _CHUNK_BYTES // (8 * n))
     for start in range(0, B, chunk):
         stop = min(start + chunk, B)
@@ -120,7 +126,10 @@ def bootstrap_decomposition(
             fast = fitter.fit(counts, _COND_LIMIT)
         for b, coefficients in zip(range(start, stop), fast):
             try:
-                if coefficients is None:
+                if coder is not None:
+                    tables = coder.tables(cfg, _resample_indices(seed, b, n))
+                    cs = decompose_empirical_sequential(tables, cfg)
+                elif coefficients is None:
                     rows = d.take(_resample_indices(seed, b, n))
                     cs = _estimate_once(rows, cfg, estimator)
                 else:

@@ -122,12 +122,13 @@ def analyze(data, config_path, topology, bootstrap_b, level, seed, estimator,
             raise ConfigError('no dataset given; pass --data or a config "data" key')
         d, dropped = load_dataset(rc.data, rc)
         cfg, resolved = resolve_reference(rc, d)
+        # a configuration the tables reject fails before any replicate runs
+        tables = estimate_tables(d, cfg) if dump_tables else None
         result = bootstrap_decomposition(
             d, cfg, B=rc.bootstrap_B, level=rc.level, seed=rc.seed,
             estimator=rc.estimator,
         )
-        if dump_tables:
-            tables = estimate_tables(d, cfg)
+        if tables is not None:
             with open(dump_tables, "w", encoding="utf-8") as fh:
                 fh.write(tables.to_json())
         doc = _report_doc(rc, cfg, resolved, result, n=d.n, dropped=dropped)

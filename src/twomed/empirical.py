@@ -11,6 +11,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import compress
+
+import numpy as np
 
 from .core import (
     CDE,
@@ -156,6 +159,72 @@ class ProbTables:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
+def _distinct(x: np.ndarray):
+    """Sorted distinct entries (rows, for a matrix) of x, and the position of
+    each of x's entries among them."""
+    values, inverse = np.unique(x, axis=0, return_inverse=True)
+    return values, inverse.ravel()
+
+
+class CellCoder:
+    """A dataset's rows coded once by their (a, m1, m2, stratum) cell.
+
+    tables() estimates the tables of all rows, or of the resample made of rows
+    idx, from two bincounts over the codes plus work in the number of cells,
+    not rows. Counts are exact integers and each cell's outcomes are summed in
+    row order from 0.0, so the tables are exactly those of a row-by-row tally
+    of the resampled rows.
+    """
+
+    def __init__(self, d):
+        self.y = d.y
+        self.levels, index = [], []
+        for col in (d.a, d.m1, d.m2, d.covariates):
+            values, inverse = _distinct(col)
+            self.levels.append([v if col.ndim == 1 else tuple(v)
+                                for v in values.tolist()])
+            index.append(inverse)
+        self.cells, self.codes = _distinct(np.stack(index, axis=1))
+        am1, self.cell_am1 = _distinct(self.cells[:, [0, 1, 3]])
+        ac, self.am1_ac = _distinct(am1[:, [0, 2]])
+        a, m1, m2, c = self.levels
+        self.cell_keys = [(a[i], m1[j], m2[k], c[s])
+                          for i, j, k, s in self.cells.tolist()]
+        self.am1_keys = [(a[i], m1[j], c[s]) for i, j, s in am1.tolist()]
+        self.ac_keys = [(a[i], c[s]) for i, s in ac.tolist()]
+
+    def tables(self, cfg: ReferenceConfig, idx=None) -> ProbTables:
+        """Tables of rows idx (all rows when None), checked against cfg."""
+        codes, y = (self.codes, self.y) if idx is None else (
+            self.codes[idx], self.y[idx])
+        n = np.bincount(codes, minlength=len(self.cell_keys))
+        y_sum = np.bincount(codes, weights=y, minlength=len(self.cell_keys))
+        n_am1 = np.bincount(self.cell_am1, weights=n, minlength=len(self.am1_keys))
+        n_ac = np.bincount(self.am1_ac, weights=n_am1, minlength=len(self.ac_keys))
+        live, live_am1 = n > 0, n_am1 > 0
+        # the supports and strata are the levels the rows still hold
+        support_a, support_m1, support_m2, strata = (
+            tuple(compress(lv, np.bincount(self.cells[live, j], minlength=len(lv))))
+            for j, lv in enumerate(self.levels)
+        )
+        _cfg_levels(cfg, support_a, support_m1, support_m2, strata)
+
+        # unobserved levels within an observed group are structural zeros
+        pr1 = {(a, m1, c): 0.0 for a, c in compress(self.ac_keys, n_ac > 0)
+               for m1 in support_m1}
+        pr1.update(zip(compress(self.am1_keys, live_am1),
+                       (n_am1[live_am1] / n_ac[self.am1_ac[live_am1]]).tolist()))
+        pr2 = {(a, m1, m2, c): 0.0 for a, m1, c in compress(self.am1_keys, live_am1)
+               for m2 in support_m2}
+        pr2.update(zip(compress(self.cell_keys, live),
+                       (n[live] / n_am1[self.cell_am1[live]]).tolist()))
+        py = dict(zip(compress(self.cell_keys, live), (y_sum[live] / n[live]).tolist()))
+        t = ProbTables(pr_m1=pr1, pr_m2=pr2, p_y=py, support_a=support_a,
+                       support_m1=support_m1, support_m2=support_m2, strata=strata)
+        _check_coverage(t, cfg)
+        return t
+
+
 def estimate_tables(d, cfg: ReferenceConfig) -> ProbTables:
     """Saturated frequency tables from a dataset, one stratum per distinct
     covariate row.
@@ -164,75 +233,26 @@ def estimate_tables(d, cfg: ReferenceConfig) -> ProbTables:
     stratum) has no data, naming the cell; coarsening the strata is the
     caller's remedy.
     """
-    a_col = [_level(v) for v in d.a]
-    m1_col = [_level(v) for v in d.m1]
-    m2_col = [_level(v) for v in d.m2]
-    y_col = [float(v) for v in d.y]
-    strata_col = [tuple(_level(v) for v in row) for row in d.covariates]
-
-    support_a = tuple(sorted(set(a_col)))
-    support_m1 = tuple(sorted(set(m1_col)))
-    support_m2 = tuple(sorted(set(m2_col)))
-    strata = tuple(sorted(set(strata_col)))
-
-    n_ac: dict = {}
-    n_am1: dict = {}
-    n_am1m2: dict = {}
-    y_sum: dict = {}
-    for a, m1, m2, y, c in zip(a_col, m1_col, m2_col, y_col, strata_col):
-        n_ac[(a, c)] = n_ac.get((a, c), 0) + 1
-        n_am1[(a, m1, c)] = n_am1.get((a, m1, c), 0) + 1
-        k = (a, m1, m2, c)
-        n_am1m2[k] = n_am1m2.get(k, 0) + 1
-        y_sum[k] = y_sum.get(k, 0.0) + y
-
-    pr1 = {}
-    for (a, m1, c), cnt in n_am1.items():
-        pr1[(a, m1, c)] = cnt / n_ac[(a, c)]
-    pr2 = {}
-    py = {}
-    for k, cnt in n_am1m2.items():
-        a, m1, m2, c = k
-        pr2[k] = cnt / n_am1[(a, m1, c)]
-        py[k] = y_sum[k] / cnt
-    # unobserved levels within an observed group are structural zeros
-    for (a, c) in n_ac:
-        for m1 in support_m1:
-            pr1.setdefault((a, m1, c), 0.0)
-    for (a, m1, c) in n_am1:
-        for m2 in support_m2:
-            pr2.setdefault((a, m1, m2, c), 0.0)
-
-    t = ProbTables(
-        pr_m1=pr1,
-        pr_m2=pr2,
-        p_y=py,
-        support_a=support_a,
-        support_m1=support_m1,
-        support_m2=support_m2,
-        strata=strata,
-    )
-    _check_coverage(t, cfg)
-    return t
+    return CellCoder(d).tables(cfg)
 
 
-def _cfg_levels(t: ProbTables, cfg: ReferenceConfig):
+def _cfg_levels(cfg: ReferenceConfig, support_a, support_m1, support_m2, strata):
     a = _level(cfg.a)
     s = _level(cfg.a_star)
     m1r = _level(cfg.m1_star)
     m2r = _level(cfg.m2_star)
     c = tuple(_level(v) for v in cfg.covariates)
     for lev, sup, what in (
-        (a, t.support_a, "exposure"),
-        (s, t.support_a, "exposure"),
-        (m1r, t.support_m1, "m1 reference"),
-        (m2r, t.support_m2, "m2 reference"),
+        (a, support_a, "exposure"),
+        (s, support_a, "exposure"),
+        (m1r, support_m1, "m1 reference"),
+        (m2r, support_m2, "m2 reference"),
     ):
         if lev not in sup:
             raise ConfigError(
                 f"{what} level {_level_str(lev)} not in the table support"
             )
-    if c not in t.strata:
+    if c not in strata:
         raise ConfigError(f"stratum {_stratum_str(c)} not present in the tables")
     return a, s, m1r, m2r, c
 
@@ -269,7 +289,9 @@ def _py(t, a, m1, m2, c):
 
 def _check_coverage(t: ProbTables, cfg: ReferenceConfig) -> None:
     """Touch every cell any sum can reach with positive weight."""
-    a, s, m1r, m2r, c = _cfg_levels(t, cfg)
+    a, s, m1r, m2r, c = _cfg_levels(
+        cfg, t.support_a, t.support_m1, t.support_m2, t.strata
+    )
     for x in (a, s):
         _py(t, x, m1r, m2r, c)
     for y in (a, s):
@@ -309,7 +331,9 @@ def decompose_empirical_sequential(
         raise ConfigError(
             "decompose_empirical_sequential needs Sequential topology"
         )
-    a, s, m1r, m2r, c = _cfg_levels(t, cfg)
+    a, s, m1r, m2r, c = _cfg_levels(
+        cfg, t.support_a, t.support_m1, t.support_m2, t.strata
+    )
     sup1 = t.support_m1
     sup2 = t.support_m2
 
@@ -375,10 +399,16 @@ def decompose_empirical_sequential(
             if p1s != 0.0 and d2 != 0.0:
                 pie2_terms.append(ys * p1s * d2)
 
+    ref_rest = math.fsum(ref_rest_terms)
+    if a == s:
+        # the four-term differences cancel only up to rounding, and every
+        # component of a null contrast is exactly zero
+        ref_am1 = ref_rest = 0.0
+
     comps = {
         CDE: cde,
         INT_REF_AM1: ref_am1,
-        INT_REF_AM2_PLUS_AM1M2: math.fsum(ref_rest_terms),
+        INT_REF_AM2_PLUS_AM1M2: ref_rest,
         NATINT_AM1: math.fsum(nat_am1_terms),
         NATINT_AM2: math.fsum(nat_am2_terms),
         NATINT_AM1M2: math.fsum(nat_am1m2_terms),

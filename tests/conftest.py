@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from twomed import BinaryScm, LinearScm, ReferenceConfig, Topology
+from twomed import BinaryScm, LinearScm, ProbTables, ReferenceConfig, Topology
+from twomed.empirical import _check_coverage, _level
 
 
 def random_linear_scm(rng, k=2, sequential=True, scale=1.0):
@@ -81,3 +82,58 @@ def make_linear_dataset(scm, n, seed, exposure_p=0.5):
         + rng.normal(0.0, scm.sigma_y, n)
     )
     return {"a": a, "m1": m1, "m2": m2, "y": y, "covariates": c}
+
+
+def loop_estimate_tables(d, cfg):
+    """The table estimator as a row-by-row dict tally: the reference that
+    the package's cell-coded estimate_tables must match exactly."""
+    a_col = [_level(v) for v in d.a]
+    m1_col = [_level(v) for v in d.m1]
+    m2_col = [_level(v) for v in d.m2]
+    y_col = [float(v) for v in d.y]
+    strata_col = [tuple(_level(v) for v in row) for row in d.covariates]
+
+    support_a = tuple(sorted(set(a_col)))
+    support_m1 = tuple(sorted(set(m1_col)))
+    support_m2 = tuple(sorted(set(m2_col)))
+    strata = tuple(sorted(set(strata_col)))
+
+    n_ac: dict = {}
+    n_am1: dict = {}
+    n_am1m2: dict = {}
+    y_sum: dict = {}
+    for a, m1, m2, y, c in zip(a_col, m1_col, m2_col, y_col, strata_col):
+        n_ac[(a, c)] = n_ac.get((a, c), 0) + 1
+        n_am1[(a, m1, c)] = n_am1.get((a, m1, c), 0) + 1
+        k = (a, m1, m2, c)
+        n_am1m2[k] = n_am1m2.get(k, 0) + 1
+        y_sum[k] = y_sum.get(k, 0.0) + y
+
+    pr1 = {}
+    for (a, m1, c), cnt in n_am1.items():
+        pr1[(a, m1, c)] = cnt / n_ac[(a, c)]
+    pr2 = {}
+    py = {}
+    for k, cnt in n_am1m2.items():
+        a, m1, m2, c = k
+        pr2[k] = cnt / n_am1[(a, m1, c)]
+        py[k] = y_sum[k] / cnt
+    # unobserved levels within an observed group are structural zeros
+    for (a, c) in n_ac:
+        for m1 in support_m1:
+            pr1.setdefault((a, m1, c), 0.0)
+    for (a, m1, c) in n_am1:
+        for m2 in support_m2:
+            pr2.setdefault((a, m1, m2, c), 0.0)
+
+    t = ProbTables(
+        pr_m1=pr1,
+        pr_m2=pr2,
+        p_y=py,
+        support_a=support_a,
+        support_m1=support_m1,
+        support_m2=support_m2,
+        strata=strata,
+    )
+    _check_coverage(t, cfg)
+    return t

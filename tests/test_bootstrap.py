@@ -6,15 +6,22 @@ import numpy as np
 import pytest
 
 import twomed.bootstrap
-from conftest import make_linear_dataset, random_linear_scm, random_reference
+from conftest import (
+    loop_estimate_tables,
+    make_linear_dataset,
+    random_linear_scm,
+    random_reference,
+)
 from twomed import (
     ConfigError,
     Dataset,
+    EstimationError,
     InferenceError,
     ReferenceConfig,
     Topology,
     bootstrap_decomposition,
     decompose_closed_form,
+    decompose_empirical_sequential,
     fit_all,
 )
 
@@ -176,6 +183,83 @@ def test_empirical_estimator_path():
     )
     assert r.failed_replicates <= 5
     assert r.lower["TE"] < r.upper["TE"]
+
+
+def _dataset_with_rare_reference_level(n=400, per_cell=5, seed=0):
+    """Binary data plus a third m1 level, 2, on per_cell rows of each (a, m2)
+    cell. With m1* = 2, a resample that misses one of those small cells lacks
+    an outcome mean the decomposition needs, so a few replicates fail."""
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, 2, n).astype(float)
+    m1 = rng.integers(0, 2, n).astype(float)
+    m2 = rng.integers(0, 2, n).astype(float)
+    rare = 4 * per_cell
+    a[:rare] = np.repeat([0.0, 0.0, 1.0, 1.0], per_cell)
+    m2[:rare] = np.repeat([0.0, 1.0, 0.0, 1.0], per_cell)
+    m1[:rare] = 2.0
+    y = a + m1 + m2 + rng.normal(0.0, 1.0, n)
+    return Dataset(a=a, m1=m1, m2=m2, y=y)
+
+
+def test_empirical_bootstrap_equals_the_per_replicate_loop(monkeypatch):
+    """The cell-coded replicates give exactly what refitting the row-by-row
+    table tally on each copied resample gives, failures included, and copy
+    no rows."""
+    d = _dataset_with_rare_reference_level()
+    cfg = ReferenceConfig(
+        a=1.0, a_star=0.0, m1_star=2.0, m2_star=0.0,
+        covariates=(), topology=Topology.SEQUENTIAL,
+    )
+    seed, B = 0, 200
+    taken = []
+    take = Dataset.take
+    monkeypatch.setattr(
+        Dataset, "take", lambda ds, idx: taken.append(idx) or take(ds, idx)
+    )
+    r = bootstrap_decomposition(
+        d, cfg, B=B, seed=seed, estimator="empirical-categorical"
+    )
+    assert taken == []
+
+    draws = {name: [] for name in r.lower}
+    failed = 0
+    for b in range(B):
+        idx = np.random.default_rng([seed, b]).integers(0, d.n, size=d.n)
+        try:
+            cs = decompose_empirical_sequential(
+                loop_estimate_tables(d.take(idx), cfg), cfg
+            )
+        except (ConfigError, EstimationError):
+            failed += 1
+            continue
+        for name in draws:
+            draws[name].append(
+                cs.aggregates[name] if name in cs.aggregates else cs.component(name)
+            )
+    assert 0 < failed <= 0.05 * B
+    assert r.failed_replicates == failed
+    assert r.point == decompose_empirical_sequential(
+        loop_estimate_tables(d, cfg), cfg
+    )
+    for name, vals in draws.items():
+        assert r.lower[name] == float(np.quantile(vals, (1.0 - 0.95) / 2.0)), name
+        assert r.upper[name] == float(np.quantile(vals, (1.0 + 0.95) / 2.0)), name
+
+
+@pytest.mark.parametrize("level", [0.0, 1.0])
+def test_empirical_null_contrast_is_exactly_zero(level):
+    d = _dataset_with_rare_reference_level(per_cell=8, seed=3)
+    cfg = ReferenceConfig(
+        a=level, a_star=level, m1_star=2.0, m2_star=1.0,
+        covariates=(), topology=Topology.SEQUENTIAL,
+    )
+    r = bootstrap_decomposition(
+        d, cfg, B=100, seed=4, estimator="empirical-categorical"
+    )
+    point = dict(r.point.components) | dict(r.point.aggregates)
+    assert point.keys() == r.lower.keys() == r.upper.keys()
+    for name in point:
+        assert point[name] == r.lower[name] == r.upper[name] == 0.0, name
 
 
 def test_level_changes_interval_width():

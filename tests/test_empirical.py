@@ -1,9 +1,13 @@
 """Table-based plug-in estimator for categorical mediators."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_binary_scm
+from conftest import loop_estimate_tables, random_binary_scm
 from twomed import (
     BinaryScm,
     ConfigError,
@@ -16,6 +20,7 @@ from twomed import (
     enumerate_binary_components,
     estimate_tables,
 )
+from twomed.empirical import CellCoder
 
 CFG = ReferenceConfig(
     a=1.0, a_star=0.0, m1_star=0.0, m2_star=0.0,
@@ -260,3 +265,98 @@ def test_estimate_tables_counts_match_hand_tally():
     # duplicated cells average their outcomes
     assert t.p_y[(1.0, 1.0, 1.0, ())] == 9.0
     assert t.p_y[(0.0, 0.0, 0.0, ())] == 2.0
+
+
+# table levels, negative and non-integer ones included
+_LEVELS = (-2.5, -1.0, -0.3, 0.0, 0.7, 1.0, 3.25)
+_TABLE_FIELDS = ("pr_m1", "pr_m2", "p_y", "support_a", "support_m1",
+                 "support_m2", "strata")
+
+
+@st.composite
+def _resampled_dataset(draw):
+    """A small categorical dataset holding every (a, m1, m2) cell of the
+    reference stratum, plus resample indices. Half the resamples keep every
+    row; the others draw with replacement and may lose any reference level."""
+    k = draw(st.integers(0, 2))
+    levels = [
+        draw(st.lists(st.sampled_from(_LEVELS), min_size=2, max_size=4, unique=True))
+        for _ in range(3 + k)
+    ]
+    stratum = tuple(draw(st.sampled_from(lv)) for lv in levels[3:])
+    rows = [cell + stratum for cell in itertools.product(*levels[:3])]
+    rows += draw(st.lists(st.tuples(*map(st.sampled_from, levels)), max_size=30))
+    n = len(rows)
+    cols = np.array(rows).reshape(n, 3 + k).T
+    y = draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n))
+    d = Dataset(a=cols[0], m1=cols[1], m2=cols[2], y=np.array(y),
+                covariates=cols[3:].T)
+    if draw(st.booleans()):
+        idx = draw(st.permutations(range(n)))
+        idx += draw(st.lists(st.integers(0, n - 1), max_size=n))
+    else:
+        idx = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    cfg = ReferenceConfig(
+        a=draw(st.sampled_from(levels[0])), a_star=draw(st.sampled_from(levels[0])),
+        m1_star=draw(st.sampled_from(levels[1])),
+        m2_star=draw(st.sampled_from(levels[2])),
+        covariates=stratum, topology=Topology.SEQUENTIAL,
+    )
+    return d, np.array(idx), cfg
+
+
+def _tables_or_error(estimate):
+    try:
+        return estimate()
+    except (ConfigError, EstimationError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_resampled_dataset())
+def test_cell_coded_tables_equal_the_row_loop(case):
+    d, idx, cfg = case
+    want = _tables_or_error(lambda: loop_estimate_tables(d.take(idx), cfg))
+    got = _tables_or_error(lambda: CellCoder(d).tables(cfg, idx))
+    if isinstance(want, type):
+        assert got is want
+        return
+    for name in _TABLE_FIELDS:
+        assert getattr(got, name) == getattr(want, name), name
+    full = estimate_tables(d.take(idx), cfg)
+    for name in _TABLE_FIELDS:
+        assert getattr(full, name) == getattr(want, name), name
+
+
+def _two_strata_dataset():
+    # every (a, m1, m2) cell once in each of two strata, outcomes non-dyadic
+    rows = [(a, m1, m2, c) for c in (-0.5, 2.0) for a in (0.0, 1.0)
+            for m1 in (-1.0, 0.3) for m2 in (0.0, 2.5)]
+    cols = np.array(rows).T
+    return Dataset(a=cols[0], m1=cols[1], m2=cols[2],
+                   y=0.1 * np.arange(len(rows)) - 0.7,
+                   covariates=cols[3][:, None])
+
+
+@pytest.mark.parametrize("lost, column, level", [
+    ("exposure", 0, 1.0), ("m1 reference", 1, 0.3),
+    ("m2 reference", 2, 2.5), ("stratum", 3, 2.0),
+])
+def test_a_resample_that_loses_a_reference_fails_like_the_row_loop(
+    lost, column, level
+):
+    d = _two_strata_dataset()
+    cfg = ReferenceConfig(
+        a=1.0, a_star=0.0, m1_star=0.3, m2_star=2.5,
+        covariates=(2.0,), topology=Topology.SEQUENTIAL,
+    )
+    table = np.column_stack([d.a, d.m1, d.m2, d.covariates[:, 0]])
+    idx = np.flatnonzero(table[:, column] != level)
+    idx = np.concatenate([idx, idx[: d.n - len(idx)]])
+    with pytest.raises(ConfigError, match=lost) as want:
+        loop_estimate_tables(d.take(idx), cfg)
+    with pytest.raises(ConfigError) as got:
+        CellCoder(d).tables(cfg, idx)
+    assert str(got.value) == str(want.value)
+    # the full data holds every level, and both estimators agree on it
+    assert estimate_tables(d, cfg) == loop_estimate_tables(d, cfg)

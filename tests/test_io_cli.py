@@ -20,6 +20,7 @@ from twomed import (
     simulate_dataset,
     write_dataset_csv,
 )
+import twomed.cli
 from twomed.cli import main
 
 
@@ -281,6 +282,26 @@ def test_cli_analyze_dump_tables(runner, tmp_path):
     tables = json.loads(dump.read_text())
     assert set(tables) == {"support", "strata", "pr_m1", "pr_m2", "p_y"}
     assert tables["support"]["a"] == ["0", "1"]
+
+
+def test_cli_dump_tables_rejects_a_bad_configuration_before_the_bootstrap(
+    runner, tmp_path, monkeypatch
+):
+    # continuous mediators: the mean reference levels are not table levels
+    def no_bootstrap(*args, **kwargs):
+        raise AssertionError("the bootstrap ran before the table check")
+
+    monkeypatch.setattr(twomed.cli, "bootstrap_decomposition", no_bootstrap)
+    dump = tmp_path / "tables.json"
+    res = runner.invoke(
+        main,
+        ["analyze", "--data", _linear_csv(tmp_path), "--bootstrap-B", "100",
+         "--dump-tables", str(dump)],
+    )
+    assert res.exit_code == 2, res.output
+    assert "m1 reference level" in res.output
+    assert "not in the table support" in res.output
+    assert not dump.exists()
 
 
 def test_cli_exit_code_2_for_config_problems(runner, tmp_path):
