@@ -5,7 +5,8 @@ counterfactuals W1..W8 from the raw structural equations (expanding the first
 mediator's error moments by hand), define every component by its population
 contrast, and prove the internal identities symbolically. Second, against the
 installed package: evaluate those definitional expressions at random points
-and compare with decompose_closed_form and expected_counterfactual.
+and compare with decompose_closed_form and expected_counterfactual, and with
+decompose_closed_form_batch on all the points' coefficient sets at once.
 
 Dev tooling only; sympy is not a package dependency.
 
@@ -13,6 +14,7 @@ Dev tooling only; sympy is not a package dependency.
 """
 
 import argparse
+import dataclasses
 import random
 import sys
 
@@ -28,6 +30,7 @@ from twomed import (
     decompose_closed_form,
     expected_counterfactual,
 )
+from twomed.closed_form import CoefficientBatch, decompose_closed_form_batch
 
 t0, t1, t2, t3, t4, t5, t6, t7, t8c = sp.symbols("t0 t1 t2 t3 t4 t5 t6 t7 t8c")
 b0, b1, b2, b3, b4c = sp.symbols("b0 b1 b2 b3 b4c")
@@ -213,11 +216,19 @@ def symbolic_stage():
 
 
 def numeric_stage(comp_seq, comp_non, w_seq, points, seed):
-    """Definitional expressions vs the installed closed forms, at random points."""
+    """Definitional expressions vs the installed closed forms, at random points.
+
+    Every coefficient set is also evaluated a second time under one shared
+    reference configuration, and those sets go through the batched closed
+    form together, one batch per topology.
+    """
     rng = random.Random(seed)
     fns_seq = {nm: sp.lambdify(ARGS, ex, "math") for nm, ex in comp_seq.items()}
     fns_non = {nm: sp.lambdify(ARGS, ex, "math") for nm, ex in comp_non.items()}
     fns_w = {nm: sp.lambdify(ARGS, ex, "math") for nm, ex in w_seq.items()}
+    batch_refs = [rng.uniform(-2, 2) for _ in range(4)]
+    batch_c = rng.choice([-1, 1]) * rng.uniform(0.5, 2.0)
+    batches = {Topology.SEQUENTIAL: ([], []), Topology.NONSEQUENTIAL: ([], [])}
     worst = 0.0
     for _ in range(points):
         vals = [rng.uniform(-2, 2) for _ in range(17)]
@@ -260,10 +271,39 @@ def numeric_stage(comp_seq, comp_non, w_seq, points, seed):
                 for nm, fn in fns_w.items():
                     got = expected_counterfactual(nm, coefs, cfg)
                     worst = max(worst, abs(fn(*args) - got))
+            models, wants = batches[topology]
+            models.append(dataclasses.replace(
+                coefs,
+                theta_c=(tc / batch_c,), beta_c=(bc / batch_c,),
+                gamma_c=(gc / batch_c,),
+            ))
+            batch_point = point | dict(zip((a, s, m1r, m2r), batch_refs))
+            args = [batch_point[sym] for sym in ARGS]
+            wants.append({nm: fn(*args) for nm, fn in fns.items()})
     print(f"numeric stage: worst relative delta over {points} random points "
           f"= {worst:.3e}")
     if worst > 1e-9:
         FAILURES.append("numeric comparison against the package")
+
+    worst = 0.0
+    for topology, (models, wants) in batches.items():
+        cfg = ReferenceConfig(
+            a=batch_refs[0], a_star=batch_refs[1], m1_star=batch_refs[2],
+            m2_star=batch_refs[3], covariates=(batch_c,), topology=topology,
+        )
+        got, violated = decompose_closed_form_batch(
+            CoefficientBatch.stack(models), cfg
+        )
+        if violated.any():
+            FAILURES.append(f"batched identity checks ({topology.value})")
+        for i, want in enumerate(wants):
+            for nm, value in want.items():
+                delta = abs(value - got[nm][i]) / max(1.0, abs(value))
+                worst = max(worst, delta)
+    print(f"batch stage: worst relative delta over {points} coefficient sets "
+          f"per topology = {worst:.3e}")
+    if worst > 1e-9:
+        FAILURES.append("batched comparison against the package")
 
 
 def main():

@@ -6,12 +6,14 @@ decomposes. Replicate b's indices come from a generator seeded with
 Rank-deficient (or empty-cell) resamples are excluded and counted; a run
 with more than 5% exclusions is invalid.
 
-The closed-form estimator refits a chunk of replicates at once: each
-replicate's indices become a row of counts, and CountWeightedFit solves the
-count-weighted least-squares problems against one QR of the full data. A
+The closed-form estimator handles a chunk of replicates at once: each
+replicate's indices become a row of counts, CountWeightedFit solves the
+count-weighted least-squares problems of the whole chunk against one QR of the
+full data, and decompose_closed_form_batch evaluates the closed forms and
+checks the component-set identities on the chunk's coefficient arrays. A
 replicate whose resampled design is not clearly full rank is refit from its
-copied rows instead, so failures are decided exactly as a plain per-replicate
-refit decides them.
+copied rows and decomposed on its own instead, so failures are decided
+exactly as a plain per-replicate refit decides them.
 
 The empirical-categorical estimator codes each row's table cell once
 (CellCoder); a replicate's tables then come from bincounts over its indices'
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_form import decompose_closed_form
+from .closed_form import decompose_closed_form, decompose_closed_form_batch
 from .core import (
     AGGREGATE_NAMES,
     ComponentSet,
@@ -47,9 +49,12 @@ ESTIMATORS = ("closed-form", "empirical-categorical")
 # refit would accept.
 _COND_LIMIT = 1e8
 
-# Bytes of float64 counts per chunk of replicates. The chunk size depends on n
-# alone, so a run's arithmetic, and hence its output, is the same every time.
-_CHUNK_BYTES = 128 * 1024
+# Replicates per chunk, and the most bytes of float64 counts a chunk may hold
+# (_chunk_size). 32 replicates keep the count-weighted sums matrix-matrix
+# products; at n = 2,000 doubling that added 2.4 MB of peak memory for no
+# measurable gain. The byte bound caps the chunk from n = 65,536 rows on.
+_CHUNK_REPLICATES = 32
+_CHUNK_BYTES = 16 * 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -83,6 +88,27 @@ def _estimate_once(d: Dataset, cfg: ReferenceConfig, estimator: str) -> Componen
     return decompose_empirical_sequential(tables, cfg)
 
 
+def _replicate(estimate) -> list:
+    """One replicate's draws: a row of its component and aggregate values,
+    or no row if estimate() fails."""
+    try:
+        cs = estimate()
+    except (EstimationError, ConfigError):
+        # the full-data estimate already passed the configuration checks, so
+        # a ConfigError here means the resample lost a reference level or
+        # stratum: a failed replicate
+        return []
+    return [[*cs.components.values(), *cs.aggregates.values()]]
+
+
+def _chunk_size(n: int) -> int:
+    """Replicates per count-weighted batch: enough to make the batch's sums a
+    matrix-matrix product, with the (chunk, n) count block held under
+    _CHUNK_BYTES at very large n. It depends on n alone, so a run's
+    arithmetic, and hence its output, is the same every time."""
+    return max(1, min(_CHUNK_REPLICATES, _CHUNK_BYTES // (8 * n)))
+
+
 def bootstrap_decomposition(
     d: Dataset,
     cfg: ReferenceConfig,
@@ -109,41 +135,38 @@ def bootstrap_decomposition(
 
     point = _estimate_once(d, cfg, estimator)
     names = list(component_names(cfg.topology)) + list(AGGREGATE_NAMES)
-    draws = {k: [] for k in names}
+    # blocks of kept replicates' values, one row per replicate in names order
+    draws = []
     n = d.n
     failed = 0
-    coder = CellCoder(d) if estimator == "empirical-categorical" else None
-    fitter = CountWeightedFit(d, cfg.topology) if coder is None else None
-    chunk = max(1, _CHUNK_BYTES // (8 * n))
-    for start in range(0, B, chunk):
-        stop = min(start + chunk, B)
-        if fitter is None:
-            fast = [None] * (stop - start)
-        else:
-            counts = np.empty((stop - start, n))
-            for row, b in zip(counts, range(start, stop)):
+    if estimator == "closed-form":
+        fitter = CountWeightedFit(d, cfg.topology)
+        chunk = _chunk_size(n)
+        for start in range(0, B, chunk):
+            reps = range(start, min(start + chunk, B))
+            counts = np.empty((len(reps), n))
+            for row, b in zip(counts, reps):
                 row[:] = np.bincount(_resample_indices(seed, b, n), minlength=n)
-            fast = fitter.fit(counts, _COND_LIMIT)
-        for b, coefficients in zip(range(start, stop), fast):
-            try:
-                if coder is not None:
-                    tables = coder.tables(cfg, _resample_indices(seed, b, n))
-                    cs = decompose_empirical_sequential(tables, cfg)
-                elif coefficients is None:
-                    rows = d.take(_resample_indices(seed, b, n))
-                    cs = _estimate_once(rows, cfg, estimator)
-                else:
-                    cs = decompose_closed_form(coefficients, cfg)
-            except (EstimationError, ConfigError):
-                # the full-data estimate already passed the configuration
-                # checks, so a ConfigError here means the resample lost a
-                # reference level or stratum: a failed replicate
-                failed += 1
-                continue
-            for k in component_names(cfg.topology):
-                draws[k].append(cs.component(k))
-            for k in AGGREGATE_NAMES:
-                draws[k].append(cs.aggregates[k])
+            coefficients, ok = fitter.fit(counts, _COND_LIMIT)
+            values, violated = decompose_closed_form_batch(coefficients, cfg)
+            failed += int(np.count_nonzero(ok & violated))
+            keep = ok & ~violated
+            draws.append(np.column_stack([values[k][keep] for k in names]))
+            # resampled designs not clearly full rank: the reference refit
+            for b in [b for b, good in zip(reps, ok) if not good]:
+                rows = d.take(_resample_indices(seed, b, n))
+                draws.append(_replicate(lambda: _estimate_once(rows, cfg, estimator)))
+                failed += not draws[-1]
+    else:
+        coder = CellCoder(d)
+        for b in range(B):
+            idx = _resample_indices(seed, b, n)
+            draws.append(
+                _replicate(
+                    lambda: decompose_empirical_sequential(coder.tables(cfg, idx), cfg)
+                )
+            )
+            failed += not draws[-1]
 
     if failed > 0.05 * B:
         raise InferenceError(
@@ -152,12 +175,12 @@ def bootstrap_decomposition(
         )
     lo_q = (1.0 - level) / 2.0
     hi_q = (1.0 + level) / 2.0
+    vals = np.concatenate([np.reshape(block, (-1, len(names))) for block in draws])
     lower = {}
     upper = {}
-    for k in names:
-        vals = np.asarray(draws[k])
-        lower[k] = float(np.quantile(vals, lo_q))
-        upper[k] = float(np.quantile(vals, hi_q))
+    for j, k in enumerate(names):
+        lower[k] = float(np.quantile(vals[:, j], lo_q))
+        upper[k] = float(np.quantile(vals[:, j], hi_q))
     return BootstrapResult(
         point=point,
         lower=lower,

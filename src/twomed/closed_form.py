@@ -13,6 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from .core import (
     AGGREGATE_NAMES,
@@ -35,6 +38,7 @@ from .core import (
     ConfigError,
     ReferenceConfig,
     Topology,
+    identity_violations,
 )
 from .oracle import LinearScm
 
@@ -89,6 +93,9 @@ class ModelCoefficients:
         if not math.isfinite(s1) or s1 < 0.0:
             raise ConfigError(f"sigma_m1 must be a nonnegative real, got {s1}")
         object.__setattr__(self, "sigma_m1", s1)
+        for name in ("sigma_y", "sigma_m2"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, float(getattr(self, name)))
 
     @property
     def covariate_dim(self) -> int:
@@ -109,18 +116,59 @@ class ModelCoefficients:
         )
 
 
-def _contractions(m: ModelCoefficients, cfg: ReferenceConfig):
+class CoefficientBatch(NamedTuple):
+    """ModelCoefficients for many bootstrap replicates at once.
+
+    Each entry of theta, beta, gamma and the covariate vectors, and sigma_m1,
+    is an array with one value per replicate (a float stands for the same
+    value in all of them). The closed forms evaluate every replicate with the
+    arithmetic decompose_closed_form runs on one. Nothing is validated here:
+    the producer guarantees the shapes.
+    """
+
+    theta: tuple
+    beta: tuple
+    gamma: tuple
+    theta_c: tuple = ()
+    beta_c: tuple = ()
+    gamma_c: tuple = ()
+    sigma_m1: np.ndarray | float = 0.0
+    sigma_y: np.ndarray | None = None
+    sigma_m2: np.ndarray | None = None
+
+    @classmethod
+    def stack(cls, models) -> "CoefficientBatch":
+        """One batch from ModelCoefficients that share a covariate dimension."""
+
+        def column(field):
+            return tuple(np.array([getattr(m, field) for m in models], float).T)
+
+        fields = ("theta", "beta", "gamma", "theta_c", "beta_c", "gamma_c")
+        return cls(
+            *(column(f) for f in fields),
+            sigma_m1=np.array([m.sigma_m1 for m in models], float),
+        )
+
+
+def _fsum(terms):
+    """math.fsum, replicate by replicate when the terms are arrays."""
+    if terms and isinstance(terms[0], np.ndarray):
+        return np.array([math.fsum(row) for row in np.column_stack(terms).tolist()])
+    return math.fsum(terms)
+
+
+def _contractions(m, cfg: ReferenceConfig):
     """The three covariate dot products, computed once per call."""
     c = cfg.covariates
-    if len(c) != m.covariate_dim:
+    if len(c) != len(m.theta_c):
         raise ConfigError(
-            f"covariate dimension mismatch: model expects {m.covariate_dim}, "
+            f"covariate dimension mismatch: model expects {len(m.theta_c)}, "
             f"config supplies {len(c)}"
         )
-    t8c = math.fsum(ci * ti for ci, ti in zip(c, m.theta_c))
-    b4c = math.fsum(ci * bi for ci, bi in zip(c, m.beta_c))
-    g2c = math.fsum(ci * gi for ci, gi in zip(c, m.gamma_c))
-    return t8c, b4c, g2c
+    return tuple(
+        _fsum([ci * vi for ci, vi in zip(c, coefs)])
+        for coefs in (m.theta_c, m.beta_c, m.gamma_c)
+    )
 
 
 def expected_counterfactual(
@@ -139,7 +187,16 @@ def expected_counterfactual(
     t8c, b4c, g2c = _contractions(m, cfg)
     lv = {"a": cfg.a, "s": cfg.a_star}
     x, y, z = (lv[k] for k in _W_SLOTS[which])
-    return _w_value(m.theta, m.beta, m.gamma, m.sigma_m1 ** 2, x, y, z, t8c, b4c, g2c)
+    return _w_value(m.theta, m.beta, m.gamma, _var1(m), x, y, z, t8c, b4c, g2c)
+
+
+# Squares are written as products throughout: numpy squares an array by
+# multiplication, while a Python float's ** 2 goes through pow(), which is
+# not always correctly rounded. Products keep one float and the same float in
+# an array bit-identical.
+def _var1(m):
+    """The first mediator's error variance, E[M1^2] - E[M1]^2."""
+    return m.sigma_m1 * m.sigma_m1
 
 
 def _w_value(t, b, g, var1, x, y, z, t8c, b4c, g2c):
@@ -162,7 +219,8 @@ def _te_polynomial(m, cfg, t8c, b4c, g2c):
     b = m.beta
     g = m.gamma
     a, s = cfg.a, cfg.a_star
-    var1 = m.sigma_m1 ** 2
+    var1 = _var1(m)
+    g1sq = g[1] * g[1]
     b0c = b[0] + b4c
     g0c = g[0] + g2c
     c1 = (
@@ -196,16 +254,16 @@ def _te_polynomial(m, cfg, t8c, b4c, g2c):
         + t[7] * b[3] * g0c * g0c
         + 2.0 * g[1] * t[7] * b[2] * g0c
         + 2.0 * g[1] * t[6] * b[3] * g0c
-        + t[6] * b[2] * g[1] ** 2
+        + t[6] * b[2] * g1sq
     )
     c3 = (
         g[1] * b[1] * t[7]
         + t[5] * b[3] * g[1]
         + 2.0 * g[1] * t[7] * b[3] * g0c
-        + t[7] * b[2] * g[1] ** 2
-        + t[6] * b[3] * g[1] ** 2
+        + t[7] * b[2] * g1sq
+        + t[6] * b[3] * g1sq
     )
-    c4 = t[7] * b[3] * g[1] ** 2
+    c4 = t[7] * b[3] * g1sq
     return (
         c1 * (a - s)
         + c2 * (a * a - s * s)
@@ -214,31 +272,21 @@ def _te_polynomial(m, cfg, t8c, b4c, g2c):
     )
 
 
-def decompose_sequential_closed_form(
-    m: ModelCoefficients, cfg: ReferenceConfig
-) -> ComponentSet:
-    """All nine sequential components from their summary polynomials.
-
-    Aggregates come from W-differences and the total effect from its own long
-    polynomial, so constructing the result cross-checks the summary formulas
-    against the W route on every call.
-    """
-    if cfg.topology is not Topology.SEQUENTIAL:
-        raise ConfigError("decompose_sequential_closed_form needs Sequential topology")
-    t8c, b4c, g2c = _contractions(m, cfg)
+def _sequential_components(m, cfg, b4c, g2c):
+    """The nine sequential summary polynomials."""
     t = m.theta
     b = m.beta
     g = m.gamma
     a, s = cfg.a, cfg.a_star
     m1r, m2r = cfg.m1_star, cfg.m2_star
-    var1 = m.sigma_m1 ** 2
+    var1 = _var1(m)
+    g1sq = g[1] * g[1]
     d = a - s
     gs = g[0] + g[1] * s + g2c        # E[M1(a*) | c]
     bs = b[0] + b[1] * s + b4c
     ks = b[2] + b[3] * s
     g0c = g[0] + g2c
-
-    comps = {
+    return {
         CDE: (t[1] + t[4] * m1r + t[5] * m2r + t[7] * m1r * m2r) * d,
         INT_REF_AM1: (gs - m1r) * (t[4] + t[7] * m2r) * d,
         INT_REF_AM2_PLUS_AM1M2: (
@@ -255,7 +303,7 @@ def decompose_sequential_closed_form(
             + t[7] * g[1] * bs
             + t[5] * g[1] * ks
             + 2.0 * t[7] * g[1] * ks * g0c
-            + t[7] * g[1] ** 2 * ks * (a + s)
+            + t[7] * g1sq * ks * (a + s)
         ) * d * d,
         NATINT_AM2: (
             t[5] * b[1]
@@ -267,20 +315,20 @@ def decompose_sequential_closed_form(
             t[7] * b[1] * g[1]
             + t[5] * b[3] * g[1]
             + 2.0 * t[7] * b[3] * g[1] * g0c
-            + t[7] * b[3] * g[1] ** 2 * (a + s)
+            + t[7] * b[3] * g1sq * (a + s)
         ) * d ** 3,
         NATINT_M1M2: (
             b[1] * g[1] * (t[6] + t[7] * s)
             + b[3] * g[1] * (t[3] + t[5] * s)
             + 2.0 * b[3] * g[1] * (t[6] + t[7] * s) * g0c
-            + b[3] * g[1] ** 2 * (t[6] + t[7] * s) * (a + s)
+            + b[3] * g1sq * (t[6] + t[7] * s) * (a + s)
         ) * d * d,
         PIE_M1: (
             g[1] * (t[2] + t[4] * s)
             + g[1] * (t[6] + t[7] * s) * bs
             + g[1] * (t[3] + t[5] * s) * ks
             + 2.0 * g[1] * (t[6] + t[7] * s) * ks * g0c
-            + g[1] ** 2 * (t[6] + t[7] * s) * ks * (a + s)
+            + g1sq * (t[6] + t[7] * s) * ks * (a + s)
         ) * d,
         PIE_M2: (
             b[1] * (t[3] + t[5] * s)
@@ -289,13 +337,61 @@ def decompose_sequential_closed_form(
             + b[3] * (t[6] + t[7] * s) * (var1 + gs * gs)
         ) * d,
     }
-    aggs = _aggregates_from_w(m, cfg, t8c, b4c, g2c)
-    return ComponentSet(
-        Topology.SEQUENTIAL, comps, aggs, _rounding_scale(m, cfg, t8c, b4c, g2c)
+
+
+def _nonsequential_components(m, cfg, b4c, g2c):
+    """The ten non-sequential polynomials, for beta[2] = beta[3] = 0."""
+    t = m.theta
+    b = m.beta
+    g = m.gamma
+    a, s = cfg.a, cfg.a_star
+    m1r, m2r = cfg.m1_star, cfg.m2_star
+    d = a - s
+    gs = g[0] + g[1] * s + g2c
+    bs = b[0] + b[1] * s + b4c
+    return {
+        CDE: (t[1] + t[4] * m1r + t[5] * m2r + t[7] * m1r * m2r) * d,
+        INT_REF_AM1: (gs - m1r) * (t[4] + t[7] * m2r) * d,
+        INT_REF_AM2: (t[5] + t[7] * m1r) * (bs - m2r) * d,
+        INT_REF_AM1M2: t[7] * (gs - m1r) * (bs - m2r) * d,
+        NATINT_AM1: (t[4] * g[1] + t[7] * g[1] * bs) * d * d,
+        NATINT_AM2: (t[5] * b[1] + t[7] * b[1] * gs) * d * d,
+        NATINT_AM1M2: t[7] * b[1] * g[1] * d ** 3,
+        NATINT_M1M2: b[1] * g[1] * (t[6] + t[7] * s) * d * d,
+        PIE_M1: (g[1] * (t[2] + t[4] * s) + g[1] * (t[6] + t[7] * s) * bs) * d,
+        PIE_M2: (b[1] * (t[3] + t[5] * s) + b[1] * (t[6] + t[7] * s) * gs) * d,
+    }
+
+
+def _decomposition(m, cfg):
+    """Components, aggregates and rounding scale, from floats or arrays alike."""
+    t8c, b4c, g2c = _contractions(m, cfg)
+    if cfg.topology is Topology.SEQUENTIAL:
+        comps = _sequential_components(m, cfg, b4c, g2c)
+    else:
+        comps = _nonsequential_components(m, cfg, b4c, g2c)
+    return (
+        comps,
+        _aggregates_from_w(m, cfg, t8c, b4c, g2c),
+        _rounding_scale(m, cfg, t8c, b4c, g2c),
     )
 
 
-def _rounding_scale(m, cfg, t8c, b4c, g2c) -> float:
+def decompose_sequential_closed_form(
+    m: ModelCoefficients, cfg: ReferenceConfig
+) -> ComponentSet:
+    """All nine sequential components from their summary polynomials.
+
+    Aggregates come from W-differences and the total effect from its own long
+    polynomial, so constructing the result cross-checks the summary formulas
+    against the W route on every call.
+    """
+    if cfg.topology is not Topology.SEQUENTIAL:
+        raise ConfigError("decompose_sequential_closed_form needs Sequential topology")
+    return ComponentSet(Topology.SEQUENTIAL, *_decomposition(m, cfg))
+
+
+def _rounding_scale(m, cfg, t8c, b4c, g2c):
     """A bound on the absolute monomials any W or component polynomial sums.
 
     It is the W polynomial with every coefficient and level replaced by its
@@ -311,7 +407,7 @@ def _rounding_scale(m, cfg, t8c, b4c, g2c) -> float:
         [abs(v) for v in m.theta],
         b,
         [abs(m.gamma[0]) + abs(cfg.m1_star), abs(m.gamma[1])],
-        m.sigma_m1 ** 2,
+        _var1(m),
         level, level, level,
         abs(t8c), abs(b4c), abs(g2c),
     )
@@ -319,7 +415,7 @@ def _rounding_scale(m, cfg, t8c, b4c, g2c) -> float:
 
 def _aggregates_from_w(m, cfg, t8c, b4c, g2c):
     a, s = cfg.a, cfg.a_star
-    var1 = m.sigma_m1 ** 2
+    var1 = _var1(m)
 
     def w(x, y, z):
         return _w_value(m.theta, m.beta, m.gamma, var1, x, y, z, t8c, b4c, g2c)
@@ -330,6 +426,14 @@ def _aggregates_from_w(m, cfg, t8c, b4c, g2c):
         SIE_M1: w(s, a, a) - w(s, s, a),
         TE: _te_polynomial(m, cfg, t8c, b4c, g2c),
     }
+
+
+def _check_nonsequential_beta(m) -> None:
+    if np.any(np.not_equal(m.beta[2], 0.0)) or np.any(np.not_equal(m.beta[3], 0.0)):
+        raise ConfigError(
+            "non-sequential topology requires beta[2] = beta[3] = 0; "
+            f"got beta[2]={m.beta[2]}, beta[3]={m.beta[3]}"
+        )
 
 
 def decompose_nonsequential_closed_form(
@@ -347,37 +451,8 @@ def decompose_nonsequential_closed_form(
         raise ConfigError(
             "decompose_nonsequential_closed_form needs NonSequential topology"
         )
-    if m.beta[2] != 0.0 or m.beta[3] != 0.0:
-        raise ConfigError(
-            "non-sequential topology requires beta[2] = beta[3] = 0; "
-            f"got beta[2]={m.beta[2]}, beta[3]={m.beta[3]}"
-        )
-    t8c, b4c, g2c = _contractions(m, cfg)
-    t = m.theta
-    b = m.beta
-    g = m.gamma
-    a, s = cfg.a, cfg.a_star
-    m1r, m2r = cfg.m1_star, cfg.m2_star
-    d = a - s
-    gs = g[0] + g[1] * s + g2c
-    bs = b[0] + b[1] * s + b4c
-
-    comps = {
-        CDE: (t[1] + t[4] * m1r + t[5] * m2r + t[7] * m1r * m2r) * d,
-        INT_REF_AM1: (gs - m1r) * (t[4] + t[7] * m2r) * d,
-        INT_REF_AM2: (t[5] + t[7] * m1r) * (bs - m2r) * d,
-        INT_REF_AM1M2: t[7] * (gs - m1r) * (bs - m2r) * d,
-        NATINT_AM1: (t[4] * g[1] + t[7] * g[1] * bs) * d * d,
-        NATINT_AM2: (t[5] * b[1] + t[7] * b[1] * gs) * d * d,
-        NATINT_AM1M2: t[7] * b[1] * g[1] * d ** 3,
-        NATINT_M1M2: b[1] * g[1] * (t[6] + t[7] * s) * d * d,
-        PIE_M1: (g[1] * (t[2] + t[4] * s) + g[1] * (t[6] + t[7] * s) * bs) * d,
-        PIE_M2: (b[1] * (t[3] + t[5] * s) + b[1] * (t[6] + t[7] * s) * gs) * d,
-    }
-    aggs = _aggregates_from_w(m, cfg, t8c, b4c, g2c)
-    return ComponentSet(
-        Topology.NONSEQUENTIAL, comps, aggs, _rounding_scale(m, cfg, t8c, b4c, g2c)
-    )
+    _check_nonsequential_beta(m)
+    return ComponentSet(Topology.NONSEQUENTIAL, *_decomposition(m, cfg))
 
 
 def decompose_closed_form(m: ModelCoefficients, cfg: ReferenceConfig) -> ComponentSet:
@@ -385,3 +460,22 @@ def decompose_closed_form(m: ModelCoefficients, cfg: ReferenceConfig) -> Compone
     if cfg.topology is Topology.SEQUENTIAL:
         return decompose_sequential_closed_form(m, cfg)
     return decompose_nonsequential_closed_form(m, cfg)
+
+
+def decompose_closed_form_batch(
+    m: CoefficientBatch, cfg: ReferenceConfig
+) -> tuple[dict, np.ndarray]:
+    """decompose_closed_form for every replicate of a batch at once.
+
+    Returns the component and aggregate values, one array per name, and a
+    boolean array that is true for each replicate violating an identity that
+    ComponentSet enforces; such a replicate's values are not a decomposition.
+    """
+    if cfg.topology is Topology.NONSEQUENTIAL:
+        _check_nonsequential_beta(m)
+    # a replicate whose values overflow fails its identities; numpy's
+    # warnings about it carry nothing more
+    with np.errstate(over="ignore", invalid="ignore"):
+        comps, aggs, scale = _decomposition(m, cfg)
+        violated = identity_violations(cfg.topology, comps, aggs, scale)
+    return comps | aggs, violated

@@ -15,6 +15,8 @@ from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from typing import Mapping
 
+import numpy as np
+
 
 class ConfigError(ValueError):
     """Invalid run configuration (CLI exit code 2)."""
@@ -132,13 +134,64 @@ class ReferenceConfig:
             raise ConfigError(f"topology must be a Topology, got {self.topology!r}")
 
 
-def _check_identity(label: str, lhs: float, rhs: float, scale: float) -> None:
-    tol = _IDENTITY_RTOL * max(1.0, scale)
-    if not (abs(lhs - rhs) <= tol):
-        raise EstimationError(
-            f"component-set identity violated: {label}: "
-            f"{lhs!r} != {rhs!r} (tolerance {tol:g})"
-        )
+def identity_checks(
+    topology: Topology,
+    components: Mapping,
+    aggregates: Mapping,
+    rounding_scale=0.0,
+) -> list:
+    """The five defining identities of a component set, as (label, lhs, rhs,
+    tolerance, violated) tuples.
+
+    Values may be floats or equal-length arrays over replicates; violated is
+    then a boolean array, true where the identity fails or a value is not
+    finite. Every identity is a partial sum of the components, and the
+    rounding error of a computed sum is bounded by a multiple of the sum of
+    its terms' absolute values (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 4). |TE| is no such bound: it can cancel to near zero. So
+    the tolerance is 1e-10 of max(1, sum |components|, rounding_scale).
+    """
+    comps = [components[k] for k in component_names(topology)]
+    scale = np.maximum(sum(abs(v) for v in comps), rounding_scale)
+    tol = _IDENTITY_RTOL * np.maximum(1.0, scale)
+    te = aggregates[TE]
+    pde_sum = components[CDE] + sum(components[n] for n in _INT_REF_NAMES[topology])
+    tde_sum = (
+        aggregates[PDE]
+        + components[NATINT_AM1]
+        + components[NATINT_AM2]
+        + components[NATINT_AM1M2]
+    )
+    identities = (
+        ("sum(components) = TE", sum(comps), te),
+        ("PDE = CDE + INT_ref terms", aggregates[PDE], pde_sum),
+        ("TDE = PDE + NatINT_A*", aggregates[TDE], tde_sum),
+        (
+            "SIE_M1 = PIE_M1 + NatINT_M1M2",
+            aggregates[SIE_M1],
+            components[PIE_M1] + components[NATINT_M1M2],
+        ),
+        (
+            "TE = TDE + SIE_M1 + PIE_M2",
+            te,
+            aggregates[TDE] + aggregates[SIE_M1] + components[PIE_M2],
+        ),
+    )
+    return [
+        (label, lhs, rhs, tol, ~np.less_equal(abs(lhs - rhs), tol))
+        for label, lhs, rhs in identities
+    ]
+
+
+def identity_violations(
+    topology: Topology,
+    components: Mapping,
+    aggregates: Mapping,
+    rounding_scale=0.0,
+) -> np.ndarray:
+    """True for each replicate that breaks any of the identity_checks."""
+    checks = identity_checks(topology, components, aggregates, rounding_scale)
+    return np.logical_or.reduce([violated for *_, violated in checks])
 
 
 @dataclass(frozen=True)
@@ -186,33 +239,14 @@ class ComponentSet:
         aggs = {k: float(self.aggregates[k]) for k in AGGREGATE_NAMES}
         object.__setattr__(self, "aggregates", aggs)
 
-        # Every identity is a partial sum of the components, and the rounding
-        # error of a computed sum is bounded by a multiple of the sum of its
-        # terms' absolute values (Higham, Accuracy and Stability of Numerical
-        # Algorithms, ch. 4). |TE| is no such bound: it can cancel to near zero.
-        scale = max(math.fsum(abs(v) for v in ordered.values()), rounding_scale)
-        te = aggs[TE]
-        _check_identity("sum(components) = TE", sum(ordered.values()), te, scale)
-        pde_sum = ordered[CDE] + sum(
-            ordered[n] for n in _INT_REF_NAMES[self.topology]
-        )
-        _check_identity("PDE = CDE + INT_ref terms", aggs[PDE], pde_sum, scale)
-        tde_sum = (
-            aggs[PDE] + ordered[NATINT_AM1] + ordered[NATINT_AM2] + ordered[NATINT_AM1M2]
-        )
-        _check_identity("TDE = PDE + NatINT_A*", aggs[TDE], tde_sum, scale)
-        _check_identity(
-            "SIE_M1 = PIE_M1 + NatINT_M1M2",
-            aggs[SIE_M1],
-            ordered[PIE_M1] + ordered[NATINT_M1M2],
-            scale,
-        )
-        _check_identity(
-            "TE = TDE + SIE_M1 + PIE_M2",
-            te,
-            aggs[TDE] + aggs[SIE_M1] + ordered[PIE_M2],
-            scale,
-        )
+        for label, lhs, rhs, tol, violated in identity_checks(
+            self.topology, ordered, aggs, rounding_scale
+        ):
+            if violated:
+                raise EstimationError(
+                    f"component-set identity violated: {label}: "
+                    f"{lhs!r} != {rhs!r} (tolerance {tol:g})"
+                )
 
     def component(self, name: str) -> float:
         if name not in self.components:

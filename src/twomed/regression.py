@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .closed_form import ModelCoefficients
+from .closed_form import CoefficientBatch, ModelCoefficients
 from .core import ConfigError, DataError, EstimationError, Topology
 
 
@@ -147,27 +147,27 @@ def _design_matrices(d: Dataset, topology: Topology) -> dict[str, np.ndarray]:
 
 
 def _coefficients(
-    fits: dict, rss: dict, n: int, topology: Topology
-) -> ModelCoefficients:
+    fits: dict, rss: dict, n: int, topology: Topology, cls=ModelCoefficients
+):
     """Plug-in coefficients from the three fitted vectors and residual sums of squares.
 
     Each residual sigma is unbiased, with denominator n minus the model's column
     count; for the first mediator that is n - (2 + k), the sigma_m1 the closed
     forms need. The non-sequential second-mediator model has no m1 terms, so
-    beta[2] = beta[3] = 0 exactly.
+    beta[2] = beta[3] = 0 exactly. A (p, replicates) array per model, with an
+    RSS array per model, gives one value per replicate in each field, which
+    cls=CoefficientBatch holds.
     """
     theta, b_fit, g_fit = fits["y"], fits["m2"], fits["m1"]
-    sigma = {key: float(np.sqrt(rss[key] / (n - len(fits[key])))) for key in fits}
+    sigma = {key: np.sqrt(rss[key] / (n - len(fits[key]))) for key in fits}
     if topology is Topology.SEQUENTIAL:
-        beta = (b_fit[0], b_fit[1], b_fit[2], b_fit[3])
-        beta_c = tuple(b_fit[4:])
+        beta, beta_c = tuple(b_fit[:4]), tuple(b_fit[4:])
     else:
-        beta = (b_fit[0], b_fit[1], 0.0, 0.0)
-        beta_c = tuple(b_fit[2:])
-    return ModelCoefficients(
+        beta, beta_c = (b_fit[0], b_fit[1], 0.0, 0.0), tuple(b_fit[2:])
+    return cls(
         theta=tuple(theta[:8]),
         beta=beta,
-        gamma=(g_fit[0], g_fit[1]),
+        gamma=tuple(g_fit[:2]),
         theta_c=tuple(theta[8:]),
         beta_c=beta_c,
         gamma_c=tuple(g_fit[2:]),
@@ -246,65 +246,69 @@ class CountWeightedFit:
     (Q0' W Q0) z = Q0' W y and maps back with b = R0^{-1} z (least squares
     through QR, never X'WX itself). Q0' W Q0 is close to n times the identity
     for a typical resample, so these small solves are well conditioned.
+
+    Every count-weighted sum a chunk of replicates needs, for all three
+    models, comes from one product counts @ columns, where columns holds
+    [q_i * q_j for i <= j, per model | y * Q0, per model].
     """
 
     def __init__(self, d: Dataset, topology: Topology):
         _check_rows(d)
         self._n = d.n
         self._topology = topology
+        factors = {
+            key: np.linalg.qr(x) for key, x in _design_matrices(d, topology).items()
+        }
+        widths = {key: r.shape[0] for key, (_, r) in factors.items()}
+        n_pairs = sum(p * (p + 1) // 2 for p in widths.values())
+        # written in place to keep the set-up's peak memory down
+        self._columns = np.empty((d.n, n_pairs + sum(widths.values())))
         self._models = {}
-        for key, x in _design_matrices(d, topology).items():
-            q, r = np.linalg.qr(x)
-            p = r.shape[0]
-            # column products q_i * q_j for i <= j, in np.triu_indices order,
-            # written in place to keep the set-up's peak memory down
-            pairs = np.empty((d.n, p * (p + 1) // 2))
-            start = 0
-            for i in range(p):
-                stop = start + p - i
-                np.multiply(q[:, i : i + 1], q[:, i:], out=pairs[:, start:stop])
-                start = stop
-            iu = np.triu_indices(p)
-            self._models[key] = (getattr(d, key), q, r, np.linalg.cond(r), iu, pairs)
+        start, rhs = 0, n_pairs
+        for key, (q, r) in factors.items():
+            p = widths[key]
+            pairs = slice(start, start + p * (p + 1) // 2)
+            for i in range(p):  # column products in np.triu_indices order
+                out = self._columns[:, start : start + p - i]
+                np.multiply(q[:, i : i + 1], q[:, i:], out=out)
+                start += p - i
+            y = getattr(d, key)
+            np.multiply(y[:, None], q, out=self._columns[:, rhs : rhs + p])
+            weighted_y = slice(rhs, rhs + p)
+            rhs += p
+            self._models[key] = (
+                y, q, r, np.linalg.cond(r), np.triu_indices(p), pairs, weighted_y
+            )
 
-    def fit(self, counts: np.ndarray, cond_limit: float) -> list:
-        """Coefficients for each row of a (replicates, n) count matrix.
+    def fit(self, counts: np.ndarray, cond_limit: float):
+        """Coefficients for every row of a (replicates, n) count matrix.
 
-        A replicate gets None unless cond(R0) * sqrt(cond(Q0' W Q0)), an upper
-        bound on the condition number of its resampled design, is below
-        cond_limit for every model; the caller refits those the reference
-        way, so rank decisions stay with the per-replicate fit. Residual sums
-        of squares come from explicit residuals, not from y'Wy - h'z, which
-        cancels.
+        Returns a CoefficientBatch and a boolean array, true for a replicate
+        whose cond(R0) * sqrt(cond(Q0' W Q0)), an upper bound on the condition
+        number of its resampled design, is below cond_limit for every model.
+        The caller refits the others the reference way, so rank decisions stay
+        with the per-replicate fit; their batch values are meaningless.
+        Residual sums of squares come from explicit residuals, not from
+        y'Wy - h'z, which cancels.
         """
         reps = counts.shape[0]
+        sums = counts @ self._columns
         ok = np.ones(reps, dtype=bool)
         fits, rss = {}, {}
-        for key, (y, q, r, cond_r, iu, pairs) in self._models.items():
+        for key, (y, q, r, cond_r, iu, pairs, weighted_y) in self._models.items():
             p = r.shape[0]
             gram = np.empty((reps, p, p))
-            upper = counts @ pairs
-            gram[:, iu[0], iu[1]] = upper
-            gram[:, iu[1], iu[0]] = upper
+            gram[:, iu[0], iu[1]] = sums[:, pairs]
+            gram[:, iu[1], iu[0]] = sums[:, pairs]
             eig = np.linalg.eigvalsh(gram)
             # cond_r * sqrt(max eig / min eig) < cond_limit, squared and
             # cleared of the division; false whenever min eig <= 0
             ok &= cond_r**2 * eig[:, -1] < cond_limit**2 * eig[:, 0]
             gram[~ok] = np.eye(p)  # skipped replicates must not make solve raise
-            z = np.linalg.solve(gram, ((counts * y) @ q)[:, :, None])[:, :, 0]
-            fits[key] = np.linalg.solve(r, z.T).T.tolist()
+            z = np.linalg.solve(gram, sums[:, weighted_y, None])[:, :, 0]
+            fits[key] = np.linalg.solve(r, z.T)
             resid = z @ q.T
             np.subtract(y, resid, out=resid)
             resid *= resid
-            rss[key] = np.einsum("bi,bi->b", counts, resid).tolist()
-        return [
-            _coefficients(
-                {key: fits[key][b] for key in fits},
-                {key: rss[key][b] for key in rss},
-                self._n,
-                self._topology,
-            )
-            if ok[b]
-            else None
-            for b in range(reps)
-        ]
+            rss[key] = np.einsum("bi,bi->b", counts, resid)
+        return _coefficients(fits, rss, self._n, self._topology, CoefficientBatch), ok

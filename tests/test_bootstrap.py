@@ -286,7 +286,7 @@ def test_count_weighted_engine_matches_reference_refits(monkeypatch, topology):
         a=1.0, a_star=0.0, m1_star=0.5, m2_star=-0.5,
         covariates=(0.0,), topology=topology,
     )
-    chunk = max(1, twomed.bootstrap._CHUNK_BYTES // (8 * n))
+    chunk = twomed.bootstrap._chunk_size(n)
     assert B % chunk != 0
     flag = d.covariates[:, 0]
     misses = [
@@ -313,3 +313,36 @@ def test_count_weighted_engine_matches_reference_refits(monkeypatch, topology):
         assert bounds.keys() == want.keys()
         for name, value in bounds.items():
             assert math.isclose(value, want[name], rel_tol=1e-10, abs_tol=1e-12), name
+
+
+@pytest.mark.parametrize("topology", list(Topology))
+@pytest.mark.parametrize("per_chunk", [1, 256], ids=["one-per-chunk", "B-below-a-chunk"])
+def test_bootstrap_does_not_depend_on_the_chunk_size(monkeypatch, topology, per_chunk):
+    """One replicate per chunk, or a single chunk longer than B, gives the
+    default chunking's failures and, to rounding, its bounds."""
+    n, B, seed = 200, 200, 5
+    d = _dataset_with_rare_rows(n=n, rare=4, seed=9)
+    cfg = ReferenceConfig(
+        a=1.0, a_star=0.0, m1_star=0.5, m2_star=-0.5,
+        covariates=(0.0,), topology=topology,
+    )
+    default = bootstrap_decomposition(d, cfg, B=B, seed=seed)
+    monkeypatch.setattr(twomed.bootstrap, "_CHUNK_REPLICATES", per_chunk)
+    assert twomed.bootstrap._chunk_size(n) == per_chunk
+    other = bootstrap_decomposition(d, cfg, B=B, seed=seed)
+
+    assert default.failed_replicates == other.failed_replicates > 0
+    assert default.point == other.point
+    for bounds, want in ((other.lower, default.lower), (other.upper, default.upper)):
+        assert bounds.keys() == want.keys()
+        for name, value in bounds.items():
+            assert math.isclose(value, want[name], rel_tol=1e-12), name
+
+
+def test_chunk_size_keeps_matrix_products_and_bounds_memory():
+    chunk_size = twomed.bootstrap._chunk_size
+    assert chunk_size(200) == chunk_size(50_000) == 32
+    assert 16 <= chunk_size(100_000) < 32
+    assert chunk_size(10**9) == 1
+    for n in (200, 50_000, 10**6):
+        assert chunk_size(n) * 8 * n <= twomed.bootstrap._CHUNK_BYTES

@@ -1,5 +1,7 @@
 """Closed-form decompositions under the linear-Gaussian outcome system."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -18,6 +20,17 @@ from twomed import (
     decompose_sequential_closed_form,
     expected_counterfactual,
     simulate_linear_components,
+)
+from twomed.closed_form import (
+    CoefficientBatch,
+    _decomposition,
+    decompose_closed_form_batch,
+)
+from twomed.core import (
+    AGGREGATE_NAMES,
+    component_names,
+    identity_checks,
+    identity_violations,
 )
 
 # how each component reads as a signed combination of the eight expected
@@ -353,26 +366,48 @@ _wide = st.builds(_signed_power, st.floats(-3.0, 6.0), st.booleans())
 
 
 @st.composite
-def _wide_model(draw):
-    topology = draw(st.sampled_from(list(Topology)))
+def _wide_coefficients(draw, topology, sigma_m1=_wide.map(abs)):
     beta = draw(st.lists(_wide, min_size=4, max_size=4))
     if topology is Topology.NONSEQUENTIAL:
         beta[2] = beta[3] = 0.0
-    m = ModelCoefficients(
+    return ModelCoefficients(
         theta=draw(st.lists(_wide, min_size=8, max_size=8)),
         beta=beta,
         gamma=draw(st.lists(_wide, min_size=2, max_size=2)),
         theta_c=draw(st.lists(_wide, min_size=2, max_size=2)),
         beta_c=draw(st.lists(_wide, min_size=2, max_size=2)),
         gamma_c=draw(st.lists(_wide, min_size=2, max_size=2)),
-        sigma_m1=abs(draw(_wide)),
+        sigma_m1=draw(sigma_m1),
     )
+
+
+@st.composite
+def _wide_reference(draw, topology, null_contrast=st.just(False)):
     level = st.floats(-2.0, 2.0)
-    cfg = ReferenceConfig(
-        a=draw(level), a_star=draw(level), m1_star=draw(level), m2_star=draw(level),
+    a = draw(level)
+    return ReferenceConfig(
+        a=a, a_star=a if draw(null_contrast) else draw(level),
+        m1_star=draw(level), m2_star=draw(level),
         covariates=(draw(level), draw(level)), topology=topology,
     )
-    return m, cfg
+
+
+@st.composite
+def _wide_model(draw):
+    topology = draw(st.sampled_from(list(Topology)))
+    return draw(_wide_coefficients(topology)), draw(_wide_reference(topology))
+
+
+@st.composite
+def _wide_batch(draw, min_size=1):
+    """Wide-scale coefficient sets for one batch; sigma_m1 = 0 and a == a*
+    each come up in about half the draws."""
+    topology = draw(st.sampled_from(list(Topology)))
+    sigma_m1 = st.one_of(st.just(0.0), _wide.map(abs))
+    models = draw(
+        st.lists(_wide_coefficients(topology, sigma_m1), min_size=min_size, max_size=6)
+    )
+    return models, draw(_wide_reference(topology, st.booleans()))
 
 
 # found by random search: TE's own polynomial and the component sum differ by
@@ -417,3 +452,41 @@ def test_identity_checks_catch_a_planted_relative_error(model):
     planted[name] *= 1.0 + 1e-8
     with pytest.raises(EstimationError, match="identity violated"):
         ComponentSet(cfg.topology, planted, cs.aggregates)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_wide_batch())
+def test_batched_closed_form_equals_the_scalar_route(batch):
+    """The array route runs the scalar route's arithmetic on each replicate
+    and flags exactly the replicates ComponentSet would reject."""
+    models, cfg = batch
+    values, violated = decompose_closed_form_batch(CoefficientBatch.stack(models), cfg)
+    assert values.keys() == set(component_names(cfg.topology)) | set(AGGREGATE_NAMES)
+    for i, m in enumerate(models):
+        try:
+            cs = decompose_closed_form(m, cfg)
+        except EstimationError:
+            assert violated[i]
+            continue
+        assert not violated[i]
+        for name, want in {**cs.components, **cs.aggregates}.items():
+            assert math.isclose(values[name][i], want, rel_tol=1e-12), name
+
+
+@settings(max_examples=150, deadline=None)
+@given(_wide_batch(min_size=2), st.data())
+def test_batched_identity_check_flags_only_the_planted_replicate(batch, data):
+    """A 1e-8 relative error in one replicate's largest component flags that
+    replicate whenever it exceeds the tolerance tenfold, and never another."""
+    models, cfg = batch
+    comps, aggs, scale = _decomposition(CoefficientBatch.stack(models), cfg)
+    i = data.draw(st.integers(0, len(models) - 1))
+    name = max(comps, key=lambda k: abs(comps[k][i]))
+    planted = dict(comps)
+    planted[name] = comps[name].copy()
+    planted[name][i] *= 1.0 + 1e-8
+    flagged = identity_violations(cfg.topology, planted, aggs, scale)
+    assert not np.delete(flagged, i).any()
+    tol = identity_checks(cfg.topology, comps, aggs, scale)[0][3][i]
+    if 1e-8 * abs(comps[name][i]) > 10.0 * tol:
+        assert flagged[i]
