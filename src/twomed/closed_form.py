@@ -36,6 +36,7 @@ from .core import (
     TE,
     ComponentSet,
     ConfigError,
+    EstimationError,
     ReferenceConfig,
     Topology,
     identity_violations,
@@ -377,6 +378,23 @@ def _decomposition(m, cfg):
     )
 
 
+def _finite_decomposition(m, cfg):
+    """_decomposition of one coefficient set, refusing a result that is not
+    finite: huge exposure levels overflow the quartic total effect (a float's
+    ** raises on overflow, where products give inf)."""
+    try:
+        comps, aggs, scale = _decomposition(m, cfg)
+        finite = all(map(math.isfinite, (*comps.values(), *aggs.values())))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise EstimationError(
+            "the closed-form decomposition is not finite at exposure levels "
+            f"a={cfg.a!r}, a_star={cfg.a_star!r}"
+        )
+    return comps, aggs, scale
+
+
 def decompose_sequential_closed_form(
     m: ModelCoefficients, cfg: ReferenceConfig
 ) -> ComponentSet:
@@ -388,7 +406,7 @@ def decompose_sequential_closed_form(
     """
     if cfg.topology is not Topology.SEQUENTIAL:
         raise ConfigError("decompose_sequential_closed_form needs Sequential topology")
-    return ComponentSet(Topology.SEQUENTIAL, *_decomposition(m, cfg))
+    return ComponentSet(Topology.SEQUENTIAL, *_finite_decomposition(m, cfg))
 
 
 def _rounding_scale(m, cfg, t8c, b4c, g2c):
@@ -452,7 +470,7 @@ def decompose_nonsequential_closed_form(
             "decompose_nonsequential_closed_form needs NonSequential topology"
         )
     _check_nonsequential_beta(m)
-    return ComponentSet(Topology.NONSEQUENTIAL, *_decomposition(m, cfg))
+    return ComponentSet(Topology.NONSEQUENTIAL, *_finite_decomposition(m, cfg))
 
 
 def decompose_closed_form(m: ModelCoefficients, cfg: ReferenceConfig) -> ComponentSet:

@@ -12,6 +12,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from itertools import compress
+from typing import NamedTuple
 
 import numpy as np
 
@@ -209,20 +210,51 @@ class CellCoder:
         )
         _cfg_levels(cfg, support_a, support_m1, support_m2, strata)
 
+        live_am1_keys = list(compress(self.am1_keys, live_am1))
+        pr1_live = _ZerosElsewhere(zip(
+            live_am1_keys, (n_am1[live_am1] / n_ac[self.am1_ac[live_am1]]).tolist()))
+        pr2_live = _ZerosElsewhere(zip(
+            compress(self.cell_keys, live),
+            (n[live] / n_am1[self.cell_am1[live]]).tolist()))
+        py = dict(zip(compress(self.cell_keys, live), (y_sum[live] / n[live]).tolist()))
+        # walk the cells before filling in the zeros, which number
+        # levels x groups: O(n^2) when a mediator is continuous
+        _check_coverage(_Tables(pr1_live, pr2_live, py, support_a, support_m1,
+                                support_m2, strata), cfg)
+
         # unobserved levels within an observed group are structural zeros
         pr1 = {(a, m1, c): 0.0 for a, c in compress(self.ac_keys, n_ac > 0)
                for m1 in support_m1}
-        pr1.update(zip(compress(self.am1_keys, live_am1),
-                       (n_am1[live_am1] / n_ac[self.am1_ac[live_am1]]).tolist()))
-        pr2 = {(a, m1, m2, c): 0.0 for a, m1, c in compress(self.am1_keys, live_am1)
-               for m2 in support_m2}
-        pr2.update(zip(compress(self.cell_keys, live),
-                       (n[live] / n_am1[self.cell_am1[live]]).tolist()))
-        py = dict(zip(compress(self.cell_keys, live), (y_sum[live] / n[live]).tolist()))
-        t = ProbTables(pr_m1=pr1, pr_m2=pr2, p_y=py, support_a=support_a,
-                       support_m1=support_m1, support_m2=support_m2, strata=strata)
-        _check_coverage(t, cfg)
-        return t
+        pr1.update(pr1_live)
+        pr2 = {(a, m1, m2, c): 0.0 for a, m1, c in live_am1_keys for m2 in support_m2}
+        pr2.update(pr2_live)
+        return ProbTables(pr_m1=pr1, pr_m2=pr2, p_y=py, support_a=support_a,
+                          support_m1=support_m1, support_m2=support_m2, strata=strata)
+
+
+class _ZerosElsewhere(dict):
+    """Observed probabilities; any other key reads as a structural zero.
+
+    Right for the coverage walk: it looks up a level only after it has found
+    outcome cells in that level's group (a, c) or (a, m1, c), and the filled
+    tables hold a zero for every support level of such a group.
+    """
+
+    def __missing__(self, key):
+        return 0.0
+
+
+class _Tables(NamedTuple):
+    """The ProbTables fields _check_coverage reads, without the checks that
+    construction runs."""
+
+    pr_m1: dict
+    pr_m2: dict
+    p_y: dict
+    support_a: tuple
+    support_m1: tuple
+    support_m2: tuple
+    strata: tuple
 
 
 def estimate_tables(d, cfg: ReferenceConfig) -> ProbTables:

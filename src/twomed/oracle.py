@@ -604,6 +604,67 @@ def _dot(coeffs: tuple[float, ...], values: tuple[float, ...], label: str) -> fl
     return float(np.dot(coeffs, values)) if coeffs else 0.0
 
 
+# Individuals per block of the Monte Carlo oracle: every counterfactual world
+# and contrast is evaluated on one block at a time, so its temporaries stay
+# cache-sized (128 KiB per array) whatever n is.
+_MC_BLOCK = 16_384
+
+
+def _linear_contrasts(scm, cfg, t8c, b4c, g2c, e1, e2, ey):
+    """Every component and aggregate of the individuals with errors e1, e2, ey.
+
+    One array per name, elementwise over the individuals.
+    """
+    t = scm.theta
+    b = scm.beta
+    g = scm.gamma
+    a, s = cfg.a, cfg.a_star
+
+    def m1_of(x):
+        return g[0] + g[1] * x + g2c + e1
+
+    def m2_of(z, m1):
+        return b[0] + b[1] * z + b[2] * m1 + b[3] * z * m1 + b4c + e2
+
+    def y_of(x, m1, m2):
+        return (
+            t[0] + t[1] * x + t[2] * m1 + t[3] * m2 + t[4] * x * m1
+            + t[5] * x * m2 + t[6] * m1 * m2 + t[7] * x * m1 * m2
+            + t8c + ey
+        )
+
+    m1_at = {a: m1_of(a), s: m1_of(s)}
+    if cfg.topology is Topology.SEQUENTIAL:
+        slots = {
+            1: (a, a, a), 2: (a, a, s), 3: (a, s, a), 4: (s, a, a),
+            5: (s, s, a), 6: (s, a, s), 7: (a, s, s), 8: (s, s, s),
+        }
+        w = {
+            k: y_of(x, m1_at[yv], m2_of(z, m1_at[yv]))
+            for k, (x, yv, z) in slots.items()
+        }
+        comps, aggs = _sequential_from_values(
+            w,
+            y_of(a, m1_at[s], cfg.m2_star),
+            y_of(s, m1_at[s], cfg.m2_star),
+            y_of(a, cfg.m1_star, cfg.m2_star),
+            y_of(s, cfg.m1_star, cfg.m2_star),
+        )
+    else:
+        m2_nat = {a: m2_of(a, 0.0), s: m2_of(s, 0.0)}  # beta2 = beta3 = 0
+        m1_slot = {"a": m1_at[a], "s": m1_at[s], "r": cfg.m1_star}
+        m2_slot = {"a": m2_nat[a], "s": m2_nat[s], "r": cfg.m2_star}
+        x_slot = {"a": a, "s": s}
+        yvals = {
+            (x, i, j): y_of(x_slot[x], m1_slot[i], m2_slot[j])
+            for x in ("a", "s")
+            for i in ("a", "s", "r")
+            for j in ("a", "s", "r")
+        }
+        comps, aggs = _nonsequential_from_values(yvals)
+    return comps | aggs
+
+
 def simulate_linear_components(
     scm: LinearScm,
     cfg: ReferenceConfig,
@@ -615,10 +676,13 @@ def simulate_linear_components(
 
     Each simulated individual gets ONE error triple, reused across every
     counterfactual world, so the per-individual sum identity holds exactly and
-    the averages estimate the population components. Deterministic given
-    (seed, shards); per-shard streams derive from (seed, shard index) and the
-    shard merge uses exact compensated summation, so the result does not
-    depend on merge order.
+    the averages estimate the population components. Per-shard streams derive
+    from (seed, shard index). Each shard's counterfactual worlds are evaluated
+    in blocks of _MC_BLOCK individuals, and the per-block sums are merged with
+    exact compensated summation, so the result is deterministic given (seed,
+    shards) and the fixed block size, and does not depend on merge order.
+    Memory is the error triple, 24 bytes per individual of a shard, plus one
+    block of temporaries.
     """
     if n < 1:
         raise ConfigError(f"n must be at least 1, got {n}")
@@ -632,13 +696,9 @@ def simulate_linear_components(
             "(no first-mediator effect on the second)"
         )
 
-    t = scm.theta
-    b = scm.beta
-    g = scm.gamma
     t8c = _dot(scm.theta_c, cfg.covariates, "outcome")
     b4c = _dot(scm.beta_c, cfg.covariates, "m2")
     g2c = _dot(scm.gamma_c, cfg.covariates, "m1")
-    a, s = cfg.a, cfg.a_star
 
     names = list(component_names(cfg.topology)) + list(AGGREGATE_NAMES)
     sums = {k: [] for k in names}
@@ -652,54 +712,15 @@ def simulate_linear_components(
         e1 = rng.normal(0.0, scm.sigma_m1, size=m)
         e2 = rng.normal(0.0, scm.sigma_m2, size=m)
         ey = rng.normal(0.0, scm.sigma_y, size=m)
-
-        def m1_of(x):
-            return g[0] + g[1] * x + g2c + e1
-
-        def m2_of(z, m1):
-            return b[0] + b[1] * z + b[2] * m1 + b[3] * z * m1 + b4c + e2
-
-        def y_of(x, m1, m2):
-            return (
-                t[0] + t[1] * x + t[2] * m1 + t[3] * m2 + t[4] * x * m1
-                + t[5] * x * m2 + t[6] * m1 * m2 + t[7] * x * m1 * m2
-                + t8c + ey
+        for lo in range(0, m, _MC_BLOCK):
+            block = slice(lo, lo + _MC_BLOCK)
+            values = _linear_contrasts(
+                scm, cfg, t8c, b4c, g2c, e1[block], e2[block], ey[block]
             )
-
-        m1_at = {a: m1_of(a), s: m1_of(s)}
-        if cfg.topology is Topology.SEQUENTIAL:
-            slots = {
-                1: (a, a, a), 2: (a, a, s), 3: (a, s, a), 4: (s, a, a),
-                5: (s, s, a), 6: (s, a, s), 7: (a, s, s), 8: (s, s, s),
-            }
-            w = {
-                k: y_of(x, m1_at[yv], m2_of(z, m1_at[yv]))
-                for k, (x, yv, z) in slots.items()
-            }
-            comps, aggs = _sequential_from_values(
-                w,
-                y_of(a, m1_at[s], cfg.m2_star),
-                y_of(s, m1_at[s], cfg.m2_star),
-                y_of(a, cfg.m1_star, cfg.m2_star),
-                y_of(s, cfg.m1_star, cfg.m2_star),
-            )
-        else:
-            m2_nat = {a: m2_of(a, 0.0), s: m2_of(s, 0.0)}  # beta2 = beta3 = 0
-            m1_slot = {"a": m1_at[a], "s": m1_at[s], "r": cfg.m1_star}
-            m2_slot = {"a": m2_nat[a], "s": m2_nat[s], "r": cfg.m2_star}
-            x_slot = {"a": a, "s": s}
-            yvals = {
-                (x, i, j): y_of(x_slot[x], m1_slot[i], m2_slot[j])
-                for x in ("a", "s")
-                for i in ("a", "s", "r")
-                for j in ("a", "s", "r")
-            }
-            comps, aggs = _nonsequential_from_values(yvals)
-
-        for k, arr in {**comps, **aggs}.items():
-            arr = np.asarray(arr, dtype=float)
-            sums[k].append(float(np.sum(arr)))
-            sumsqs[k].append(float(np.sum(arr * arr)))
+            for k, arr in values.items():
+                sums[k].append(float(np.sum(arr)))
+                # not np.dot: BLAS threads would spin for every short product
+                sumsqs[k].append(float(np.einsum("i,i->", arr, arr)))
 
     means = {k: math.fsum(v) / n for k, v in sums.items()}
     ses = {}

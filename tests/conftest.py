@@ -1,9 +1,14 @@
-"""Shared factories for randomized model instances."""
+"""Shared factories for randomized model instances, and loop versions of
+vectorized routines that the package's versions must match."""
+
+import csv
+import math
 
 import numpy as np
 
 from twomed import BinaryScm, LinearScm, ProbTables, ReferenceConfig, Topology
 from twomed.empirical import _check_coverage, _level
+from twomed.oracle import _dot, _linear_contrasts
 
 
 def random_linear_scm(rng, k=2, sequential=True, scale=1.0):
@@ -137,3 +142,42 @@ def loop_estimate_tables(d, cfg):
     )
     _check_coverage(t, cfg)
     return t
+
+
+def loop_simulate_linear_components(scm, cfg, n, seed, shards=1):
+    """The Monte Carlo oracle evaluated on whole shards at once: the reference
+    whose means and standard errors, returned as two dicts by name, the
+    package's block-by-block simulate_linear_components must match to
+    rounding."""
+    t8c = _dot(scm.theta_c, cfg.covariates, "outcome")
+    b4c = _dot(scm.beta_c, cfg.covariates, "m2")
+    g2c = _dot(scm.gamma_c, cfg.covariates, "m1")
+    sums, sumsqs = {}, {}
+    base = n // shards
+    for shard_idx in range(shards):
+        m = base + (1 if shard_idx < n % shards else 0)
+        rng = np.random.default_rng([seed, shard_idx])
+        e1 = rng.normal(0.0, scm.sigma_m1, size=m)
+        e2 = rng.normal(0.0, scm.sigma_m2, size=m)
+        ey = rng.normal(0.0, scm.sigma_y, size=m)
+        values = _linear_contrasts(scm, cfg, t8c, b4c, g2c, e1, e2, ey)
+        for k, arr in values.items():
+            sums.setdefault(k, []).append(float(np.sum(arr)))
+            sumsqs.setdefault(k, []).append(float(np.sum(arr * arr)))
+    means = {k: math.fsum(v) / n for k, v in sums.items()}
+    ses = {}
+    for k, mean in means.items():
+        var = max(math.fsum(sumsqs[k]) - n * mean ** 2, 0.0) / (n - 1) if n > 1 else 0.0
+        ses[k] = math.sqrt(var / n)
+    return means, ses
+
+
+def loop_write_dataset_csv(d, path):
+    """The CSV writer as a csv.writer row loop: the reference whose bytes the
+    package's block writer must reproduce."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["a", "m1", "m2", "y", *d.covariate_names])
+        for i in range(d.n):
+            row = [d.a[i], d.m1[i], d.m2[i], d.y[i], *d.covariates[i]]
+            writer.writerow([repr(float(v)) for v in row])

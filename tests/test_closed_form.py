@@ -1,13 +1,20 @@
 """Closed-form decompositions under the linear-Gaussian outcome system."""
 
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_linear_scm, random_reference
+import twomed.oracle
+from conftest import (
+    loop_simulate_linear_components,
+    random_linear_scm,
+    random_reference,
+)
 from twomed import (
     ComponentSet,
     ConfigError,
@@ -296,6 +303,22 @@ def test_dispatcher_routes_on_topology():
     assert "INT_ref_AM2" in decompose_closed_form(m, ns_cfg).components
 
 
+@pytest.mark.parametrize("topology", list(Topology))
+@pytest.mark.parametrize("a, theta7", [(1e100, 1.0), (1e10, 1e300)],
+                         ids=["power-overflows", "product-is-infinite"])
+def test_a_closed_form_that_is_not_finite_is_an_estimation_error(
+    topology, a, theta7
+):
+    m = ModelCoefficients(
+        theta=(1.0,) * 7 + (theta7,), beta=(0.5, 1.0, 0.0, 0.0),
+        gamma=(0.3, 1.0), sigma_m1=1.0,
+    )
+    cfg = ReferenceConfig(a=a, a_star=0.0, m1_star=0.0, m2_star=0.0,
+                          covariates=(), topology=topology)
+    with pytest.raises(EstimationError, match=re.escape(f"a={a!r}, a_star=0.0")):
+        decompose_closed_form(m, cfg)
+
+
 def test_covariate_dimension_mismatch_rejected():
     rng = np.random.default_rng(13)
     scm = random_linear_scm(rng, k=3)
@@ -355,6 +378,54 @@ def test_monte_carlo_sharding_is_reproducible():
     two = simulate_linear_components(scm, cfg, n=10_000, seed=3, shards=4)
     for name, value in one.components.components.items():
         assert two.components.component(name) == value, name
+
+
+@pytest.mark.parametrize("topology", list(Topology))
+@pytest.mark.parametrize("shards", [1, 3])
+@pytest.mark.parametrize("block", [7, None], ids=["block-7", "default-block"])
+def test_blocked_monte_carlo_matches_whole_shard_evaluation(
+    monkeypatch, topology, shards, block
+):
+    if block is None:
+        n = 3 * twomed.oracle._MC_BLOCK + 5
+    else:
+        monkeypatch.setattr(twomed.oracle, "_MC_BLOCK", block)
+        n = 1_000
+    rng = np.random.default_rng(16)
+    scm = random_linear_scm(rng, sequential=topology is Topology.SEQUENTIAL)
+    cfg = random_reference(rng, topology)
+    got = simulate_linear_components(scm, cfg, n=n, seed=5, shards=shards)
+    got_means = got.components.components | got.components.aggregates
+    want_means, want_ses = loop_simulate_linear_components(
+        scm, cfg, n=n, seed=5, shards=shards
+    )
+    assert set(want_means) == set(got_means) == set(got.standard_errors)
+    for name, mean in want_means.items():
+        scale = max(1.0, abs(mean))
+        assert got_means[name] == pytest.approx(
+            mean, rel=1e-12, abs=1e-12 * scale
+        ), name
+        se, want_se = got.standard_errors[name], want_ses[name]
+        floor = 1e-8 * scale
+        if want_se > floor:
+            assert se == pytest.approx(want_se, rel=1e-9), name
+        else:
+            # a component constant per individual: both SEs are rounding noise
+            assert se <= floor and want_se <= floor, name
+
+
+def test_blocked_monte_carlo_memory_does_not_grow_with_the_temporaries():
+    rng = np.random.default_rng(17)
+    scm = random_linear_scm(rng, sequential=False)
+    cfg = random_reference(rng, Topology.NONSEQUENTIAL)
+    tracemalloc.start()
+    try:
+        simulate_linear_components(scm, cfg, n=200_000, seed=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # three error draws of 4.8 MB each plus one block of temporaries
+    assert peak <= 16 * 2**20, peak / 2**20
 
 
 def _signed_power(exponent, negative):

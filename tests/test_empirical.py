@@ -1,6 +1,7 @@
 """Table-based plug-in estimator for categorical mediators."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -360,3 +361,34 @@ def test_a_resample_that_loses_a_reference_fails_like_the_row_loop(
     assert str(got.value) == str(want.value)
     # the full data holds every level, and both estimators agree on it
     assert estimate_tables(d, cfg) == loop_estimate_tables(d, cfg)
+
+
+def test_continuous_mediators_fail_the_coverage_walk_without_the_zero_fill():
+    # every row its own level and stratum, except three rows sharing the
+    # reference stratum; the walk passes the reference cells and hundreds of
+    # structural zeros, then finds (a=1, m1 of row 2, m2 reference) empty
+    rng = np.random.default_rng(21)
+    n = 600
+    a = rng.integers(0, 2, n).astype(float)
+    m1, m2, y = rng.normal(size=(3, n))
+    c = rng.normal(size=(n, 2))
+    c[1] = c[2] = c[0]
+    a[:3] = (1.0, 0.0, 0.0)
+    m1[1] = m1[0]
+    m2[1] = m2[2] = m2[0]
+    d = Dataset(a=a, m1=m1, m2=m2, y=y, covariates=c)
+    cfg = ReferenceConfig(
+        a=1.0, a_star=0.0, m1_star=float(m1[0]), m2_star=float(m2[0]),
+        covariates=tuple(c[0].tolist()), topology=Topology.SEQUENTIAL,
+    )
+    with pytest.raises(EstimationError, match=r"E\[Y \| A=1,") as want:
+        loop_estimate_tables(d, cfg)
+    tracemalloc.start()
+    try:
+        with pytest.raises(EstimationError) as got:
+            estimate_tables(d, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(got.value) == str(want.value)
+    assert peak < 5 * 2**20, peak / 2**20

@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import twomed.dataio
+from conftest import loop_write_dataset_csv
 from twomed import (
     BinaryScm,
     ConfigError,
     DataError,
+    Dataset,
     LinearScm,
     Topology,
     build_run_config,
@@ -180,6 +183,33 @@ def test_csv_round_trip_is_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+# signed zero, the smallest subnormal, a huge value and integral floats
+_EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 3.0, -2.0, 1e16, 1e22,
+                0.1, 2.0 ** 53 + 2.0]
+
+
+@pytest.mark.parametrize("names", [(), ("c,1", 'say "hi"', "c3")], ids=["k0", "k3"])
+@pytest.mark.parametrize("block", [5, None], ids=["block-5", "default-block"])
+def test_block_csv_writer_writes_the_row_loop_bytes(tmp_path, monkeypatch,
+                                                    names, block):
+    if block is None:
+        n = twomed.dataio._CSV_BLOCK_ROWS + 3
+    else:
+        monkeypatch.setattr(twomed.dataio, "_CSV_BLOCK_ROWS", block)
+        n = 23
+    rng = np.random.default_rng(len(names))
+    values = np.concatenate([_EDGE_VALUES, rng.normal(0.0, 1e3, 4 * n)])
+    cols = rng.choice(values, (n, 4 + len(names)))
+    d = Dataset(a=cols[:, 0], m1=cols[:, 1], m2=cols[:, 2], y=cols[:, 3],
+                covariates=cols[:, 4:], covariate_names=names)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_dataset_csv(d, str(got))
+    loop_write_dataset_csv(d, str(want))
+    assert got.read_bytes() == want.read_bytes()
+    if names:
+        assert got.read_text().startswith('a,m1,m2,y,"c,1","say ""hi""",c3\n')
+
+
 def test_simulate_dataset_binary_outcome_modes():
     scm = parse_scm_spec(BINARY_SPEC, Topology.SEQUENTIAL)
     d = simulate_dataset(scm, n=100, seed=3)
@@ -339,6 +369,17 @@ def test_cli_exit_code_4_for_degenerate_designs(runner, tmp_path):
     res = runner.invoke(main, ["analyze", "--data", data, "--bootstrap-B", "100"])
     assert res.exit_code == 4
     assert "error:" in res.output
+
+
+def test_cli_exit_code_4_when_the_closed_form_overflows(runner, tmp_path):
+    data = _linear_csv(tmp_path)
+    config = _write(tmp_path / "run.json", json.dumps({"a": 1e100}))
+    res = runner.invoke(main, ["analyze", "--data", data, "--config", config,
+                               "--bootstrap-B", "100"])
+    assert res.exit_code == 4, res.output
+    assert "a=1e+100" in res.output
+    assert "Traceback" not in res.output
+    assert isinstance(res.exception, SystemExit)
 
 
 def test_cli_simulate_writes_data_and_truth(runner, tmp_path):
