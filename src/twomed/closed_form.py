@@ -39,6 +39,7 @@ from .core import (
     EstimationError,
     ReferenceConfig,
     Topology,
+    component_names,
     identity_violations,
 )
 from .oracle import LinearScm
@@ -494,6 +495,13 @@ def decompose_closed_form_batch(
     # a replicate whose values overflow fails its identities; numpy's
     # warnings about it carry nothing more
     with np.errstate(over="ignore", invalid="ignore"):
-        comps, aggs, scale = _decomposition(m, cfg)
+        try:
+            comps, aggs, scale = _decomposition(m, cfg)
+        except OverflowError:
+            # a power of a huge exposure level, which every replicate shares
+            # (see _finite_decomposition): none of them is a decomposition
+            size = np.broadcast(*m.theta, *m.beta, *m.gamma, m.sigma_m1).size
+            names = (*component_names(cfg.topology), *AGGREGATE_NAMES)
+            return {k: np.full(size, np.nan) for k in names}, np.ones(size, bool)
         violated = identity_violations(cfg.topology, comps, aggs, scale)
     return comps | aggs, violated

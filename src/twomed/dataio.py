@@ -7,6 +7,7 @@ import csv
 import json
 import math
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,56 +165,115 @@ def load_dataset(path: str, rc: RunConfig) -> tuple[Dataset, int]:
     A row is dropped (and counted) when any required field is empty,
     non-numeric, or non-finite, or when the second mediator is non-positive
     under the log directive. Missing columns and empty results are errors.
+
+    A clean numeric CSV is parsed in bulk by numpy's text reader, which
+    converts each field exactly as float() does. The row-by-row reader
+    (_load_rows) defines the drop and error policy; it runs whenever the
+    bulk parse declines a file, such as one with a quoted, empty or
+    non-numeric field or a row too short for a needed column.
     """
     if not os.path.exists(path):
         raise DataError(f"data file not found: {path}")
     needed = [rc.exposure, rc.m1, rc.m2, rc.outcome, *rc.covariates]
-    rows_a: list[float] = []
-    rows_m1: list[float] = []
-    rows_m2: list[float] = []
-    rows_y: list[float] = []
-    rows_c: list[list[float]] = []
-    dropped = 0
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+        # the header as csv.DictReader reads it
+        header = next(csv.reader(fh), [])
         for col in needed:
             if col not in header:
                 raise DataError(f"data file {path} has no column {col!r}")
-        for row in reader:
-            try:
-                vals = [float(row[col]) for col in needed]
-            except (TypeError, ValueError):
-                dropped += 1
-                continue
-            if not all(math.isfinite(v) for v in vals):
-                dropped += 1
-                continue
-            a_v, m1_v, m2_v, y_v, *c_v = vals
-            if rc.log_m2:
-                if m2_v <= 0.0:
-                    dropped += 1
-                    continue
-                m2_v = math.log(m2_v)
-            rows_a.append(a_v)
-            rows_m1.append(m1_v)
-            rows_m2.append(m2_v)
-            rows_y.append(y_v)
-            rows_c.append(c_v)
-    if not rows_a:
+        # DictReader builds a dict per row, so a repeated name keeps its
+        # last column
+        column_of = {name: i for i, name in enumerate(header)}
+        values = _parse_in_bulk(fh, [column_of[col] for col in needed])
+        if values is None:
+            fh.seek(0)
+            values, dropped = _load_rows(fh, needed, rc.log_m2)
+        else:
+            values, dropped = _drop_in_bulk(values, rc.log_m2)
+    if not len(values):
         raise DataError(f"data file {path} has no usable rows")
-    cov = np.asarray(rows_c, dtype=float)
-    if cov.size == 0:
-        cov = np.empty((len(rows_a), 0))
     d = Dataset(
-        a=np.asarray(rows_a),
-        m1=np.asarray(rows_m1),
-        m2=np.asarray(rows_m2),
-        y=np.asarray(rows_y),
-        covariates=cov,
+        *(values[:, j].copy() for j in range(4)),
+        covariates=values[:, 4:].copy(),
         covariate_names=rc.covariates,
     )
     return d, dropped
+
+
+def _parse_in_bulk(fh, usecols: list[int]) -> np.ndarray | None:
+    """The rest of the file as one float array, or None when numpy's reader
+    declines it.
+
+    numpy's C reader converts each field with CPython's own string-to-double
+    routine, so a value it returns has float()'s bits. It raises, and leaves
+    the file to the row reader, on the fields it could read otherwise than
+    float(): underscores, non-ASCII digits, empty or whitespace-only fields;
+    and on a row too short for a needed column. It skips blank lines, as
+    DictReader does. A file with no data rows is left to the row reader's
+    error.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # "input contained no data"
+            return np.loadtxt(_plain_lines(fh), delimiter=",", comments=None,
+                              usecols=usecols, ndmin=2, dtype=float)
+    except (ValueError, UserWarning):
+        return None
+
+
+def _plain_lines(fh):
+    """fh's lines, raising ValueError at one the two readers could part on.
+
+    A quote makes csv join commas, or lines, into one field, even in a
+    column numpy never converts. numpy strips \\x1c-\\x1f around a number,
+    which float() rejects. csv refuses NUL on some Python versions, and a
+    field longer than its size limit, which a line that long could hold.
+    """
+    limit = csv.field_size_limit()
+    for line in fh:
+        if ('"' in line or "\x00" in line or "\x1c" in line or "\x1d" in line
+                or "\x1e" in line or "\x1f" in line or len(line) > limit):
+            raise ValueError("the line needs the csv reader")
+        yield line
+
+
+def _drop_in_bulk(values: np.ndarray, log_m2: bool) -> tuple[np.ndarray, int]:
+    """_load_rows' drop policy and log directive, applied to parsed rows."""
+    keep = np.isfinite(values).all(axis=1)
+    if log_m2:
+        keep &= values[:, 2] > 0.0
+    dropped = len(values) - int(np.count_nonzero(keep))
+    if dropped:
+        values = values[keep]
+    if log_m2:
+        # math.log, not np.log, which can differ from it in the last bit
+        values[:, 2] = list(map(math.log, values[:, 2].tolist()))
+    return values, dropped
+
+
+def _load_rows(fh, needed: list[str], log_m2: bool) -> tuple[np.ndarray, int]:
+    """The kept rows of a CSV, read one at a time, and the dropped count.
+
+    This loop defines the drop policy; _drop_in_bulk applies it with numpy.
+    """
+    rows = []
+    dropped = 0
+    for row in csv.DictReader(fh):
+        try:
+            vals = [float(row[col]) for col in needed]
+        except (TypeError, ValueError):
+            dropped += 1
+            continue
+        if not all(math.isfinite(v) for v in vals):
+            dropped += 1
+            continue
+        if log_m2:
+            if vals[2] <= 0.0:
+                dropped += 1
+                continue
+            vals[2] = math.log(vals[2])
+        rows.append(vals)
+    return np.array(rows, dtype=float).reshape(-1, len(needed)), dropped
 
 
 def resolve_reference(

@@ -3,10 +3,19 @@ vectorized routines that the package's versions must match."""
 
 import csv
 import math
+import os
 
 import numpy as np
 
-from twomed import BinaryScm, LinearScm, ProbTables, ReferenceConfig, Topology
+from twomed import (
+    BinaryScm,
+    DataError,
+    Dataset,
+    LinearScm,
+    ProbTables,
+    ReferenceConfig,
+    Topology,
+)
 from twomed.empirical import _check_coverage, _level
 from twomed.oracle import _dot, _linear_contrasts
 
@@ -181,3 +190,57 @@ def loop_write_dataset_csv(d, path):
         for i in range(d.n):
             row = [d.a[i], d.m1[i], d.m2[i], d.y[i], *d.covariates[i]]
             writer.writerow([repr(float(v)) for v in row])
+
+
+def loop_load_dataset(path, rc):
+    """The CSV loader as a csv.DictReader row loop: the reference whose
+    columns, drop count and errors the package's bulk parse must match."""
+    if not os.path.exists(path):
+        raise DataError(f"data file not found: {path}")
+    needed = [rc.exposure, rc.m1, rc.m2, rc.outcome, *rc.covariates]
+    rows_a: list[float] = []
+    rows_m1: list[float] = []
+    rows_m2: list[float] = []
+    rows_y: list[float] = []
+    rows_c: list[list[float]] = []
+    dropped = 0
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
+        for col in needed:
+            if col not in header:
+                raise DataError(f"data file {path} has no column {col!r}")
+        for row in reader:
+            try:
+                vals = [float(row[col]) for col in needed]
+            except (TypeError, ValueError):
+                dropped += 1
+                continue
+            if not all(math.isfinite(v) for v in vals):
+                dropped += 1
+                continue
+            a_v, m1_v, m2_v, y_v, *c_v = vals
+            if rc.log_m2:
+                if m2_v <= 0.0:
+                    dropped += 1
+                    continue
+                m2_v = math.log(m2_v)
+            rows_a.append(a_v)
+            rows_m1.append(m1_v)
+            rows_m2.append(m2_v)
+            rows_y.append(y_v)
+            rows_c.append(c_v)
+    if not rows_a:
+        raise DataError(f"data file {path} has no usable rows")
+    cov = np.asarray(rows_c, dtype=float)
+    if cov.size == 0:
+        cov = np.empty((len(rows_a), 0))
+    d = Dataset(
+        a=np.asarray(rows_a),
+        m1=np.asarray(rows_m1),
+        m2=np.asarray(rows_m2),
+        y=np.asarray(rows_y),
+        covariates=cov,
+        covariate_names=rc.covariates,
+    )
+    return d, dropped

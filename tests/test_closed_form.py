@@ -317,6 +317,9 @@ def test_a_closed_form_that_is_not_finite_is_an_estimation_error(
                           covariates=(), topology=topology)
     with pytest.raises(EstimationError, match=re.escape(f"a={a!r}, a_star=0.0")):
         decompose_closed_form(m, cfg)
+    values, violated = decompose_closed_form_batch(CoefficientBatch.stack([m, m]), cfg)
+    assert violated.tolist() == [True, True]
+    assert values.keys() == set(component_names(topology)) | set(AGGREGATE_NAMES)
 
 
 def test_covariate_dimension_mismatch_rejected():

@@ -6,9 +6,11 @@ import math
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import twomed.dataio
-from conftest import loop_write_dataset_csv
+from conftest import loop_load_dataset, loop_write_dataset_csv, random_linear_scm
 from twomed import (
     BinaryScm,
     ConfigError,
@@ -24,7 +26,9 @@ from twomed import (
     write_dataset_csv,
 )
 import twomed.cli
+from twomed.bootstrap import ESTIMATORS
 from twomed.cli import main
+from twomed.dataio import OUTPUT_FORMATS
 
 
 def test_run_config_defaults():
@@ -45,6 +49,69 @@ def test_flag_overrides_beat_config_file():
     rc = build_run_config({"seed": 3, "level": 0.9}, seed=7)
     assert rc.seed == 7
     assert rc.level == 0.9
+
+
+# values each config key accepts, as JSON or as a flag
+_CONFIG_VALUES = {
+    "data": st.sampled_from(["one.csv", "two.csv"]),
+    "topology": st.sampled_from(["sequential", "nonsequential"]),
+    "exposure": st.sampled_from(["a", "x"]),
+    "outcome": st.sampled_from(["y", "z"]),
+    "a": st.floats(-10.0, 10.0),
+    "a_star": st.integers(-3, 3),
+    "m1_star": st.one_of(st.just("mean"), st.floats(-10.0, 10.0)),
+    "bootstrap_B": st.integers(1, 5000),
+    "level": st.floats(0.5, 0.999),
+    "seed": st.integers(0, 2 ** 32),
+    "estimator": st.sampled_from(ESTIMATORS),
+    "output": st.sampled_from(OUTPUT_FORMATS),
+    "log_m2": st.booleans(),
+}
+
+
+@st.composite
+def _config_sources(draw):
+    """A JSON config object and flag overrides over the same keys, with
+    covariate lists of one shared length so that any merge is valid."""
+    k = draw(st.integers(0, 3))
+    values = dict(_CONFIG_VALUES)
+    values["covariates"] = st.lists(st.sampled_from(["c1", "c2", "age"]),
+                                    min_size=k, max_size=k)
+    values["covariate_values"] = st.lists(
+        st.one_of(st.just("mean"), st.floats(-5.0, 5.0)), min_size=k, max_size=k)
+    keys = sorted(values)
+    obj = {key: draw(values[key]) for key in draw(st.sets(st.sampled_from(keys)))}
+    flags = {key: draw(st.one_of(st.none(), values[key])) for key in keys}
+    if flags["covariates"] is None:
+        obj.setdefault("covariates", draw(values["covariates"]))
+    return obj, flags
+
+
+@settings(max_examples=100, deadline=None)
+@given(_config_sources())
+def test_flags_beat_config_keys_and_none_falls_through(sources):
+    obj, flags = sources
+    rc = build_run_config(obj, **flags)
+    default = build_run_config(None)
+    for key, flag in flags.items():
+        want = flag if flag is not None else obj.get(key, getattr(default, key))
+        if key == "covariate_values" and not want:
+            want = ("mean",) * len(rc.covariates)
+        if isinstance(want, list):
+            assert type(getattr(rc, key)) is tuple
+            want = tuple(want)
+        assert getattr(rc, key) == want, key
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(
+    st.text(max_size=8).filter(lambda k: k not in twomed.dataio._CONFIG_KEYS),
+    st.integers(), min_size=1), st.data())
+def test_unknown_config_keys_are_named_in_sorted_order(unknown, data):
+    obj = {**unknown, **data.draw(st.fixed_dictionaries({}, optional=_CONFIG_VALUES))}
+    with pytest.raises(ConfigError) as info:
+        build_run_config(obj, seed=1)
+    assert str(info.value) == "unknown config keys: " + ", ".join(sorted(unknown))
 
 
 def test_run_config_validation():
@@ -104,6 +171,133 @@ def test_load_dataset_errors(tmp_path):
     empty = _write(tmp_path / "e.csv", "a,m1,m2,y\nx,x,x,x\n")
     with pytest.raises(DataError, match="no usable rows"):
         load_dataset(empty, rc)
+
+
+_FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10 ** 30, 10 ** 30).map(str),
+    st.builds("{}.{}e{}".format, st.integers(-10 ** 25, 10 ** 25),
+              st.integers(0, 10 ** 25), st.integers(-330, 310)),
+)
+_NUMBERS = st.one_of(
+    _FINITE, _FINITE,
+    st.sampled_from(["nan", "NaN", "-inf", "+inf", "Infinity", "-Infinity",
+                     "-0.0", "1e400", "-1e-400", ".5", "5."]),
+)
+# padding float() strips, ASCII or not
+_PAD = st.text(st.sampled_from(" \t\x0b\x0c\xa0\u2003"), max_size=2)
+_PADDED_NUMBERS = st.one_of(
+    _NUMBERS, st.builds(lambda l, x, r: l + x + r, _PAD, _NUMBERS, _PAD))
+# fields the bulk parse declines, or that the csv module splits otherwise
+# than at each comma
+_ODD_FIELDS = st.sampled_from([
+    "", " ", "abc", "1_0", "\u0661\u0662", "\uff11", "#1", "0x10", "1 2",
+    "1\x002", "\x1c1", "1\x1f", '"1.5"', '"2,5"', '"3\n4"', '1"', '"', '""',
+])
+# names of columns no config reads, as written in the header
+_FREE_NAMES = ("x", '"z"', '"w,v"', '"p\nq"')
+# extra header names: repeats of needed ones, quoted ones, a multi-line one
+_EXTRA_NAMES = st.sampled_from(["a", "m2", "y", "c1", *_FREE_NAMES])
+# what a well-formed file may hold in a column no config reads: a quoted
+# comma or line break there shifts every later field of a plain comma split
+_FREE_FIELDS = st.one_of(_PADDED_NUMBERS,
+                         st.sampled_from(["", "txt", '"p,q"', '"u"', '"v\nw"']))
+
+
+def _quoted(name):
+    return '"' + name + '"'
+
+
+@st.composite
+def _csv_files(draw):
+    """CSV text for the loaders and the config to read it with.
+
+    Half of the files hold rows of the header's width with a number in every
+    column a config may read, which the bulk parse takes unless a quote
+    shows; the others may hold any odd field, short and long rows, and
+    whitespace-only lines, which send them to the row reader.
+    """
+    covariates = draw(st.sampled_from([(), ("c1",), ("c2", "c1")]))
+    names = [_quoted(n) if draw(st.booleans()) else n
+             for n in ("a", "m1", "m2", "y", "c1", "c2")]
+    names += draw(st.lists(_EXTRA_NAMES, max_size=3))
+    names = draw(st.permutations(names))
+    odd = draw(st.booleans())
+    cell = st.one_of(_PADDED_NUMBERS, _ODD_FIELDS)
+    lines = [",".join(names)]
+    for _ in range(draw(st.integers(0, 6))):
+        if odd:
+            width = len(names) + draw(st.sampled_from([0, 0, -1, -2, 1, 2]))
+            row = draw(st.lists(cell, min_size=width, max_size=width))
+        else:
+            row = [draw(_FREE_FIELDS if name in _FREE_NAMES else _PADDED_NUMBERS)
+                   for name in names]
+        lines.append(",".join(row))
+        if draw(st.integers(0, 3)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t"] if odd else [""])))
+    endings = st.sampled_from(["\n", "\r\n", "\r"])
+    text = "".join(line + draw(endings) for line in lines)
+    if draw(st.booleans()):
+        text = text[:-1]
+    if draw(st.integers(0, 7)) == 0:
+        text = "\ufeff" + text
+    rc = build_run_config({"covariates": list(covariates),
+                           "log_m2": draw(st.booleans())})
+    return text, rc
+
+
+def _bits(d):
+    return [c.view(np.int64).tolist() for c in (d.a, d.m1, d.m2, d.y, d.covariates)]
+
+
+def _load_outcome(load, path, rc):
+    """A loader's columns as bits and its drop count, or its error."""
+    try:
+        d, dropped = load(path, rc)
+    except Exception as exc:  # the two loaders must fail alike
+        return type(exc), str(exc)
+    return _bits(d), dropped
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_csv_files())
+# a quoted comma in a column no config reads: a plain comma split puts 1,
+# where csv puts 2, under a
+@example(('x,z,a,m1,m2,y\n"p,q",1,2,3,4,5\n', build_run_config(None)))
+# float() rejects \x1c-\x1f around a number, which numpy strips
+@example(("a,m1,m2,y\n1,2,3,4\x1c\n5,6,7,8\n", build_run_config(None)))
+def test_load_dataset_matches_the_row_loop(tmp_path, csv_file):
+    text, rc = csv_file
+    path = tmp_path / "d.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert (_load_outcome(load_dataset, str(path), rc)
+            == _load_outcome(loop_load_dataset, str(path), rc))
+
+
+@pytest.mark.parametrize("log_m2", [False, True], ids=["plain", "log-m2"])
+@pytest.mark.parametrize("names", [("c1", "c2"), ("c,1", 'say "hi"')],
+                         ids=["plain-names", "quoted-names"])
+def test_a_written_dataset_loads_in_bulk(tmp_path, monkeypatch, log_m2, names):
+    """What write_dataset_csv writes never needs the row reader."""
+    sim = simulate_dataset(random_linear_scm(np.random.default_rng(3)), n=500, seed=9)
+    d = Dataset(a=sim.a, m1=sim.m1, m2=sim.m2, y=sim.y, covariates=sim.covariates,
+                covariate_names=names)
+    path = str(tmp_path / "d.csv")
+    write_dataset_csv(d, path)
+    rc = build_run_config({"covariates": list(names), "log_m2": log_m2})
+    want, want_dropped = loop_load_dataset(path, rc)
+
+    def row_reader(*args):
+        raise AssertionError("the bulk parse declined a written dataset")
+
+    monkeypatch.setattr(twomed.dataio, "_load_rows", row_reader)
+    got, dropped = load_dataset(path, rc)
+    assert (_bits(got), dropped) == (_bits(want), want_dropped)
+    if log_m2:
+        assert dropped == np.count_nonzero(d.m2 <= 0.0) > 0
+    else:
+        assert _bits(got) == _bits(d)
 
 
 def test_mean_tokens_resolve_after_drops(tmp_path):
