@@ -16,9 +16,13 @@ copied rows and decomposed on its own instead, so failures are decided
 exactly as a plain per-replicate refit decides them.
 
 The empirical-categorical estimator codes each row's table cell once
-(CellCoder); a replicate's tables then come from bincounts over its indices'
-codes, without copying rows. They are exactly the tables of the copied rows,
-so estimates, bounds and failures are those of a per-replicate refit.
+(CellCoder). A replicate's cell counts and outcome sums then come from two
+bincounts over its indices' codes, without copying rows, and fill one row of
+a chunk array. CellCoder.decompose_counts decomposes the whole chunk with one
+call of the table engine, and masks the replicates whose own tables would be
+rejected or whose component set would break an identity. Estimates, bounds
+and failures are those of decomposing each replicate's tables on its own,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -88,19 +92,6 @@ def _estimate_once(d: Dataset, cfg: ReferenceConfig, estimator: str) -> Componen
     return decompose_empirical_sequential(tables, cfg)
 
 
-def _replicate(estimate) -> list:
-    """One replicate's draws: a row of its component and aggregate values,
-    or no row if estimate() fails."""
-    try:
-        cs = estimate()
-    except (EstimationError, ConfigError):
-        # the full-data estimate already passed the configuration checks, so
-        # a ConfigError here means the resample lost a reference level or
-        # stratum: a failed replicate
-        return []
-    return [[*cs.components.values(), *cs.aggregates.values()]]
-
-
 def _chunk_size(n: int) -> int:
     """Replicates per count-weighted batch: enough to make the batch's sums a
     matrix-matrix product, with the (chunk, n) count block held under
@@ -138,10 +129,9 @@ def bootstrap_decomposition(
     # blocks of kept replicates' values, one row per replicate in names order
     draws = []
     n = d.n
-    failed = 0
+    chunk = _chunk_size(n)
     if estimator == "closed-form":
         fitter = CountWeightedFit(d, cfg.topology)
-        chunk = _chunk_size(n)
         for start in range(0, B, chunk):
             reps = range(start, min(start + chunk, B))
             counts = np.empty((len(reps), n))
@@ -149,24 +139,27 @@ def bootstrap_decomposition(
                 row[:] = np.bincount(_resample_indices(seed, b, n), minlength=n)
             coefficients, ok = fitter.fit(counts, _COND_LIMIT)
             values, violated = decompose_closed_form_batch(coefficients, cfg)
-            failed += int(np.count_nonzero(ok & violated))
-            keep = ok & ~violated
-            draws.append(np.column_stack([values[k][keep] for k in names]))
+            draws.append(np.column_stack([values[k][ok & ~violated] for k in names]))
             # resampled designs not clearly full rank: the reference refit
             for b in [b for b, good in zip(reps, ok) if not good]:
-                rows = d.take(_resample_indices(seed, b, n))
-                draws.append(_replicate(lambda: _estimate_once(rows, cfg, estimator)))
-                failed += not draws[-1]
+                try:
+                    cs = _estimate_once(d.take(_resample_indices(seed, b, n)),
+                                        cfg, estimator)
+                except (EstimationError, ConfigError):
+                    continue  # a failed replicate
+                draws.append([[*cs.components.values(), *cs.aggregates.values()]])
     else:
         coder = CellCoder(d)
-        for b in range(B):
-            idx = _resample_indices(seed, b, n)
-            draws.append(
-                _replicate(
-                    lambda: decompose_empirical_sequential(coder.tables(cfg, idx), cfg)
-                )
-            )
-            failed += not draws[-1]
+        for start in range(0, B, chunk):
+            reps = range(start, min(start + chunk, B))
+            counts = np.empty((len(reps), len(coder.cells)))
+            sums = np.empty_like(counts)
+            for row, b in enumerate(reps):
+                counts[row], sums[row] = coder.counts(_resample_indices(seed, b, n))
+            values, bad = coder.decompose_counts(cfg, counts, sums)
+            draws.append(np.column_stack([values[k][~bad] for k in names]))
+    vals = np.concatenate([np.reshape(block, (-1, len(names))) for block in draws])
+    failed = B - len(vals)
 
     if failed > 0.05 * B:
         raise InferenceError(
@@ -175,7 +168,6 @@ def bootstrap_decomposition(
         )
     lo_q = (1.0 - level) / 2.0
     hi_q = (1.0 + level) / 2.0
-    vals = np.concatenate([np.reshape(block, (-1, len(names))) for block in draws])
     lower = {}
     upper = {}
     for j, k in enumerate(names):

@@ -175,21 +175,27 @@ def load_dataset(path: str, rc: RunConfig) -> tuple[Dataset, int]:
     if not os.path.exists(path):
         raise DataError(f"data file not found: {path}")
     needed = [rc.exposure, rc.m1, rc.m2, rc.outcome, *rc.covariates]
-    with open(path, newline="", encoding="utf-8") as fh:
-        # the header as csv.DictReader reads it
-        header = next(csv.reader(fh), [])
-        for col in needed:
-            if col not in header:
-                raise DataError(f"data file {path} has no column {col!r}")
-        # DictReader builds a dict per row, so a repeated name keeps its
-        # last column
-        column_of = {name: i for i, name in enumerate(header)}
-        values = _parse_in_bulk(fh, [column_of[col] for col in needed])
-        if values is None:
-            fh.seek(0)
-            values, dropped = _load_rows(fh, needed, rc.log_m2)
-        else:
-            values, dropped = _drop_in_bulk(values, rc.log_m2)
+    # utf-8-sig: a byte-order mark, as spreadsheet programs write, is no part
+    # of the first column's name
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        try:
+            # the header as csv.DictReader reads it
+            header = next(csv.reader(fh), [])
+            for col in needed:
+                if col not in header:
+                    raise DataError(f"data file {path} has no column {col!r}")
+            # DictReader builds a dict per row, so a repeated name keeps its
+            # last column
+            column_of = {name: i for i, name in enumerate(header)}
+            values = _parse_in_bulk(fh, [column_of[col] for col in needed])
+            if values is None:
+                fh.seek(0)
+                values, dropped = _load_rows(fh, needed, rc.log_m2)
+            else:
+                values, dropped = _drop_in_bulk(values, rc.log_m2)
+        except (UnicodeDecodeError, csv.Error) as exc:
+            # text that is not UTF-8, or a field over csv's size limit
+            raise DataError(f"data file {path} cannot be read as CSV: {exc}") from None
     if not len(values):
         raise DataError(f"data file {path} has no usable rows")
     d = Dataset(

@@ -1,9 +1,14 @@
 """Plug-in estimator for categorical mediators in the sequential topology.
 
 Works from saturated conditional probability tables and conditional outcome
-means, combined by iterated-expectation double sums over the mediator
-supports. Covariates are handled as discrete strata only; continuous
-covariates belong to the regression path.
+means, combined by the table engine's iterated-expectation double sums over
+the mediator supports. Covariates are handled as discrete strata only;
+continuous covariates belong to the regression path.
+
+CellCoder codes each row's cell once. Its tables() builds a checked
+ProbTables for the full data or one resample; its decompose_counts()
+decomposes a batch of resamples from their cell counts alone, with array
+masks in place of the checks that tables() and ComponentSet would make.
 """
 
 from __future__ import annotations
@@ -17,26 +22,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
-    CDE,
-    INT_REF_AM1,
-    INT_REF_AM2_PLUS_AM1M2,
-    NATINT_AM1,
-    NATINT_AM1M2,
-    NATINT_AM2,
-    NATINT_M1M2,
-    PDE,
-    PIE_M1,
-    PIE_M2,
-    SIE_M1,
-    TDE,
-    TE,
     ComponentSet,
     ConfigError,
     EstimationError,
     ReferenceConfig,
     Topology,
+    identity_violations,
 )
 from .oracle import BinaryScm
+from .table_engine import decompose_tables, table_component_set
 
 _SUM_TOL = 1e-9
 
@@ -171,10 +165,11 @@ class CellCoder:
     """A dataset's rows coded once by their (a, m1, m2, stratum) cell.
 
     tables() estimates the tables of all rows, or of the resample made of rows
-    idx, from two bincounts over the codes plus work in the number of cells,
-    not rows. Counts are exact integers and each cell's outcomes are summed in
-    row order from 0.0, so the tables are exactly those of a row-by-row tally
-    of the resampled rows.
+    idx, from two bincounts over the codes (counts()) plus work in the number
+    of cells, not rows. Counts are exact integers and each cell's outcomes are
+    summed in row order from 0.0, so the tables are exactly those of a
+    row-by-row tally of the resampled rows. decompose_counts() decomposes many
+    resamples from their bincounts at once.
     """
 
     def __init__(self, d):
@@ -194,12 +189,17 @@ class CellCoder:
         self.am1_keys = [(a[i], m1[j], c[s]) for i, j, s in am1.tolist()]
         self.ac_keys = [(a[i], c[s]) for i, s in ac.tolist()]
 
-    def tables(self, cfg: ReferenceConfig, idx=None) -> ProbTables:
-        """Tables of rows idx (all rows when None), checked against cfg."""
+    def counts(self, idx=None):
+        """Each cell's row count and outcome sum over rows idx (all rows when
+        None), the sums taken in row order from 0.0."""
         codes, y = (self.codes, self.y) if idx is None else (
             self.codes[idx], self.y[idx])
-        n = np.bincount(codes, minlength=len(self.cell_keys))
-        y_sum = np.bincount(codes, weights=y, minlength=len(self.cell_keys))
+        return (np.bincount(codes, minlength=len(self.cells)),
+                np.bincount(codes, weights=y, minlength=len(self.cells)))
+
+    def tables(self, cfg: ReferenceConfig, idx=None) -> ProbTables:
+        """Tables of rows idx (all rows when None), checked against cfg."""
+        n, y_sum = self.counts(idx)
         n_am1 = np.bincount(self.cell_am1, weights=n, minlength=len(self.am1_keys))
         n_ac = np.bincount(self.am1_ac, weights=n_am1, minlength=len(self.ac_keys))
         live, live_am1 = n > 0, n_am1 > 0
@@ -230,6 +230,66 @@ class CellCoder:
         pr2.update(pr2_live)
         return ProbTables(pr_m1=pr1, pr_m2=pr2, p_y=py, support_a=support_a,
                           support_m1=support_m1, support_m2=support_m2, strata=strata)
+
+    def decompose_counts(self, cfg: ReferenceConfig, n: np.ndarray,
+                         y_sum: np.ndarray) -> tuple[dict, np.ndarray]:
+        """The components and aggregates of replicates whose cell counts and
+        outcome sums, as counts() returns them, are the rows of n and y_sum.
+
+        Returns one array per name, over the replicates, and a mask of the
+        replicates that fail: those whose tables(cfg, idx) would raise, and
+        those whose component set would break an identity. The values of the
+        others are those of decompose_empirical_sequential on their tables,
+        bit for bit.
+        """
+        a_lv, m1_lv, m2_lv, c_lv = self.levels
+        a, s, m1r, m2r, c = _sequential_levels(cfg, *self.levels)
+        exposures = [a_lv.index(a), a_lv.index(s)]
+        cells = self.cells
+        # ProbTables raises EstimationError for a cell mean that overflowed
+        failed = ~np.isfinite(y_sum).all(axis=1)
+
+        # the cells of cfg's stratum under a and a*, on an (x, i, j) grid over
+        # the m1 and m2 levels they hold and the reference levels; a cell
+        # missing from the data reads column -1, masked to zero below
+        mine = (cells[:, 3] == c_lv.index(c)) & np.isin(cells[:, 0], exposures)
+        lv1 = np.union1d(cells[mine, 1], m1_lv.index(m1r))
+        lv2 = np.union1d(cells[mine, 2], m2_lv.index(m2r))
+        at = np.full((2, len(lv1), len(lv2)), -1)
+        for x, level in enumerate(exposures):
+            rows = np.flatnonzero(mine & (cells[:, 0] == level))
+            at[x, np.searchsorted(lv1, cells[rows, 1]),
+               np.searchsorted(lv2, cells[rows, 2])] = rows
+        held = at >= 0
+        grid_n = np.where(held, n[:, at], 0.0)
+        grid_y = np.where(held, y_sum[:, at], 0.0)
+        n_am1 = grid_n.sum(axis=-1)
+        p1 = n_am1 / np.maximum(n_am1.sum(axis=-1), 1.0)[..., None]
+        p2 = grid_n / np.maximum(n_am1, 1.0)[..., None]
+        y = grid_y / np.maximum(grid_n, 1.0)
+
+        # _check_coverage: outcome cells at the references under a and a*,
+        # at (m1, m2*) for every m1 either exposure holds, and at (m1, m2)
+        # under both exposures wherever either holds it. Rows that lose a
+        # level or the stratum cfg names (tables() raises ConfigError) lose
+        # the reference cells with it, so this fails them too.
+        i_ref = np.searchsorted(lv1, m1_lv.index(m1r))
+        j_ref = np.searchsorted(lv2, m2_lv.index(m2r))
+        live = grid_n > 0
+        seen = live.any(axis=(1, 3))
+        failed |= ~(
+            live[:, :, i_ref, j_ref].all(axis=1)
+            & (~seen | live[:, :, :, j_ref].all(axis=1)).all(axis=1)
+            & (live[:, 0] == live[:, 1]).all(axis=(1, 2))
+        )
+
+        comps, aggs = decompose_tables(
+            Topology.SEQUENTIAL, p1, p2, y, i_ref, j_ref, a == s
+        )
+        # an overflowed replicate, already failed, warns of nothing new
+        with np.errstate(invalid="ignore"):
+            failed |= identity_violations(Topology.SEQUENTIAL, comps, aggs)
+        return comps | aggs, failed
 
 
 class _ZerosElsewhere(dict):
@@ -340,122 +400,55 @@ def _check_coverage(t: ProbTables, cfg: ReferenceConfig) -> None:
                         _py(t, x, m1, m2, c)
 
 
-def _w_sum(t, c, support_m1, support_m2, x, y, z):
-    """E[Y(x, M1(y), M2(z, M1(y)))] from the tables."""
-    terms = []
-    for m1 in support_m1:
-        w1 = _pr1(t, y, m1, c)
-        if w1 == 0.0:
+def _sequential_levels(cfg: ReferenceConfig, support_a, support_m1, support_m2, strata):
+    """_cfg_levels for the sequential decomposition, the only one tables give."""
+    if cfg.topology is not Topology.SEQUENTIAL:
+        raise ConfigError(
+            "decompose_empirical_sequential needs Sequential topology"
+        )
+    return _cfg_levels(cfg, support_a, support_m1, support_m2, strata)
+
+
+def _require_cells(t: ProbTables, a, s, m1r, m2r, c) -> None:
+    """Look up every cell the sums give positive weight, in the order the
+    written-out sums first reached them, so a missing one is named as it
+    always was. Each missing cell raises EstimationError."""
+    for x in (a, s):
+        _py(t, x, m1r, m2r, c)
+    for m1 in t.support_m1:
+        if _pr1(t, s, m1, c) != 0.0:
+            for x in (a, s):
+                _py(t, x, m1, m2r, c)
+    for m1 in t.support_m1:
+        if (_pr1(t, a, m1, c), _pr1(t, s, m1, c)) == (0.0, 0.0):
             continue
-        for m2 in support_m2:
-            w2 = _pr2(t, z, m1, m2, c)
-            if w2 == 0.0:
+        for m2 in t.support_m2:
+            if (_pr2(t, a, m1, m2, c), _pr2(t, s, m1, m2, c)) == (0.0, 0.0):
                 continue
-            terms.append(_py(t, x, m1, m2, c) * w1 * w2)
-    return math.fsum(terms)
+            for x in (a, s):
+                _py(t, x, m1, m2, c)
 
 
 def decompose_empirical_sequential(
     t: ProbTables, cfg: ReferenceConfig
 ) -> ComponentSet:
-    """All nine sequential components as iterated-expectation double sums."""
-    if cfg.topology is not Topology.SEQUENTIAL:
-        raise ConfigError(
-            "decompose_empirical_sequential needs Sequential topology"
-        )
-    a, s, m1r, m2r, c = _cfg_levels(
+    """All nine sequential components from the tables of cfg's stratum.
+
+    The tables go to the table engine as one replicate, with a zero for
+    every cell that carries no weight. A missing cell that does carry weight
+    raises EstimationError.
+    """
+    a, s, m1r, m2r, c = _sequential_levels(
         cfg, t.support_a, t.support_m1, t.support_m2, t.strata
     )
-    sup1 = t.support_m1
-    sup2 = t.support_m2
-
-    cde = _py(t, a, m1r, m2r, c) - _py(t, s, m1r, m2r, c)
-
-    ref_am1_terms = []
-    for m1 in sup1:
-        w = _pr1(t, s, m1, c)
-        if w == 0.0:
-            continue
-        ref_am1_terms.append(
-            (
-                _py(t, a, m1, m2r, c)
-                - _py(t, a, m1r, m2r, c)
-                - _py(t, s, m1, m2r, c)
-                + _py(t, s, m1r, m2r, c)
-            )
-            * w
-        )
-    ref_am1 = math.fsum(ref_am1_terms)
-
-    ref_rest_terms = []
-    nat_am1_terms = []
-    nat_am2_terms = []
-    nat_am1m2_terms = []
-    nat_m1m2_terms = []
-    pie1_terms = []
-    pie2_terms = []
-    for m1 in sup1:
-        p1a = _pr1(t, a, m1, c)
-        p1s = _pr1(t, s, m1, c)
-        d1 = p1a - p1s
-        if p1a == 0.0 and p1s == 0.0:
-            continue
-        for m2 in sup2:
-            p2a = _pr2(t, a, m1, m2, c)
-            p2s = _pr2(t, s, m1, m2, c)
-            d2 = p2a - p2s
-            if p2a == 0.0 and p2s == 0.0:
-                continue
-            dy = _py(t, a, m1, m2, c) - _py(t, s, m1, m2, c)
-            ys = _py(t, s, m1, m2, c)
-            if p1s != 0.0 and p2s != 0.0:
-                ref_rest_terms.append(
-                    (
-                        _py(t, a, m1, m2, c)
-                        - _py(t, a, m1, m2r, c)
-                        - _py(t, s, m1, m2, c)
-                        + _py(t, s, m1, m2r, c)
-                    )
-                    * p1s
-                    * p2s
-                )
-            if d1 != 0.0 and p2s != 0.0:
-                nat_am1_terms.append(dy * p2s * d1)
-            if p1s != 0.0 and d2 != 0.0:
-                nat_am2_terms.append(dy * p1s * d2)
-            if d1 != 0.0 and d2 != 0.0:
-                nat_am1m2_terms.append(dy * d1 * d2)
-                nat_m1m2_terms.append(ys * d1 * d2)
-            if d1 != 0.0 and p2s != 0.0:
-                pie1_terms.append(ys * p2s * d1)
-            if p1s != 0.0 and d2 != 0.0:
-                pie2_terms.append(ys * p1s * d2)
-
-    ref_rest = math.fsum(ref_rest_terms)
-    if a == s:
-        # the four-term differences cancel only up to rounding, and every
-        # component of a null contrast is exactly zero
-        ref_am1 = ref_rest = 0.0
-
-    comps = {
-        CDE: cde,
-        INT_REF_AM1: ref_am1,
-        INT_REF_AM2_PLUS_AM1M2: ref_rest,
-        NATINT_AM1: math.fsum(nat_am1_terms),
-        NATINT_AM2: math.fsum(nat_am2_terms),
-        NATINT_AM1M2: math.fsum(nat_am1m2_terms),
-        NATINT_M1M2: math.fsum(nat_m1m2_terms),
-        PIE_M1: math.fsum(pie1_terms),
-        PIE_M2: math.fsum(pie2_terms),
-    }
-
-    def w(x, y, z):
-        return _w_sum(t, c, sup1, sup2, x, y, z)
-
-    aggs = {
-        PDE: w(a, s, s) - w(s, s, s),
-        TDE: w(a, a, a) - w(s, a, a),
-        SIE_M1: w(s, a, a) - w(s, s, a),
-        TE: w(a, a, a) - w(s, s, s),
-    }
-    return ComponentSet(Topology.SEQUENTIAL, comps, aggs)
+    _require_cells(t, a, s, m1r, m2r, c)
+    sup1, sup2 = t.support_m1, t.support_m2
+    p1 = [[t.pr_m1.get((x, m1, c), 0.0) for m1 in sup1] for x in (a, s)]
+    p2, y = (
+        [[[table.get((x, m1, m2, c), 0.0) for m2 in sup2] for m1 in sup1]
+         for x in (a, s)]
+        for table in (t.pr_m2, t.p_y)
+    )
+    return table_component_set(
+        Topology.SEQUENTIAL, p1, p2, y, sup1.index(m1r), sup2.index(m2r), a == s
+    )

@@ -45,6 +45,7 @@ from .core import (
     Topology,
     component_names,
 )
+from .table_engine import table_component_set
 
 
 @dataclass(frozen=True)
@@ -309,161 +310,21 @@ def enumerate_binary_components(
 ) -> ComponentSet:
     """Exact expected components of a binary model, by probability-weighted sums.
 
-    Plugs the true conditional tables into the iterated-conditional-expectation
-    sums; no sampling error. Independent of the latent-threshold enumeration
-    route (enumerate_binary_components_by_individuals), which must agree.
+    Plugs the true conditional tables into the table engine's
+    iterated-conditional-expectation sums; no sampling error. Independent of
+    the latent-threshold enumeration route
+    (enumerate_binary_components_by_individuals), which must agree.
     """
     a, s, m1r, m2r = _check_binary_cfg(scm, cfg)
-    ey = scm.e_y_given_a_m1_m2
 
-    def pr1(m1: int, x: int) -> float:
-        p = scm.p_m1_given_a[x]
-        return p if m1 == 1 else 1.0 - p
+    def law(p: float) -> list[float]:
+        return [1.0 - p, p]
 
-    def pr2(m2: int, x: int, m1: int) -> float:
-        p = scm.p_m2_given_a_m1[(x, m1)]
-        return p if m2 == 1 else 1.0 - p
-
-    def w(x: int, y: int, z: int) -> float:
-        return math.fsum(
-            ey[(x, m1, m2)] * pr1(m1, y) * pr2(m2, z, m1)
-            for m1 in _BIN
-            for m2 in _BIN
-        )
-
-    aggs = {
-        PDE: w(a, s, s) - w(s, s, s),
-        TDE: w(a, a, a) - w(s, a, a),
-        SIE_M1: w(s, a, a) - w(s, s, a),
-        TE: w(a, a, a) - w(s, s, s),
-    }
-
-    if scm.topology is Topology.SEQUENTIAL:
-        comps = {
-            CDE: ey[(a, m1r, m2r)] - ey[(s, m1r, m2r)],
-            INT_REF_AM1: math.fsum(
-                (
-                    ey[(a, m1, m2r)] - ey[(a, m1r, m2r)]
-                    - ey[(s, m1, m2r)] + ey[(s, m1r, m2r)]
-                )
-                * pr1(m1, s)
-                for m1 in _BIN
-            ),
-            INT_REF_AM2_PLUS_AM1M2: math.fsum(
-                (
-                    ey[(a, m1, m2)] - ey[(a, m1, m2r)]
-                    - ey[(s, m1, m2)] + ey[(s, m1, m2r)]
-                )
-                * pr1(m1, s) * pr2(m2, s, m1)
-                for m1 in _BIN
-                for m2 in _BIN
-            ),
-            NATINT_AM1: math.fsum(
-                (ey[(a, m1, m2)] - ey[(s, m1, m2)])
-                * pr2(m2, s, m1) * (pr1(m1, a) - pr1(m1, s))
-                for m1 in _BIN
-                for m2 in _BIN
-            ),
-            NATINT_AM2: math.fsum(
-                (ey[(a, m1, m2)] - ey[(s, m1, m2)])
-                * pr1(m1, s) * (pr2(m2, a, m1) - pr2(m2, s, m1))
-                for m1 in _BIN
-                for m2 in _BIN
-            ),
-            NATINT_AM1M2: math.fsum(
-                (ey[(a, m1, m2)] - ey[(s, m1, m2)])
-                * (pr1(m1, a) - pr1(m1, s)) * (pr2(m2, a, m1) - pr2(m2, s, m1))
-                for m1 in _BIN
-                for m2 in _BIN
-            ),
-            NATINT_M1M2: math.fsum(
-                ey[(s, m1, m2)]
-                * (pr1(m1, a) - pr1(m1, s)) * (pr2(m2, a, m1) - pr2(m2, s, m1))
-                for m1 in _BIN
-                for m2 in _BIN
-            ),
-            PIE_M1: math.fsum(
-                ey[(s, m1, m2)] * pr2(m2, s, m1) * (pr1(m1, a) - pr1(m1, s))
-                for m1 in _BIN
-                for m2 in _BIN
-            ),
-            PIE_M2: math.fsum(
-                ey[(s, m1, m2)] * pr1(m1, s) * (pr2(m2, a, m1) - pr2(m2, s, m1))
-                for m1 in _BIN
-                for m2 in _BIN
-            ),
-        }
-        return ComponentSet(Topology.SEQUENTIAL, comps, aggs)
-
-    # non-sequential: the same iterated expectations with M2 independent of M1
-    def pr2x(m2: int, x: int) -> float:
-        return pr2(m2, x, 0)
-
-    comps = {
-        CDE: ey[(a, m1r, m2r)] - ey[(s, m1r, m2r)],
-        INT_REF_AM1: math.fsum(
-            (
-                ey[(a, m1, m2r)] - ey[(s, m1, m2r)]
-                - ey[(a, m1r, m2r)] + ey[(s, m1r, m2r)]
-            )
-            * pr1(m1, s)
-            for m1 in _BIN
-        ),
-        INT_REF_AM2: math.fsum(
-            (
-                ey[(a, m1r, m2)] - ey[(s, m1r, m2)]
-                - ey[(a, m1r, m2r)] + ey[(s, m1r, m2r)]
-            )
-            * pr2x(m2, s)
-            for m2 in _BIN
-        ),
-        INT_REF_AM1M2: math.fsum(
-            (
-                ey[(a, m1, m2)] - ey[(s, m1, m2)]
-                - ey[(a, m1r, m2)] + ey[(s, m1r, m2)]
-                - ey[(a, m1, m2r)] + ey[(s, m1, m2r)]
-                + ey[(a, m1r, m2r)] - ey[(s, m1r, m2r)]
-            )
-            * pr1(m1, s) * pr2x(m2, s)
-            for m1 in _BIN
-            for m2 in _BIN
-        ),
-        NATINT_AM1: math.fsum(
-            (ey[(a, m1, m2)] - ey[(s, m1, m2)])
-            * pr2x(m2, s) * (pr1(m1, a) - pr1(m1, s))
-            for m1 in _BIN
-            for m2 in _BIN
-        ),
-        NATINT_AM2: math.fsum(
-            (ey[(a, m1, m2)] - ey[(s, m1, m2)])
-            * pr1(m1, s) * (pr2x(m2, a) - pr2x(m2, s))
-            for m1 in _BIN
-            for m2 in _BIN
-        ),
-        NATINT_AM1M2: math.fsum(
-            (ey[(a, m1, m2)] - ey[(s, m1, m2)])
-            * (pr1(m1, a) - pr1(m1, s)) * (pr2x(m2, a) - pr2x(m2, s))
-            for m1 in _BIN
-            for m2 in _BIN
-        ),
-        NATINT_M1M2: math.fsum(
-            ey[(s, m1, m2)]
-            * (pr1(m1, a) - pr1(m1, s)) * (pr2x(m2, a) - pr2x(m2, s))
-            for m1 in _BIN
-            for m2 in _BIN
-        ),
-        PIE_M1: math.fsum(
-            ey[(s, m1, m2)] * pr2x(m2, s) * (pr1(m1, a) - pr1(m1, s))
-            for m1 in _BIN
-            for m2 in _BIN
-        ),
-        PIE_M2: math.fsum(
-            ey[(s, m1, m2)] * pr1(m1, s) * (pr2x(m2, a) - pr2x(m2, s))
-            for m1 in _BIN
-            for m2 in _BIN
-        ),
-    }
-    return ComponentSet(Topology.NONSEQUENTIAL, comps, aggs)
+    p1 = [law(scm.p_m1_given_a[x]) for x in (a, s)]
+    p2 = [[law(scm.p_m2_given_a_m1[(x, m1)]) for m1 in _BIN] for x in (a, s)]
+    y = [[[scm.e_y_given_a_m1_m2[(x, m1, m2)] for m2 in _BIN] for m1 in _BIN]
+         for x in (a, s)]
+    return table_component_set(scm.topology, p1, p2, y, m1r, m2r, a == s)
 
 
 def _interval_cells(probs) -> list[tuple[float, float]]:

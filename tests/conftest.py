@@ -1,5 +1,6 @@
-"""Shared factories for randomized model instances, and loop versions of
-vectorized routines that the package's versions must match."""
+"""Shared factories for randomized model instances, loop versions of
+vectorized routines that the package's versions must match, and helpers to
+compare the two."""
 
 import csv
 import math
@@ -9,15 +10,35 @@ import numpy as np
 
 from twomed import (
     BinaryScm,
+    ComponentSet,
+    ConfigError,
     DataError,
     Dataset,
+    EstimationError,
     LinearScm,
     ProbTables,
     ReferenceConfig,
     Topology,
 )
-from twomed.empirical import _check_coverage, _level
-from twomed.oracle import _dot, _linear_contrasts
+from twomed.core import (
+    CDE,
+    INT_REF_AM1,
+    INT_REF_AM1M2,
+    INT_REF_AM2,
+    INT_REF_AM2_PLUS_AM1M2,
+    NATINT_AM1,
+    NATINT_AM1M2,
+    NATINT_AM2,
+    NATINT_M1M2,
+    PDE,
+    PIE_M1,
+    PIE_M2,
+    SIE_M1,
+    TDE,
+    TE,
+)
+from twomed.empirical import _cfg_levels, _check_coverage, _level, _pr1, _pr2, _py
+from twomed.oracle import _BIN, _check_binary_cfg, _dot, _linear_contrasts
 
 
 def random_linear_scm(rng, k=2, sequential=True, scale=1.0):
@@ -96,6 +117,26 @@ def make_linear_dataset(scm, n, seed, exposure_p=0.5):
         + rng.normal(0.0, scm.sigma_y, n)
     )
     return {"a": a, "m1": m1, "m2": m2, "y": y, "covariates": c}
+
+
+def outcome(decompose):
+    """A decomposition's values by name, or its error's class and message."""
+    try:
+        cs = decompose()
+    except (ConfigError, EstimationError) as exc:
+        return type(exc), str(exc)
+    return cs.components | cs.aggregates
+
+
+def assert_same_outcome(got, want, scale):
+    """Equal errors, or values within 1e-12 of scale apart."""
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert isinstance(got, dict), got
+    assert got.keys() == want.keys()
+    for name, value in want.items():
+        assert abs(got[name] - value) <= 1e-12 * scale, name
 
 
 def loop_estimate_tables(d, cfg):
@@ -204,7 +245,7 @@ def loop_load_dataset(path, rc):
     rows_y: list[float] = []
     rows_c: list[list[float]] = []
     dropped = 0
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
         for col in needed:
@@ -244,3 +285,285 @@ def loop_load_dataset(path, rc):
         covariate_names=rc.covariates,
     )
     return d, dropped
+
+
+def _loop_w_sum(t, c, support_m1, support_m2, x, y, z):
+    """E[Y(x, M1(y), M2(z, M1(y)))] from the tables."""
+    terms = []
+    for m1 in support_m1:
+        w1 = _pr1(t, y, m1, c)
+        if w1 == 0.0:
+            continue
+        for m2 in support_m2:
+            w2 = _pr2(t, z, m1, m2, c)
+            if w2 == 0.0:
+                continue
+            terms.append(_py(t, x, m1, m2, c) * w1 * w2)
+    return math.fsum(terms)
+
+
+def loop_decompose_empirical_sequential(
+    t: ProbTables, cfg: ReferenceConfig
+) -> ComponentSet:
+    """All nine sequential components as iterated-expectation double sums,
+    written out with dict lookups and math.fsum: the reference whose values
+    and errors the package's table engine must match."""
+    if cfg.topology is not Topology.SEQUENTIAL:
+        raise ConfigError(
+            "decompose_empirical_sequential needs Sequential topology"
+        )
+    a, s, m1r, m2r, c = _cfg_levels(
+        cfg, t.support_a, t.support_m1, t.support_m2, t.strata
+    )
+    sup1 = t.support_m1
+    sup2 = t.support_m2
+
+    cde = _py(t, a, m1r, m2r, c) - _py(t, s, m1r, m2r, c)
+
+    ref_am1_terms = []
+    for m1 in sup1:
+        w = _pr1(t, s, m1, c)
+        if w == 0.0:
+            continue
+        ref_am1_terms.append(
+            (
+                _py(t, a, m1, m2r, c)
+                - _py(t, a, m1r, m2r, c)
+                - _py(t, s, m1, m2r, c)
+                + _py(t, s, m1r, m2r, c)
+            )
+            * w
+        )
+    ref_am1 = math.fsum(ref_am1_terms)
+
+    ref_rest_terms = []
+    nat_am1_terms = []
+    nat_am2_terms = []
+    nat_am1m2_terms = []
+    nat_m1m2_terms = []
+    pie1_terms = []
+    pie2_terms = []
+    for m1 in sup1:
+        p1a = _pr1(t, a, m1, c)
+        p1s = _pr1(t, s, m1, c)
+        d1 = p1a - p1s
+        if p1a == 0.0 and p1s == 0.0:
+            continue
+        for m2 in sup2:
+            p2a = _pr2(t, a, m1, m2, c)
+            p2s = _pr2(t, s, m1, m2, c)
+            d2 = p2a - p2s
+            if p2a == 0.0 and p2s == 0.0:
+                continue
+            dy = _py(t, a, m1, m2, c) - _py(t, s, m1, m2, c)
+            ys = _py(t, s, m1, m2, c)
+            if p1s != 0.0 and p2s != 0.0:
+                ref_rest_terms.append(
+                    (
+                        _py(t, a, m1, m2, c)
+                        - _py(t, a, m1, m2r, c)
+                        - _py(t, s, m1, m2, c)
+                        + _py(t, s, m1, m2r, c)
+                    )
+                    * p1s
+                    * p2s
+                )
+            if d1 != 0.0 and p2s != 0.0:
+                nat_am1_terms.append(dy * p2s * d1)
+            if p1s != 0.0 and d2 != 0.0:
+                nat_am2_terms.append(dy * p1s * d2)
+            if d1 != 0.0 and d2 != 0.0:
+                nat_am1m2_terms.append(dy * d1 * d2)
+                nat_m1m2_terms.append(ys * d1 * d2)
+            if d1 != 0.0 and p2s != 0.0:
+                pie1_terms.append(ys * p2s * d1)
+            if p1s != 0.0 and d2 != 0.0:
+                pie2_terms.append(ys * p1s * d2)
+
+    ref_rest = math.fsum(ref_rest_terms)
+    if a == s:
+        # the four-term differences cancel only up to rounding, and every
+        # component of a null contrast is exactly zero
+        ref_am1 = ref_rest = 0.0
+
+    comps = {
+        CDE: cde,
+        INT_REF_AM1: ref_am1,
+        INT_REF_AM2_PLUS_AM1M2: ref_rest,
+        NATINT_AM1: math.fsum(nat_am1_terms),
+        NATINT_AM2: math.fsum(nat_am2_terms),
+        NATINT_AM1M2: math.fsum(nat_am1m2_terms),
+        NATINT_M1M2: math.fsum(nat_m1m2_terms),
+        PIE_M1: math.fsum(pie1_terms),
+        PIE_M2: math.fsum(pie2_terms),
+    }
+
+    def w(x, y, z):
+        return _loop_w_sum(t, c, sup1, sup2, x, y, z)
+
+    aggs = {
+        PDE: w(a, s, s) - w(s, s, s),
+        TDE: w(a, a, a) - w(s, a, a),
+        SIE_M1: w(s, a, a) - w(s, s, a),
+        TE: w(a, a, a) - w(s, s, s),
+    }
+    return ComponentSet(Topology.SEQUENTIAL, comps, aggs)
+
+
+def loop_enumerate_binary_components(
+    scm: BinaryScm, cfg: ReferenceConfig
+) -> ComponentSet:
+    """Exact expected components of a binary model, by probability-weighted
+    sums written out one topology at a time: the reference whose values and
+    errors the package's table engine must match."""
+    a, s, m1r, m2r = _check_binary_cfg(scm, cfg)
+    ey = scm.e_y_given_a_m1_m2
+
+    def pr1(m1: int, x: int) -> float:
+        p = scm.p_m1_given_a[x]
+        return p if m1 == 1 else 1.0 - p
+
+    def pr2(m2: int, x: int, m1: int) -> float:
+        p = scm.p_m2_given_a_m1[(x, m1)]
+        return p if m2 == 1 else 1.0 - p
+
+    def w(x: int, y: int, z: int) -> float:
+        return math.fsum(
+            ey[(x, m1, m2)] * pr1(m1, y) * pr2(m2, z, m1)
+            for m1 in _BIN
+            for m2 in _BIN
+        )
+
+    aggs = {
+        PDE: w(a, s, s) - w(s, s, s),
+        TDE: w(a, a, a) - w(s, a, a),
+        SIE_M1: w(s, a, a) - w(s, s, a),
+        TE: w(a, a, a) - w(s, s, s),
+    }
+
+    if scm.topology is Topology.SEQUENTIAL:
+        comps = {
+            CDE: ey[(a, m1r, m2r)] - ey[(s, m1r, m2r)],
+            INT_REF_AM1: math.fsum(
+                (
+                    ey[(a, m1, m2r)] - ey[(a, m1r, m2r)]
+                    - ey[(s, m1, m2r)] + ey[(s, m1r, m2r)]
+                )
+                * pr1(m1, s)
+                for m1 in _BIN
+            ),
+            INT_REF_AM2_PLUS_AM1M2: math.fsum(
+                (
+                    ey[(a, m1, m2)] - ey[(a, m1, m2r)]
+                    - ey[(s, m1, m2)] + ey[(s, m1, m2r)]
+                )
+                * pr1(m1, s) * pr2(m2, s, m1)
+                for m1 in _BIN
+                for m2 in _BIN
+            ),
+            NATINT_AM1: math.fsum(
+                (ey[(a, m1, m2)] - ey[(s, m1, m2)])
+                * pr2(m2, s, m1) * (pr1(m1, a) - pr1(m1, s))
+                for m1 in _BIN
+                for m2 in _BIN
+            ),
+            NATINT_AM2: math.fsum(
+                (ey[(a, m1, m2)] - ey[(s, m1, m2)])
+                * pr1(m1, s) * (pr2(m2, a, m1) - pr2(m2, s, m1))
+                for m1 in _BIN
+                for m2 in _BIN
+            ),
+            NATINT_AM1M2: math.fsum(
+                (ey[(a, m1, m2)] - ey[(s, m1, m2)])
+                * (pr1(m1, a) - pr1(m1, s)) * (pr2(m2, a, m1) - pr2(m2, s, m1))
+                for m1 in _BIN
+                for m2 in _BIN
+            ),
+            NATINT_M1M2: math.fsum(
+                ey[(s, m1, m2)]
+                * (pr1(m1, a) - pr1(m1, s)) * (pr2(m2, a, m1) - pr2(m2, s, m1))
+                for m1 in _BIN
+                for m2 in _BIN
+            ),
+            PIE_M1: math.fsum(
+                ey[(s, m1, m2)] * pr2(m2, s, m1) * (pr1(m1, a) - pr1(m1, s))
+                for m1 in _BIN
+                for m2 in _BIN
+            ),
+            PIE_M2: math.fsum(
+                ey[(s, m1, m2)] * pr1(m1, s) * (pr2(m2, a, m1) - pr2(m2, s, m1))
+                for m1 in _BIN
+                for m2 in _BIN
+            ),
+        }
+        return ComponentSet(Topology.SEQUENTIAL, comps, aggs)
+
+    # non-sequential: the same iterated expectations with M2 independent of M1
+    def pr2x(m2: int, x: int) -> float:
+        return pr2(m2, x, 0)
+
+    comps = {
+        CDE: ey[(a, m1r, m2r)] - ey[(s, m1r, m2r)],
+        INT_REF_AM1: math.fsum(
+            (
+                ey[(a, m1, m2r)] - ey[(s, m1, m2r)]
+                - ey[(a, m1r, m2r)] + ey[(s, m1r, m2r)]
+            )
+            * pr1(m1, s)
+            for m1 in _BIN
+        ),
+        INT_REF_AM2: math.fsum(
+            (
+                ey[(a, m1r, m2)] - ey[(s, m1r, m2)]
+                - ey[(a, m1r, m2r)] + ey[(s, m1r, m2r)]
+            )
+            * pr2x(m2, s)
+            for m2 in _BIN
+        ),
+        INT_REF_AM1M2: math.fsum(
+            (
+                ey[(a, m1, m2)] - ey[(s, m1, m2)]
+                - ey[(a, m1r, m2)] + ey[(s, m1r, m2)]
+                - ey[(a, m1, m2r)] + ey[(s, m1, m2r)]
+                + ey[(a, m1r, m2r)] - ey[(s, m1r, m2r)]
+            )
+            * pr1(m1, s) * pr2x(m2, s)
+            for m1 in _BIN
+            for m2 in _BIN
+        ),
+        NATINT_AM1: math.fsum(
+            (ey[(a, m1, m2)] - ey[(s, m1, m2)])
+            * pr2x(m2, s) * (pr1(m1, a) - pr1(m1, s))
+            for m1 in _BIN
+            for m2 in _BIN
+        ),
+        NATINT_AM2: math.fsum(
+            (ey[(a, m1, m2)] - ey[(s, m1, m2)])
+            * pr1(m1, s) * (pr2x(m2, a) - pr2x(m2, s))
+            for m1 in _BIN
+            for m2 in _BIN
+        ),
+        NATINT_AM1M2: math.fsum(
+            (ey[(a, m1, m2)] - ey[(s, m1, m2)])
+            * (pr1(m1, a) - pr1(m1, s)) * (pr2x(m2, a) - pr2x(m2, s))
+            for m1 in _BIN
+            for m2 in _BIN
+        ),
+        NATINT_M1M2: math.fsum(
+            ey[(s, m1, m2)]
+            * (pr1(m1, a) - pr1(m1, s)) * (pr2x(m2, a) - pr2x(m2, s))
+            for m1 in _BIN
+            for m2 in _BIN
+        ),
+        PIE_M1: math.fsum(
+            ey[(s, m1, m2)] * pr2x(m2, s) * (pr1(m1, a) - pr1(m1, s))
+            for m1 in _BIN
+            for m2 in _BIN
+        ),
+        PIE_M2: math.fsum(
+            ey[(s, m1, m2)] * pr1(m1, s) * (pr2x(m2, a) - pr2x(m2, s))
+            for m1 in _BIN
+            for m2 in _BIN
+        ),
+    }
+    return ComponentSet(Topology.NONSEQUENTIAL, comps, aggs)

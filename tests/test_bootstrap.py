@@ -24,6 +24,7 @@ from twomed import (
     decompose_empirical_sequential,
     fit_all,
 )
+from twomed.empirical import CellCoder
 
 
 def _noisy_dataset(seed=0, n=400):
@@ -346,3 +347,92 @@ def test_chunk_size_keeps_matrix_products_and_bounds_memory():
     assert chunk_size(10**9) == 1
     for n in (200, 50_000, 10**6):
         assert chunk_size(n) * 8 * n <= twomed.bootstrap._CHUNK_BYTES
+
+
+# a config, and 4 rare rows (a, m1, m2, c, y), for each way a resample fails;
+# a resample misses all 4 about e^-4 of the time. Each config but the two
+# with a != a* is a null contrast: with a != a*, both exposures' reference
+# cells would be lost far more often than a level, a stratum or a row
+_FAILURES = {
+    # a lost exposure level: a = 2 only on the rare rows
+    "exposure level": ((2.0, 0.0, 0.0, 0.0, 0.0), (2.0, 0.0, 0.0, 0.0, 1.5)),
+    # a lost m1 reference level
+    "m1 reference level": ((1.0, 1.0, 2.0, 0.0, 0.0), (1.0, 2.0, 0.0, 0.0, 0.5)),
+    # a lost m2 reference level
+    "m2 reference level": ((1.0, 1.0, 0.0, 2.0, 0.0), (1.0, 0.0, 2.0, 0.0, 0.5)),
+    # a lost stratum
+    "stratum": ((1.0, 1.0, 0.0, 0.0, 5.0), (1.0, 0.0, 0.0, 5.0, 0.5)),
+    # a coverage gap: the only rows of a cell that a* holds plenty of
+    "no data for": ((1.0, 0.0, 0.0, 0.0, 0.0), (1.0, 1.0, 1.0, 0.0, 2.5)),
+    # an overflowing cell mean, in a stratum other than cfg's: two rows of
+    # 3e307, which overflow a sum once drawn six times (two 1e308 rows would
+    # overflow the full data's sum too)
+    "non-finite outcome mean": ((1.0, 0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0, 3e307)),
+}
+
+
+def _dataset_that_fails(kind, n=240, seed=1):
+    """Binary rows in strata c = 0, 1, plus the kind's rare rows."""
+    levels, rare = _FAILURES[kind]
+    rng = np.random.default_rng(seed)
+    a, m1, m2, c = rng.integers(0, 2, (4, n)).astype(float)
+    y = a + m1 - m2 + rng.normal(0.0, 1.0, n)
+    if kind == "exposure level":
+        # a = 2 holds only (m1*, m2*) in cfg's stratum, so a* may hold no more
+        m1[(a == 0.0) & (c == 0.0)] = m2[(a == 0.0) & (c == 0.0)] = 0.0
+    if kind == "m2 reference level":
+        # every m1 level cfg's exposure holds in cfg's stratum needs m2*
+        m1[(a == 1.0) & (c == 0.0)] = 0.0
+    if kind == "no data for":
+        m2[(a == 1.0) & (m1 == 1.0) & (c == 0.0)] = 0.0
+    copies = 2 if kind == "non-finite outcome mean" else 4
+    rows = np.array([rare] * copies)
+    a, m1, m2, c, y = (np.concatenate([col, extra]) for col, extra in
+                       zip((a, m1, m2, c, y), rows.T))
+    cfg = ReferenceConfig(*levels[:4], covariates=levels[4:],
+                          topology=Topology.SEQUENTIAL)
+    return Dataset(a=a, m1=m1, m2=m2, y=y, covariates=c[:, None]), cfg
+
+
+@pytest.mark.parametrize("kind", list(_FAILURES))
+def test_batched_failure_masks_match_the_per_replicate_loop(kind):
+    """Each way a resample's tables or decomposition can fail fails the same
+    replicates as decomposing each resample's tables on its own."""
+    d, cfg = _dataset_that_fails(kind)
+    seed, B = 3, 300
+    r = bootstrap_decomposition(
+        d, cfg, B=B, seed=seed, estimator="empirical-categorical"
+    )
+
+    coder = CellCoder(d)
+    draws = {name: [] for name in r.lower}
+    errors = []
+    for b in range(B):
+        idx = np.random.default_rng([seed, b]).integers(0, d.n, size=d.n)
+        try:
+            cs = decompose_empirical_sequential(coder.tables(cfg, idx), cfg)
+        except (ConfigError, EstimationError) as exc:
+            errors.append(str(exc))
+            continue
+        for name in draws:
+            draws[name].append((cs.components | cs.aggregates)[name])
+    assert any(kind in e for e in errors), errors
+    assert r.failed_replicates == len(errors)
+    for name, vals in draws.items():
+        assert r.lower[name] == float(np.quantile(vals, (1.0 - 0.95) / 2.0)), name
+        assert r.upper[name] == float(np.quantile(vals, (1.0 + 0.95) / 2.0)), name
+
+
+@pytest.mark.parametrize("per_chunk", [1, 256], ids=["one-per-chunk", "B-below-a-chunk"])
+def test_empirical_bootstrap_does_not_depend_on_the_chunk_size(monkeypatch, per_chunk):
+    d, cfg = _dataset_that_fails("no data for")
+    default = bootstrap_decomposition(
+        d, cfg, B=200, seed=4, estimator="empirical-categorical"
+    )
+    monkeypatch.setattr(twomed.bootstrap, "_CHUNK_REPLICATES", per_chunk)
+    assert twomed.bootstrap._chunk_size(d.n) == per_chunk
+    other = bootstrap_decomposition(
+        d, cfg, B=200, seed=4, estimator="empirical-categorical"
+    )
+    assert default.failed_replicates > 0
+    assert other == default

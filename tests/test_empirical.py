@@ -1,5 +1,6 @@
 """Table-based plug-in estimator for categorical mediators."""
 
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -8,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import loop_estimate_tables, random_binary_scm
+from conftest import (
+    assert_same_outcome,
+    loop_decompose_empirical_sequential,
+    loop_estimate_tables,
+    outcome,
+    random_binary_scm,
+)
 from twomed import (
     BinaryScm,
     ConfigError,
@@ -392,3 +399,68 @@ def test_continuous_mediators_fail_the_coverage_walk_without_the_zero_fill():
         tracemalloc.stop()
     assert str(got.value) == str(want.value)
     assert peak < 5 * 2**20, peak / 2**20
+
+
+_TOPOLOGIES = st.sampled_from([Topology.SEQUENTIAL] * 7 + [Topology.NONSEQUENTIAL])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_resampled_dataset(), _TOPOLOGIES, st.data())
+def test_table_engine_matches_the_written_out_sums(case, topology, data):
+    """On estimated tables, and on tables a user has stripped of cells, the
+    engine gives the written-out sums' values, or their error."""
+    d, idx, cfg = case
+    try:
+        t = loop_estimate_tables(d.take(idx), cfg)
+    except (ConfigError, EstimationError):
+        return
+    keys = [(name, key) for name in ("pr_m1", "pr_m2", "p_y")
+            for key in sorted(getattr(t, name))]
+    for name, key in data.draw(st.lists(st.sampled_from(keys), max_size=3)):
+        getattr(t, name).pop(key, None)
+    cfg = dataclasses.replace(cfg, topology=topology)
+    assert_same_outcome(
+        outcome(lambda: decompose_empirical_sequential(t, cfg)),
+        outcome(lambda: loop_decompose_empirical_sequential(t, cfg)),
+        float(np.abs(d.y).max()),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_resampled_dataset(), st.integers(0, 5), st.integers(0, 2**32 - 1))
+def test_batched_replicates_equal_their_one_replicate_decompositions(
+    case, extra, seed
+):
+    """Decomposing resamples' counts together gives each one's values bit for
+    bit, the values its tables give, and the failures its tables raise."""
+    d, idx, cfg = case
+    rng = np.random.default_rng(seed)
+    resamples = [idx] + [rng.integers(0, d.n, d.n) for _ in range(extra)]
+    coder = CellCoder(d)
+    n, y_sum = (np.array(c, dtype=float)
+                for c in zip(*(coder.counts(i) for i in resamples)))
+    values, failed = coder.decompose_counts(cfg, n, y_sum)
+    for r, i in enumerate(resamples):
+        one, one_failed = coder.decompose_counts(cfg, n[r:r + 1], y_sum[r:r + 1])
+        assert one_failed[0] == failed[r]
+        for name, value in one.items():
+            assert value.tobytes() == values[name][r:r + 1].tobytes(), name
+        want = outcome(lambda: decompose_empirical_sequential(
+            coder.tables(cfg, i), cfg))
+        assert failed[r] == isinstance(want, tuple)
+        if not failed[r]:
+            assert {k: v[r] for k, v in values.items()} == want
+
+
+def test_an_overflowing_decomposition_fails_its_identities():
+    """Finite cell means whose contrasts overflow: the batch flags the
+    replicate, and the one-replicate route raises EstimationError."""
+    rows = [(a, m1, m2) for a in (0.0, 1.0) for m1 in (0.0, 1.0) for m2 in (0.0, 1.0)]
+    cols = np.array(rows).T
+    d = Dataset(a=cols[0], m1=cols[1], m2=cols[2], y=1.5e308 * (2.0 * cols[0] - 1.0))
+    coder = CellCoder(d)
+    n, y_sum = coder.counts()
+    values, failed = coder.decompose_counts(CFG, n[None], y_sum[None])
+    assert failed.tolist() == [True]
+    with pytest.raises(EstimationError, match="identity violated"):
+        decompose_empirical_sequential(coder.tables(CFG), CFG)

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -300,6 +303,33 @@ def test_a_written_dataset_loads_in_bulk(tmp_path, monkeypatch, log_m2, names):
         assert _bits(got) == _bits(d)
 
 
+def _fifty_rows():
+    return "a,m1,m2,y\n" + "".join(
+        f"{i % 2},{i % 3},{0.5 * i},{1.25 * i - 7}\n" for i in range(50))
+
+
+@pytest.mark.parametrize("reader", ["bulk", "rows"])
+def test_a_byte_order_mark_loads_like_no_mark(tmp_path, monkeypatch, reader):
+    """A UTF-8 file that starts with a byte-order mark, as spreadsheet
+    programs save CSV, loads to the bits of the same file without one."""
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(_fifty_rows().encode("utf-8"))
+    marked.write_bytes(_fifty_rows().encode("utf-8-sig"))
+
+    def row_reader(*args):
+        raise AssertionError("the bulk parse declined a clean file")
+
+    if reader == "rows":
+        monkeypatch.setattr(twomed.dataio, "_parse_in_bulk", lambda *args: None)
+    else:
+        monkeypatch.setattr(twomed.dataio, "_load_rows", row_reader)
+    rc = build_run_config(None)
+    got, dropped = load_dataset(str(marked), rc)
+    want, want_dropped = load_dataset(str(plain), rc)
+    assert got.n == 50
+    assert (_bits(got), dropped) == (_bits(want), want_dropped)
+
+
 def test_mean_tokens_resolve_after_drops(tmp_path):
     csv_path = _write(
         tmp_path / "d.csv",
@@ -550,6 +580,16 @@ def test_cli_exit_code_3_for_data_problems(runner, tmp_path):
     assert res.exit_code == 3
 
 
+@pytest.mark.parametrize("tail", [b"1,2,3,caf\xe9\n", b"1,2,3," + b"9" * 200_000 + b"\n"],
+                         ids=["latin-1", "field-over-the-csv-limit"])
+def test_cli_exit_code_3_for_a_file_the_csv_reader_cannot_read(runner, tmp_path, tail):
+    path = tmp_path / "d.csv"
+    path.write_bytes(_fifty_rows().encode("utf-8") + tail)
+    res = runner.invoke(main, ["analyze", "--data", str(path), "--bootstrap-B", "100"])
+    assert res.exit_code == 3, res.output
+    assert f"data file {path} cannot be read as CSV" in res.output
+
+
 def test_cli_exit_code_4_for_degenerate_designs(runner, tmp_path):
     rng = np.random.default_rng(0)
     n = 60
@@ -715,3 +755,16 @@ def test_cli_version(runner):
     res = runner.invoke(main, ["--version"])
     assert res.exit_code == 0
     assert "twomed" in res.output
+
+
+def test_the_cli_loads_no_test_or_scientific_stack():
+    """Every command's start-up time includes these imports."""
+    src = os.path.dirname(os.path.dirname(twomed.dataio.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", "import twomed.cli, sys; print(*sys.modules)"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    loaded = {name.split(".")[0] for name in out.split()}
+    assert "twomed" in loaded
+    assert not loaded & {"hypothesis", "sympy", "scipy", "pandas", "pytest"}
