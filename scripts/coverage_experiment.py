@@ -12,14 +12,13 @@ import time
 import numpy as np
 
 from twomed import (
-    Dataset,
     LinearScm,
-    ModelCoefficients,
     ReferenceConfig,
     Topology,
     bootstrap_decomposition,
     component_names,
     decompose_closed_form,
+    simulate_dataset,
 )
 
 SCM = LinearScm(
@@ -37,22 +36,6 @@ CFG = ReferenceConfig(
 )
 
 
-def draw(n, seed):
-    rng = np.random.default_rng(seed)
-    a = rng.binomial(1, 0.5, n).astype(float)
-    c = rng.standard_normal((n, 2))
-    m1 = (SCM.gamma[0] + SCM.gamma[1] * a + c @ np.asarray(SCM.gamma_c)
-          + rng.normal(0.0, SCM.sigma_m1, n))
-    m2 = (SCM.beta[0] + SCM.beta[1] * a + SCM.beta[2] * m1
-          + SCM.beta[3] * a * m1 + c @ np.asarray(SCM.beta_c)
-          + rng.normal(0.0, SCM.sigma_m2, n))
-    t = SCM.theta
-    y = (t[0] + t[1] * a + t[2] * m1 + t[3] * m2 + t[4] * a * m1
-         + t[5] * a * m2 + t[6] * m1 * m2 + t[7] * a * m1 * m2
-         + c @ np.asarray(SCM.theta_c) + rng.normal(0.0, SCM.sigma_y, n))
-    return Dataset(a=a, m1=m1, m2=m2, y=y, covariates=c)
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--runs", type=int, default=100)
@@ -63,7 +46,7 @@ def main():
     opts = ap.parse_args()
 
     names = list(component_names(CFG.topology)) + ["PDE", "TDE", "SIE_M1", "TE"]
-    truth_cs = decompose_closed_form(ModelCoefficients.from_scm(SCM), CFG)
+    truth_cs = decompose_closed_form(SCM, CFG)
     truth = {
         nm: (truth_cs.aggregates[nm] if nm in truth_cs.aggregates
              else truth_cs.component(nm))
@@ -73,7 +56,7 @@ def main():
     widths = {nm: [] for nm in names}
     t0 = time.perf_counter()
     for i in range(opts.runs):
-        d = draw(opts.n, seed=opts.seed * 100_000 + i)
+        d = simulate_dataset(SCM, opts.n, seed=opts.seed * 100_000 + i)
         r = bootstrap_decomposition(
             d, CFG, B=opts.B, level=opts.level, seed=i
         )

@@ -15,7 +15,6 @@ import numpy as np
 from twomed import (
     BinaryScm,
     LinearScm,
-    ModelCoefficients,
     ProbTables,
     ReferenceConfig,
     Topology,
@@ -102,7 +101,7 @@ def linear_stage(count, mc_n, rng, seed):
             m1_star=float(rng.normal()), m2_star=float(rng.normal()),
             covariates=(), topology=Topology.SEQUENTIAL,
         )
-        exact = decompose_closed_form(ModelCoefficients.from_scm(scm), cfg)
+        exact = decompose_closed_form(scm, cfg)
         mc = simulate_linear_components(scm, cfg, n=mc_n, seed=seed + i, shards=8)
         for nm in component_names(Topology.SEQUENTIAL):
             se = mc.standard_errors[nm]

@@ -27,7 +27,6 @@ from .core import (
 from .oracle import (
     BinaryScm,
     IndividualPotentials,
-    LinearScm,
     MonteCarloResult,
     SingleMediatorPotentials,
     enumerate_binary_components,
@@ -38,8 +37,8 @@ from .oracle import (
     simulate_linear_components,
     single_mediator_four_way,
 )
+from .linear import LinearScm, ModelCoefficients
 from .closed_form import (
-    ModelCoefficients,
     decompose_closed_form,
     decompose_nonsequential_closed_form,
     decompose_sequential_closed_form,

@@ -41,7 +41,7 @@ from .core import (
     ReferenceConfig,
     component_names,
 )
-from .empirical import CellCoder, decompose_empirical_sequential, estimate_tables
+from .empirical import CellCoder, decompose_empirical_sequential
 from .regression import CountWeightedFit, Dataset, fit_all
 
 ESTIMATORS = ("closed-form", "empirical-categorical")
@@ -84,12 +84,9 @@ def _resample_indices(seed: int, b: int, n: int) -> np.ndarray:
     return np.random.default_rng([seed, b]).integers(0, n, size=n)
 
 
-def _estimate_once(d: Dataset, cfg: ReferenceConfig, estimator: str) -> ComponentSet:
-    if estimator == "closed-form":
-        fitted = fit_all(d, cfg.topology)
-        return decompose_closed_form(fitted.coefficients, cfg)
-    tables = estimate_tables(d, cfg)
-    return decompose_empirical_sequential(tables, cfg)
+def _closed_form_estimate(d: Dataset, cfg: ReferenceConfig) -> ComponentSet:
+    """The closed-form estimate: fit, then decompose."""
+    return decompose_closed_form(fit_all(d, cfg.topology).coefficients, cfg)
 
 
 def _chunk_size(n: int) -> int:
@@ -124,13 +121,13 @@ def bootstrap_decomposition(
             f"unknown estimator {estimator!r}; choose one of {ESTIMATORS}"
         )
 
-    point = _estimate_once(d, cfg, estimator)
     names = list(component_names(cfg.topology)) + list(AGGREGATE_NAMES)
     # blocks of kept replicates' values, one row per replicate in names order
     draws = []
     n = d.n
     chunk = _chunk_size(n)
     if estimator == "closed-form":
+        point = _closed_form_estimate(d, cfg)
         fitter = CountWeightedFit(d, cfg.topology)
         for start in range(0, B, chunk):
             reps = range(start, min(start + chunk, B))
@@ -143,13 +140,14 @@ def bootstrap_decomposition(
             # resampled designs not clearly full rank: the reference refit
             for b in [b for b, good in zip(reps, ok) if not good]:
                 try:
-                    cs = _estimate_once(d.take(_resample_indices(seed, b, n)),
-                                        cfg, estimator)
+                    cs = _closed_form_estimate(d.take(_resample_indices(seed, b, n)), cfg)
                 except (EstimationError, ConfigError):
                     continue  # a failed replicate
                 draws.append([[*cs.components.values(), *cs.aggregates.values()]])
     else:
+        # the cells are coded once, for the point estimate and every replicate
         coder = CellCoder(d)
+        point = decompose_empirical_sequential(coder.tables(cfg), cfg)
         for start in range(0, B, chunk):
             reps = range(start, min(start + chunk, B))
             counts = np.empty((len(reps), len(coder.cells)))

@@ -17,11 +17,7 @@ import click
 
 from . import __version__
 from .bootstrap import ESTIMATORS, bootstrap_decomposition
-from .closed_form import (
-    ModelCoefficients,
-    decompose_closed_form,
-    expected_counterfactual,
-)
+from .closed_form import decompose_closed_form, expected_counterfactual
 from .core import (
     AGGREGATE_NAMES,
     TE,
@@ -45,9 +41,9 @@ from .dataio import (
     write_dataset_csv,
 )
 from .empirical import ProbTables, decompose_empirical_sequential, estimate_tables
+from .linear import LinearScm
 from .oracle import (
     BinaryScm,
-    LinearScm,
     enumerate_binary_components,
     enumerate_binary_components_by_individuals,
     simulate_linear_components,
@@ -236,7 +232,7 @@ def simulate(spec_path, n_rows, data_out, truth_out, config_path, topology, seed
         if isinstance(scm, BinaryScm):
             truth = enumerate_binary_components(scm, cfg)
         else:
-            truth = decompose_closed_form(ModelCoefficients.from_scm(scm), cfg)
+            truth = decompose_closed_form(scm, cfg)
         write_dataset_csv(d, data_out)
         truth_path = truth_out or data_out + ".truth.json"
         doc = {
@@ -313,8 +309,7 @@ def validate(spec_path, config_path, topology, seed, mc_n, tol, mc_z):
                 f"linear model, topology {cfg.topology.value}, "
                 f"mc n={mc_n}, seed={rc.seed}"
             )
-            coefs = ModelCoefficients.from_scm(scm)
-            exact = decompose_closed_form(coefs, cfg)
+            exact = decompose_closed_form(scm, cfg)
             mc = simulate_linear_components(scm, cfg, n=mc_n, seed=rc.seed)
             worst_name, worst_z = "", 0.0
             constant, worst_rel = [], 0.0
@@ -346,8 +341,8 @@ def validate(spec_path, config_path, topology, seed, mc_n, tol, mc_z):
                     f"(rel tol {tol:g}) {'PASS' if ok else 'FAIL'}"
                 )
             if cfg.topology is Topology.SEQUENTIAL:
-                w1 = expected_counterfactual("W1", coefs, cfg)
-                w8 = expected_counterfactual("W8", coefs, cfg)
+                w1 = expected_counterfactual("W1", scm, cfg)
+                w8 = expected_counterfactual("W8", scm, cfg)
                 te = exact.aggregates[TE]
                 delta = abs(te - (w1 - w8))
                 ok = delta <= tol * max(1.0, abs(te))

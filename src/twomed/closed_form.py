@@ -1,18 +1,18 @@
 """Closed-form expected components under the linear-Gaussian system.
 
-Everything here is a polynomial in the exposure levels, the model
-coefficients, the conditioning covariate values, and the first mediator's
-error variance (which enters through E[M1^2]). The eight expected nested
-counterfactuals W1..W8 are exposed individually: every component equals a
-signed combination of them, which localizes transcription errors, and the
-total effect is computed BOTH from its own long polynomial and as W1 - W8
-with the two paths required to agree.
+The model is a linear.ModelCoefficients, estimated or ground truth (a
+LinearScm is one). Everything here is a polynomial in the exposure levels,
+the model coefficients, the conditioning covariate values, and the first
+mediator's error variance (which enters through E[M1^2]). The eight expected
+nested counterfactuals W1..W8 are exposed individually: every component
+equals a signed combination of them, which localizes transcription errors,
+and the total effect is computed BOTH from its own long polynomial and as
+W1 - W8 with the two paths required to agree.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -34,6 +34,7 @@ from .core import (
     SIE_M1,
     TDE,
     TE,
+    W_SLOTS,
     ComponentSet,
     ConfigError,
     EstimationError,
@@ -42,80 +43,9 @@ from .core import (
     component_names,
     identity_violations,
 )
-from .oracle import LinearScm
+from .linear import VECTORS, ModelCoefficients, check_nonsequential_beta
 
-_W_SLOTS = {
-    "W1": ("a", "a", "a"),
-    "W2": ("a", "a", "s"),
-    "W3": ("a", "s", "a"),
-    "W4": ("s", "a", "a"),
-    "W5": ("s", "s", "a"),
-    "W6": ("s", "a", "s"),
-    "W7": ("a", "s", "s"),
-    "W8": ("s", "s", "s"),
-}
-
-W_NAMES = tuple(_W_SLOTS)
-
-
-@dataclass(frozen=True)
-class ModelCoefficients:
-    """Coefficients feeding the closed forms (estimated or supplied).
-
-    Same shape as LinearScm but without the ground-truth reading: sigma_m1 is
-    required because the first mediator's error variance appears in the
-    formulas (zero is allowed for deterministic what-if analyses); sigma_y and
-    sigma_m2 are optional metadata.
-    """
-
-    theta: tuple[float, ...]
-    beta: tuple[float, ...]
-    gamma: tuple[float, ...]
-    theta_c: tuple[float, ...] = ()
-    beta_c: tuple[float, ...] = ()
-    gamma_c: tuple[float, ...] = ()
-    sigma_m1: float = 0.0
-    sigma_y: float | None = None
-    sigma_m2: float | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta", tuple(float(v) for v in self.theta))
-        object.__setattr__(self, "beta", tuple(float(v) for v in self.beta))
-        object.__setattr__(self, "gamma", tuple(float(v) for v in self.gamma))
-        object.__setattr__(self, "theta_c", tuple(float(v) for v in self.theta_c))
-        object.__setattr__(self, "beta_c", tuple(float(v) for v in self.beta_c))
-        object.__setattr__(self, "gamma_c", tuple(float(v) for v in self.gamma_c))
-        if len(self.theta) != 8 or len(self.beta) != 4 or len(self.gamma) != 2:
-            raise ConfigError(
-                "coefficient shapes must be theta[8], beta[4], gamma[2]"
-            )
-        if not (len(self.theta_c) == len(self.beta_c) == len(self.gamma_c)):
-            raise ConfigError("covariate coefficient vectors must share one length")
-        s1 = float(self.sigma_m1)
-        if not math.isfinite(s1) or s1 < 0.0:
-            raise ConfigError(f"sigma_m1 must be a nonnegative real, got {s1}")
-        object.__setattr__(self, "sigma_m1", s1)
-        for name in ("sigma_y", "sigma_m2"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, float(getattr(self, name)))
-
-    @property
-    def covariate_dim(self) -> int:
-        return len(self.theta_c)
-
-    @classmethod
-    def from_scm(cls, scm: LinearScm) -> "ModelCoefficients":
-        return cls(
-            theta=scm.theta,
-            beta=scm.beta,
-            gamma=scm.gamma,
-            theta_c=scm.theta_c,
-            beta_c=scm.beta_c,
-            gamma_c=scm.gamma_c,
-            sigma_m1=scm.sigma_m1,
-            sigma_y=scm.sigma_y,
-            sigma_m2=scm.sigma_m2,
-        )
+W_NAMES = tuple(W_SLOTS)
 
 
 class CoefficientBatch(NamedTuple):
@@ -145,9 +75,8 @@ class CoefficientBatch(NamedTuple):
         def column(field):
             return tuple(np.array([getattr(m, field) for m in models], float).T)
 
-        fields = ("theta", "beta", "gamma", "theta_c", "beta_c", "gamma_c")
         return cls(
-            *(column(f) for f in fields),
+            *(column(f) for f in VECTORS),
             sigma_m1=np.array([m.sigma_m1 for m in models], float),
         )
 
@@ -180,15 +109,13 @@ def expected_counterfactual(
 
     Wk = E[Y(x, M1(y), M2(z, M1(y))) | c] where each of the three exposure
     slots (outcome's, first mediator's, second mediator's) is set to a or
-    a_star according to the slot table:
-    W1=(a,a,a) W2=(a,a,a*) W3=(a,a*,a) W4=(a*,a,a)
-    W5=(a*,a*,a) W6=(a*,a,a*) W7=(a,a*,a*) W8=(a*,a*,a*).
+    a_star according to the slot table core.W_SLOTS.
     """
-    if which not in _W_SLOTS:
+    if which not in W_SLOTS:
         raise ConfigError(f"unknown counterfactual {which!r}; expected W1..W8")
     t8c, b4c, g2c = _contractions(m, cfg)
     lv = {"a": cfg.a, "s": cfg.a_star}
-    x, y, z = (lv[k] for k in _W_SLOTS[which])
+    x, y, z = (lv[k] for k in W_SLOTS[which])
     return _w_value(m.theta, m.beta, m.gamma, _var1(m), x, y, z, t8c, b4c, g2c)
 
 
@@ -274,23 +201,37 @@ def _te_polynomial(m, cfg, t8c, b4c, g2c):
     )
 
 
-def _sequential_components(m, cfg, b4c, g2c):
-    """The nine sequential summary polynomials."""
+def _components(m, cfg, b4c, g2c):
+    """The summary polynomials of cfg's topology: nine sequential ones, or
+    ten non-sequential ones, for beta[2] = beta[3] = 0."""
     t = m.theta
     b = m.beta
     g = m.gamma
     a, s = cfg.a, cfg.a_star
     m1r, m2r = cfg.m1_star, cfg.m2_star
-    var1 = _var1(m)
-    g1sq = g[1] * g[1]
     d = a - s
     gs = g[0] + g[1] * s + g2c        # E[M1(a*) | c]
     bs = b[0] + b[1] * s + b4c
-    ks = b[2] + b[3] * s
-    g0c = g[0] + g2c
-    return {
+    comps = {
         CDE: (t[1] + t[4] * m1r + t[5] * m2r + t[7] * m1r * m2r) * d,
         INT_REF_AM1: (gs - m1r) * (t[4] + t[7] * m2r) * d,
+    }
+    if cfg.topology is Topology.NONSEQUENTIAL:
+        return comps | {
+            INT_REF_AM2: (t[5] + t[7] * m1r) * (bs - m2r) * d,
+            INT_REF_AM1M2: t[7] * (gs - m1r) * (bs - m2r) * d,
+            NATINT_AM1: (t[4] * g[1] + t[7] * g[1] * bs) * d * d,
+            NATINT_AM2: (t[5] * b[1] + t[7] * b[1] * gs) * d * d,
+            NATINT_AM1M2: t[7] * b[1] * g[1] * d ** 3,
+            NATINT_M1M2: b[1] * g[1] * (t[6] + t[7] * s) * d * d,
+            PIE_M1: (g[1] * (t[2] + t[4] * s) + g[1] * (t[6] + t[7] * s) * bs) * d,
+            PIE_M2: (b[1] * (t[3] + t[5] * s) + b[1] * (t[6] + t[7] * s) * gs) * d,
+        }
+    var1 = _var1(m)
+    g1sq = g[1] * g[1]
+    ks = b[2] + b[3] * s
+    g0c = g[0] + g2c
+    return comps | {
         INT_REF_AM2_PLUS_AM1M2: (
             t[1]
             + t[5] * bs
@@ -341,39 +282,13 @@ def _sequential_components(m, cfg, b4c, g2c):
     }
 
 
-def _nonsequential_components(m, cfg, b4c, g2c):
-    """The ten non-sequential polynomials, for beta[2] = beta[3] = 0."""
-    t = m.theta
-    b = m.beta
-    g = m.gamma
-    a, s = cfg.a, cfg.a_star
-    m1r, m2r = cfg.m1_star, cfg.m2_star
-    d = a - s
-    gs = g[0] + g[1] * s + g2c
-    bs = b[0] + b[1] * s + b4c
-    return {
-        CDE: (t[1] + t[4] * m1r + t[5] * m2r + t[7] * m1r * m2r) * d,
-        INT_REF_AM1: (gs - m1r) * (t[4] + t[7] * m2r) * d,
-        INT_REF_AM2: (t[5] + t[7] * m1r) * (bs - m2r) * d,
-        INT_REF_AM1M2: t[7] * (gs - m1r) * (bs - m2r) * d,
-        NATINT_AM1: (t[4] * g[1] + t[7] * g[1] * bs) * d * d,
-        NATINT_AM2: (t[5] * b[1] + t[7] * b[1] * gs) * d * d,
-        NATINT_AM1M2: t[7] * b[1] * g[1] * d ** 3,
-        NATINT_M1M2: b[1] * g[1] * (t[6] + t[7] * s) * d * d,
-        PIE_M1: (g[1] * (t[2] + t[4] * s) + g[1] * (t[6] + t[7] * s) * bs) * d,
-        PIE_M2: (b[1] * (t[3] + t[5] * s) + b[1] * (t[6] + t[7] * s) * gs) * d,
-    }
-
-
 def _decomposition(m, cfg):
     """Components, aggregates and rounding scale, from floats or arrays alike."""
+    if cfg.topology is Topology.NONSEQUENTIAL:
+        check_nonsequential_beta(m)
     t8c, b4c, g2c = _contractions(m, cfg)
-    if cfg.topology is Topology.SEQUENTIAL:
-        comps = _sequential_components(m, cfg, b4c, g2c)
-    else:
-        comps = _nonsequential_components(m, cfg, b4c, g2c)
     return (
-        comps,
+        _components(m, cfg, b4c, g2c),
         _aggregates_from_w(m, cfg, t8c, b4c, g2c),
         _rounding_scale(m, cfg, t8c, b4c, g2c),
     )
@@ -447,14 +362,6 @@ def _aggregates_from_w(m, cfg, t8c, b4c, g2c):
     }
 
 
-def _check_nonsequential_beta(m) -> None:
-    if np.any(np.not_equal(m.beta[2], 0.0)) or np.any(np.not_equal(m.beta[3], 0.0)):
-        raise ConfigError(
-            "non-sequential topology requires beta[2] = beta[3] = 0; "
-            f"got beta[2]={m.beta[2]}, beta[3]={m.beta[3]}"
-        )
-
-
 def decompose_nonsequential_closed_form(
     m: ModelCoefficients, cfg: ReferenceConfig
 ) -> ComponentSet:
@@ -470,15 +377,12 @@ def decompose_nonsequential_closed_form(
         raise ConfigError(
             "decompose_nonsequential_closed_form needs NonSequential topology"
         )
-    _check_nonsequential_beta(m)
     return ComponentSet(Topology.NONSEQUENTIAL, *_finite_decomposition(m, cfg))
 
 
 def decompose_closed_form(m: ModelCoefficients, cfg: ReferenceConfig) -> ComponentSet:
-    """Dispatch on the config's topology."""
-    if cfg.topology is Topology.SEQUENTIAL:
-        return decompose_sequential_closed_form(m, cfg)
-    return decompose_nonsequential_closed_form(m, cfg)
+    """All components of the config's topology in closed form."""
+    return ComponentSet(cfg.topology, *_finite_decomposition(m, cfg))
 
 
 def decompose_closed_form_batch(
@@ -490,8 +394,6 @@ def decompose_closed_form_batch(
     boolean array that is true for each replicate violating an identity that
     ComponentSet enforces; such a replicate's values are not a decomposition.
     """
-    if cfg.topology is Topology.NONSEQUENTIAL:
-        _check_nonsequential_beta(m)
     # a replicate whose values overflow fails its identities; numpy's
     # warnings about it carry nothing more
     with np.errstate(over="ignore", invalid="ignore"):

@@ -12,9 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linear
 from .bootstrap import ESTIMATORS
 from .core import ConfigError, DataError, ReferenceConfig, Topology
-from .oracle import BinaryScm, LinearScm
+from .linear import LinearScm
+from .oracle import BinaryScm
 from .regression import Dataset
 
 OUTPUT_FORMATS = ("json", "table")
@@ -381,9 +383,9 @@ def parse_scm_spec(obj: dict, topology: Topology) -> LinearScm | BinaryScm:
             theta_c=_num_list(obj, "theta_c", None, default=()),
             beta_c=_num_list(obj, "beta_c", None, default=()),
             gamma_c=_num_list(obj, "gamma_c", None, default=()),
-            sigma_y=_as_number(obj.get("sigma_y", 1.0), "sigma_y"),
-            sigma_m1=_as_number(obj.get("sigma_m1", 1.0), "sigma_m1"),
-            sigma_m2=_as_number(obj.get("sigma_m2", 1.0), "sigma_m2"),
+            # an omitted sigma takes LinearScm's default
+            **{k: _as_number(obj[k], k) for k in ("sigma_y", "sigma_m1", "sigma_m2")
+               if k in obj},
         )
     if "p_m1" in obj:
         extra = set(obj) - {"type", "p_m1", "p_m2", "e_y", "exposure_p", "sigma_y"}
@@ -440,21 +442,13 @@ def simulate_dataset(
     rng = np.random.default_rng(seed)
     a = rng.binomial(1, exposure_p, size=n).astype(float)
     if isinstance(scm, LinearScm):
-        k = scm.covariate_dim
-        c = rng.standard_normal((n, k))
+        c = rng.standard_normal((n, scm.covariate_dim))
         e1 = rng.normal(0.0, scm.sigma_m1, size=n)
         e2 = rng.normal(0.0, scm.sigma_m2, size=n)
         ey = rng.normal(0.0, scm.sigma_y, size=n)
-        g = scm.gamma
-        b = scm.beta
-        t = scm.theta
-        m1 = g[0] + g[1] * a + c @ np.asarray(scm.gamma_c) + e1
-        m2 = b[0] + b[1] * a + b[2] * m1 + b[3] * a * m1 + c @ np.asarray(scm.beta_c) + e2
-        y = (
-            t[0] + t[1] * a + t[2] * m1 + t[3] * m2 + t[4] * a * m1
-            + t[5] * a * m2 + t[6] * m1 * m2 + t[7] * a * m1 * m2
-            + c @ np.asarray(scm.theta_c) + ey
-        )
+        m1 = linear.m1(scm, a, c @ np.asarray(scm.gamma_c), e1)
+        m2 = linear.m2(scm, a, m1, c @ np.asarray(scm.beta_c), e2)
+        y = linear.y(scm, a, m1, m2, c @ np.asarray(scm.theta_c), ey)
         return Dataset(a=a, m1=m1, m2=m2, y=y, covariates=c)
     p1 = np.where(a == 1.0, scm.p_m1_given_a[1], scm.p_m1_given_a[0])
     m1 = rng.binomial(1, p1).astype(float)

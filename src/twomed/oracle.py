@@ -8,14 +8,19 @@ Three layers, from micro to macro:
   two independent ways (probability-weighted sums, and exhaustive enumeration
   of latent-threshold individuals);
 - Monte Carlo averaging of the individual-level contrasts for linear-Gaussian
-  structural models, with one error draw per individual shared across all of
-  that individual's counterfactual worlds.
+  structural models (linear.LinearScm, whose structural equations the
+  individuals follow), with one error draw per individual shared across all
+  of that individual's counterfactual worlds.
+
+The individual-level evaluators and the Monte Carlo route share one
+nested-world evaluator per topology, on scalars or on arrays of individuals.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Mapping
 
 import numpy as np
@@ -37,6 +42,7 @@ from .core import (
     SIE_M1,
     TDE,
     TE,
+    W_SLOTS,
     ComponentSet,
     ConfigError,
     EstimationError,
@@ -45,6 +51,8 @@ from .core import (
     Topology,
     component_names,
 )
+from . import linear
+from .linear import LinearScm, check_nonsequential_beta
 from .table_engine import table_component_set
 
 
@@ -72,40 +80,56 @@ class SingleMediatorPotentials:
     y_of: Callable[[float, float], float]
 
 
-def _sequential_from_values(w, y_a_nat_ref, y_s_nat_ref, y_a_ref_ref, y_s_ref_ref):
-    """Nine sequential components + aggregates from nested-counterfactual values.
+def _sequential_worlds(cfg, y_of, m2_of, m1_a, m1_s):
+    """Nine sequential components + aggregates from potential values.
 
-    w maps 1..8 to Y(x, M1(y), M2(z, M1(y))) at the eight exposure-slot
-    settings; the remaining arguments anchor one or both mediators at their
-    reference levels. Works elementwise on scalars and arrays alike.
+    y_of(x, m1, m2) and m2_of(z, m1) give the outcome's and the second
+    mediator's potential values, m1_a and m1_s the first mediator's under a
+    and a_star. Works elementwise on scalars and arrays alike.
     """
+    a, s, m1r, m2r = cfg.a, cfg.a_star, cfg.m1_star, cfg.m2_star
+    level = {"a": a, "s": s}
+    m1_at = {"a": m1_a, "s": m1_s}
+    # the eight nested values Y(x, M1(y), M2(z, M1(y)))
+    w1, w2, w3, w4, w5, w6, w7, w8 = (
+        y_of(level[x], m1_at[yv], m2_of(level[z], m1_at[yv]))
+        for x, yv, z in W_SLOTS.values()
+    )
+    # one or both mediators anchored at their reference levels
+    y_a_nat_ref, y_s_nat_ref = y_of(a, m1_s, m2r), y_of(s, m1_s, m2r)
+    y_a_ref_ref, y_s_ref_ref = y_of(a, m1r, m2r), y_of(s, m1r, m2r)
     comps = {
         CDE: y_a_ref_ref - y_s_ref_ref,
         INT_REF_AM1: y_a_nat_ref - y_s_nat_ref - y_a_ref_ref + y_s_ref_ref,
-        INT_REF_AM2_PLUS_AM1M2: w[7] - y_a_nat_ref - w[8] + y_s_nat_ref,
-        NATINT_AM1: w[2] - w[6] - w[7] + w[8],
-        NATINT_AM2: w[3] - w[5] - w[7] + w[8],
-        NATINT_AM1M2: w[1] - w[4] - w[3] + w[5] - w[2] + w[6] + w[7] - w[8],
-        NATINT_M1M2: w[4] - w[5] - w[6] + w[8],
-        PIE_M1: w[6] - w[8],
-        PIE_M2: w[5] - w[8],
+        INT_REF_AM2_PLUS_AM1M2: w7 - y_a_nat_ref - w8 + y_s_nat_ref,
+        NATINT_AM1: w2 - w6 - w7 + w8,
+        NATINT_AM2: w3 - w5 - w7 + w8,
+        NATINT_AM1M2: w1 - w4 - w3 + w5 - w2 + w6 + w7 - w8,
+        NATINT_M1M2: w4 - w5 - w6 + w8,
+        PIE_M1: w6 - w8,
+        PIE_M2: w5 - w8,
     }
-    aggs = {
-        PDE: w[7] - w[8],
-        TDE: w[1] - w[4],
-        SIE_M1: w[4] - w[5],
-        TE: w[1] - w[8],
-    }
+    aggs = {PDE: w7 - w8, TDE: w1 - w4, SIE_M1: w4 - w5, TE: w1 - w8}
     return comps, aggs
 
 
-def _nonsequential_from_values(y):
-    """Ten non-sequential components + aggregates.
+def _nonsequential_worlds(cfg, y_of, m1_a, m1_s, m2_a, m2_s):
+    """Ten non-sequential components + aggregates from potential values.
 
-    y maps (exposure_slot, m1_slot, m2_slot) to an outcome value, where the
-    mediator slots are "a"/"s" for the natural potential under that exposure
-    and "r" for the fixed reference level.
+    y_of(x, m1, m2) gives the outcome's potential values; m1_a, m1_s and
+    m2_a, m2_s the mediators' under a and a_star, neither depending on the
+    other mediator. Works elementwise on scalars and arrays alike.
     """
+    x_slot = {"a": cfg.a, "s": cfg.a_star}
+    # "a"/"s": the natural potential under that exposure; "r": the reference
+    m1_slot = {"a": m1_a, "s": m1_s, "r": cfg.m1_star}
+    m2_slot = {"a": m2_a, "s": m2_s, "r": cfg.m2_star}
+    y = {
+        (x, i, j): y_of(x_slot[x], m1_slot[i], m2_slot[j])
+        for x in ("a", "s")
+        for i in ("a", "s", "r")
+        for j in ("a", "s", "r")
+    }
     comps = {
         CDE: y["a", "r", "r"] - y["s", "r", "r"],
         INT_REF_AM1: (
@@ -153,24 +177,8 @@ def individual_components_sequential(
     """Nine-component decomposition of one individual, sequential topology."""
     if cfg.topology is not Topology.SEQUENTIAL:
         raise ConfigError("individual_components_sequential needs Sequential topology")
-    a, s = cfg.a, cfg.a_star
-    m1_a, m1_s = p.m1_of(a), p.m1_of(s)
-    # the eight nested values Y(x, M1(y), M2(z, M1(y)))
-    slots = {
-        1: (a, a, a), 2: (a, a, s), 3: (a, s, a), 4: (s, a, a),
-        5: (s, s, a), 6: (s, a, s), 7: (a, s, s), 8: (s, s, s),
-    }
-    m1_at = {a: m1_a, s: m1_s}
-    w = {
-        k: p.y_of(x, m1_at[yv], p.m2_of(z, m1_at[yv]))
-        for k, (x, yv, z) in slots.items()
-    }
-    comps, aggs = _sequential_from_values(
-        w,
-        p.y_of(a, m1_s, cfg.m2_star),
-        p.y_of(s, m1_s, cfg.m2_star),
-        p.y_of(a, cfg.m1_star, cfg.m2_star),
-        p.y_of(s, cfg.m1_star, cfg.m2_star),
+    comps, aggs = _sequential_worlds(
+        cfg, p.y_of, p.m2_of, p.m1_of(cfg.a), p.m1_of(cfg.a_star)
     )
     return ComponentSet(Topology.SEQUENTIAL, comps, aggs)
 
@@ -188,27 +196,16 @@ def individual_components_nonsequential(
         raise ConfigError(
             "individual_components_nonsequential needs NonSequential topology"
         )
-    a, s = cfg.a, cfg.a_star
-    m1_a, m1_s = p.m1_of(a), p.m1_of(s)
-    probe_m1 = (m1_a, m1_s, cfg.m1_star)
-    m2_at = {}
-    for z in (a, s):
-        vals = [p.m2_of(z, m1v) for m1v in probe_m1]
+    m1_a, m1_s = p.m1_of(cfg.a), p.m1_of(cfg.a_star)
+    m2_at = []
+    for z in (cfg.a, cfg.a_star):
+        vals = [p.m2_of(z, m1v) for m1v in (m1_a, m1_s, cfg.m1_star)]
         if any(v != vals[0] for v in vals[1:]):
             raise EstimationError(
                 "m2_of varies with its m1 argument; not a non-sequential individual"
             )
-        m2_at[z] = vals[0]
-    m1_slot = {"a": m1_a, "s": m1_s, "r": cfg.m1_star}
-    m2_slot = {"a": m2_at[a], "s": m2_at[s], "r": cfg.m2_star}
-    x_slot = {"a": a, "s": s}
-    y = {
-        (x, i, j): p.y_of(x_slot[x], m1_slot[i], m2_slot[j])
-        for x in ("a", "s")
-        for i in ("a", "s", "r")
-        for j in ("a", "s", "r")
-    }
-    comps, aggs = _nonsequential_from_values(y)
+        m2_at.append(vals[0])
+    comps, aggs = _nonsequential_worlds(cfg, p.y_of, m1_a, m1_s, *m2_at)
     return ComponentSet(Topology.NONSEQUENTIAL, comps, aggs)
 
 
@@ -395,54 +392,6 @@ def enumerate_binary_components_by_individuals(
 
 
 @dataclass(frozen=True)
-class LinearScm:
-    """Linear-Gaussian ground truth for the two-mediator system.
-
-    theta: outcome-model coefficients (intercept, exposure, m1, m2,
-    exposure*m1, exposure*m2, m1*m2, exposure*m1*m2); theta_c the outcome's
-    covariate coefficients. beta: second-mediator model (intercept, exposure,
-    m1, exposure*m1) with covariate coefficients beta_c. gamma: first-mediator
-    model (intercept, exposure) with covariate coefficients gamma_c. Errors
-    are independent centered Gaussians with the given standard deviations.
-    """
-
-    theta: tuple[float, ...]
-    beta: tuple[float, ...]
-    gamma: tuple[float, ...]
-    theta_c: tuple[float, ...] = ()
-    beta_c: tuple[float, ...] = ()
-    gamma_c: tuple[float, ...] = ()
-    sigma_y: float = 1.0
-    sigma_m1: float = 1.0
-    sigma_m2: float = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta", tuple(float(v) for v in self.theta))
-        object.__setattr__(self, "beta", tuple(float(v) for v in self.beta))
-        object.__setattr__(self, "gamma", tuple(float(v) for v in self.gamma))
-        object.__setattr__(self, "theta_c", tuple(float(v) for v in self.theta_c))
-        object.__setattr__(self, "beta_c", tuple(float(v) for v in self.beta_c))
-        object.__setattr__(self, "gamma_c", tuple(float(v) for v in self.gamma_c))
-        if len(self.theta) != 8:
-            raise ConfigError("theta must have 8 entries")
-        if len(self.beta) != 4:
-            raise ConfigError("beta must have 4 entries")
-        if len(self.gamma) != 2:
-            raise ConfigError("gamma must have 2 entries")
-        if not (len(self.theta_c) == len(self.beta_c) == len(self.gamma_c)):
-            raise ConfigError("covariate coefficient vectors must share one length")
-        for tag in ("sigma_y", "sigma_m1", "sigma_m2"):
-            v = float(getattr(self, tag))
-            if not (v > 0.0) or not math.isfinite(v):
-                raise ConfigError(f"{tag} must be a positive real, got {v}")
-            object.__setattr__(self, tag, v)
-
-    @property
-    def covariate_dim(self) -> int:
-        return len(self.theta_c)
-
-
-@dataclass(frozen=True)
 class MonteCarloResult:
     """Monte Carlo estimate of a decomposition with per-name standard errors.
 
@@ -476,53 +425,17 @@ def _linear_contrasts(scm, cfg, t8c, b4c, g2c, e1, e2, ey):
 
     One array per name, elementwise over the individuals.
     """
-    t = scm.theta
-    b = scm.beta
-    g = scm.gamma
-    a, s = cfg.a, cfg.a_star
-
-    def m1_of(x):
-        return g[0] + g[1] * x + g2c + e1
-
-    def m2_of(z, m1):
-        return b[0] + b[1] * z + b[2] * m1 + b[3] * z * m1 + b4c + e2
-
-    def y_of(x, m1, m2):
-        return (
-            t[0] + t[1] * x + t[2] * m1 + t[3] * m2 + t[4] * x * m1
-            + t[5] * x * m2 + t[6] * m1 * m2 + t[7] * x * m1 * m2
-            + t8c + ey
-        )
-
-    m1_at = {a: m1_of(a), s: m1_of(s)}
+    m2_of = partial(linear.m2, scm, cov=b4c, e=e2)
+    y_of = partial(linear.y, scm, cov=t8c, e=ey)
+    m1_a = linear.m1(scm, cfg.a, g2c, e1)
+    m1_s = linear.m1(scm, cfg.a_star, g2c, e1)
     if cfg.topology is Topology.SEQUENTIAL:
-        slots = {
-            1: (a, a, a), 2: (a, a, s), 3: (a, s, a), 4: (s, a, a),
-            5: (s, s, a), 6: (s, a, s), 7: (a, s, s), 8: (s, s, s),
-        }
-        w = {
-            k: y_of(x, m1_at[yv], m2_of(z, m1_at[yv]))
-            for k, (x, yv, z) in slots.items()
-        }
-        comps, aggs = _sequential_from_values(
-            w,
-            y_of(a, m1_at[s], cfg.m2_star),
-            y_of(s, m1_at[s], cfg.m2_star),
-            y_of(a, cfg.m1_star, cfg.m2_star),
-            y_of(s, cfg.m1_star, cfg.m2_star),
-        )
+        comps, aggs = _sequential_worlds(cfg, y_of, m2_of, m1_a, m1_s)
     else:
-        m2_nat = {a: m2_of(a, 0.0), s: m2_of(s, 0.0)}  # beta2 = beta3 = 0
-        m1_slot = {"a": m1_at[a], "s": m1_at[s], "r": cfg.m1_star}
-        m2_slot = {"a": m2_nat[a], "s": m2_nat[s], "r": cfg.m2_star}
-        x_slot = {"a": a, "s": s}
-        yvals = {
-            (x, i, j): y_of(x_slot[x], m1_slot[i], m2_slot[j])
-            for x in ("a", "s")
-            for i in ("a", "s", "r")
-            for j in ("a", "s", "r")
-        }
-        comps, aggs = _nonsequential_from_values(yvals)
+        # beta2 = beta3 = 0: the second mediator ignores the first
+        comps, aggs = _nonsequential_worlds(
+            cfg, y_of, m1_a, m1_s, m2_of(cfg.a, 0.0), m2_of(cfg.a_star, 0.0)
+        )
     return comps | aggs
 
 
@@ -549,13 +462,8 @@ def simulate_linear_components(
         raise ConfigError(f"n must be at least 1, got {n}")
     if shards < 1 or shards > n:
         raise ConfigError("shards must be in [1, n]")
-    if cfg.topology is Topology.NONSEQUENTIAL and (
-        scm.beta[2] != 0.0 or scm.beta[3] != 0.0
-    ):
-        raise ConfigError(
-            "non-sequential topology requires beta[2] = beta[3] = 0 "
-            "(no first-mediator effect on the second)"
-        )
+    if cfg.topology is Topology.NONSEQUENTIAL:
+        check_nonsequential_beta(scm)
 
     t8c = _dot(scm.theta_c, cfg.covariates, "outcome")
     b4c = _dot(scm.beta_c, cfg.covariates, "m2")

@@ -19,6 +19,7 @@ from twomed import (
     ProbTables,
     ReferenceConfig,
     Topology,
+    simulate_dataset,
 )
 from twomed.core import (
     CDE,
@@ -98,25 +99,8 @@ def random_reference(rng, topology=Topology.SEQUENTIAL, k=2, binary=False):
 
 def make_linear_dataset(scm, n, seed, exposure_p=0.5):
     """Noisy draws from a linear model, as a plain dict of arrays."""
-    rng = np.random.default_rng(seed)
-    a = rng.binomial(1, exposure_p, n).astype(float)
-    k = scm.covariate_dim
-    c = rng.standard_normal((n, k))
-    m1 = (
-        scm.gamma[0] + scm.gamma[1] * a + c @ np.asarray(scm.gamma_c)
-        + rng.normal(0.0, scm.sigma_m1, n)
-    )
-    m2 = (
-        scm.beta[0] + scm.beta[1] * a + scm.beta[2] * m1 + scm.beta[3] * a * m1
-        + c @ np.asarray(scm.beta_c) + rng.normal(0.0, scm.sigma_m2, n)
-    )
-    t = scm.theta
-    y = (
-        t[0] + t[1] * a + t[2] * m1 + t[3] * m2 + t[4] * a * m1 + t[5] * a * m2
-        + t[6] * m1 * m2 + t[7] * a * m1 * m2 + c @ np.asarray(scm.theta_c)
-        + rng.normal(0.0, scm.sigma_y, n)
-    )
-    return {"a": a, "m1": m1, "m2": m2, "y": y, "covariates": c}
+    d = simulate_dataset(scm, n, seed, exposure_p)
+    return {"a": d.a, "m1": d.m1, "m2": d.m2, "y": d.y, "covariates": d.covariates}
 
 
 def outcome(decompose):

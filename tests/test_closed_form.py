@@ -356,6 +356,26 @@ def test_model_coefficient_shape_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "sigma, value", [("sigma_m1", 0.0), ("sigma_y", None), ("sigma_m2", None)]
+)
+def test_model_coefficients_take_the_sigmas_of_an_estimate(sigma, value):
+    m = ModelCoefficients(
+        theta=(0.0,) * 8, beta=(0.0,) * 4, gamma=(0.0, 0.0), **{sigma: value}
+    )
+    assert getattr(m, sigma) == value
+
+
+@pytest.mark.parametrize("k", [0, 2])
+def test_from_scm_returns_plain_model_coefficients(k):
+    scm = random_linear_scm(np.random.default_rng(k), k=k)
+    m = ModelCoefficients.from_scm(scm)
+    assert type(m) is ModelCoefficients
+    for name in ("theta", "beta", "gamma", "theta_c", "beta_c", "gamma_c",
+                 "sigma_m1", "sigma_y", "sigma_m2"):
+        assert getattr(m, name) == getattr(scm, name)
+
+
 def test_monte_carlo_agrees_with_closed_form():
     rng = np.random.default_rng(14)
     scm = random_linear_scm(rng)

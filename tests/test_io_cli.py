@@ -572,6 +572,18 @@ def test_cli_exit_code_2_for_config_problems(runner, tmp_path):
     assert "unknown config keys" in res.output
 
 
+@pytest.mark.parametrize("command", ["simulate", "validate"])
+def test_cli_exit_code_2_for_a_zero_sigma_m2(runner, tmp_path, command):
+    spec = _write(tmp_path / "spec.json", json.dumps(dict(LINEAR_SPEC, sigma_m2=0)))
+    args = {
+        "simulate": ["--n", "30", "--data", str(tmp_path / "sim.csv")],
+        "validate": ["--mc-n", "1000"],
+    }[command]
+    res = runner.invoke(main, [command, "--spec", spec, *args])
+    assert res.exit_code == 2, res.output
+    assert "sigma_m2 must be a positive real" in res.output
+
+
 def test_cli_exit_code_3_for_data_problems(runner, tmp_path):
     res = runner.invoke(main, ["analyze", "--data", str(tmp_path / "none.csv")])
     assert res.exit_code == 3
@@ -768,3 +780,26 @@ def test_the_cli_loads_no_test_or_scientific_stack():
     loaded = {name.split(".")[0] for name in out.split()}
     assert "twomed" in loaded
     assert not loaded & {"hypothesis", "sympy", "scipy", "pandas", "pytest"}
+
+
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_SCRIPTS = {
+    "oracle_triangle": ["--binary", "5", "--linear", "2", "--mc-n", "20000"],
+    "coverage_experiment": ["--runs", "1", "--n", "300", "--B", "100"],
+    "validate_formulas": ["--points", "5"],
+}
+
+
+@pytest.mark.parametrize("script", list(_SCRIPTS))
+def test_the_dev_scripts_run_at_a_tiny_size(script):
+    if script == "validate_formulas":
+        pytest.importorskip("sympy")
+    path = os.pathsep.join(
+        p for p in (os.path.join(_ROOT, "src"), os.environ.get("PYTHONPATH")) if p
+    )
+    res = subprocess.run(
+        [sys.executable, os.path.join(_ROOT, "scripts", f"{script}.py"),
+         *_SCRIPTS[script]],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert res.returncode == 0, res.stdout + res.stderr

@@ -19,6 +19,7 @@ from twomed import (
     ConfigError,
     EstimationError,
     IndividualPotentials,
+    LinearScm,
     ReferenceConfig,
     SingleMediatorPotentials,
     Topology,
@@ -27,6 +28,7 @@ from twomed import (
     enumerate_binary_individuals,
     individual_components_nonsequential,
     individual_components_sequential,
+    simulate_linear_components,
     single_mediator_four_way,
 )
 
@@ -453,3 +455,42 @@ def test_reference_levels_other_than_zero():
     assert by_sums.aggregates["TE"] == pytest.approx(
         -flipped.aggregates["TE"], abs=1e-14
     )
+
+
+# ---------------------------------------------------------------------------
+# linear ground truth
+# ---------------------------------------------------------------------------
+
+_LINEAR = {"theta": (0.5,) * 8, "beta": (0.3, 0.6, 0.0, 0.0), "gamma": (0.2, 0.4)}
+
+
+def test_linear_scm_sigmas_default_to_one():
+    scm = LinearScm(**_LINEAR)
+    assert (scm.sigma_y, scm.sigma_m1, scm.sigma_m2) == (1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("sigma", ["sigma_y", "sigma_m1", "sigma_m2"])
+def test_linear_scm_rejects_a_sigma_that_is_not_positive_and_finite(sigma, value):
+    with pytest.raises(ConfigError, match=f"{sigma} must be a positive real"):
+        LinearScm(**_LINEAR, **{sigma: value})
+
+
+@pytest.mark.parametrize(
+    "beta, cfg, message",
+    [
+        ((0.3, 0.6, 0.1, 0.0), NONSEQ_CFG, r"beta\[2\] = beta\[3\] = 0"),
+        ((0.3, 0.6, 0.0, -0.1), NONSEQ_CFG, r"beta\[2\] = beta\[3\] = 0"),
+        (
+            _LINEAR["beta"],
+            ReferenceConfig(a=1.0, a_star=0.0, m1_star=0.0, m2_star=0.0,
+                            covariates=(0.5,), topology=Topology.SEQUENTIAL),
+            "covariate dimension mismatch",
+        ),
+    ],
+    ids=["nonsequential-beta2", "nonsequential-beta3", "covariate-dimension"],
+)
+def test_monte_carlo_rejects_a_model_the_config_does_not_fit(beta, cfg, message):
+    scm = LinearScm(**dict(_LINEAR, beta=beta))
+    with pytest.raises(ConfigError, match=message):
+        simulate_linear_components(scm, cfg, n=100, seed=0)
