@@ -41,7 +41,7 @@ from .core import (
     ReferenceConfig,
     component_names,
 )
-from .empirical import CellCoder, decompose_empirical_sequential
+from .empirical import CellCoder, ProbTables, decompose_empirical_sequential
 from .regression import CountWeightedFit, Dataset, fit_all
 
 ESTIMATORS = ("closed-form", "empirical-categorical")
@@ -67,7 +67,8 @@ class BootstrapResult:
 
     lower/upper cover components and aggregates alike. A percentile interval
     may exclude the point estimate in skewed cases; lower <= upper always
-    holds.
+    holds. tables are the full data's, which the empirical-categorical
+    estimator decomposed; None for the closed form.
     """
 
     point: ComponentSet
@@ -77,6 +78,7 @@ class BootstrapResult:
     replicates: int
     failed_replicates: int
     seed: int
+    tables: ProbTables | None = None
 
 
 def _resample_indices(seed: int, b: int, n: int) -> np.ndarray:
@@ -126,6 +128,7 @@ def bootstrap_decomposition(
     draws = []
     n = d.n
     chunk = _chunk_size(n)
+    tables = None
     if estimator == "closed-form":
         point = _closed_form_estimate(d, cfg)
         fitter = CountWeightedFit(d, cfg.topology)
@@ -147,7 +150,8 @@ def bootstrap_decomposition(
     else:
         # the cells are coded once, for the point estimate and every replicate
         coder = CellCoder(d)
-        point = decompose_empirical_sequential(coder.tables(cfg), cfg)
+        tables = coder.tables(cfg)
+        point = decompose_empirical_sequential(tables, cfg)
         for start in range(0, B, chunk):
             reps = range(start, min(start + chunk, B))
             counts = np.empty((len(reps), len(coder.cells)))
@@ -164,19 +168,14 @@ def bootstrap_decomposition(
             f"{failed} of {B} bootstrap replicates failed (> 5%); "
             "intervals would be unreliable"
         )
-    lo_q = (1.0 - level) / 2.0
-    hi_q = (1.0 + level) / 2.0
-    lower = {}
-    upper = {}
-    for j, k in enumerate(names):
-        lower[k] = float(np.quantile(vals[:, j], lo_q))
-        upper[k] = float(np.quantile(vals[:, j], hi_q))
+    lower, upper = np.quantile(vals, [(1.0 - level) / 2.0, (1.0 + level) / 2.0], axis=0)
     return BootstrapResult(
         point=point,
-        lower=lower,
-        upper=upper,
+        lower=dict(zip(names, lower.tolist())),
+        upper=dict(zip(names, upper.tolist())),
         level=level,
         replicates=B,
         failed_replicates=failed,
         seed=seed,
+        tables=tables,
     )

@@ -118,15 +118,18 @@ def analyze(data, config_path, topology, bootstrap_b, level, seed, estimator,
             raise ConfigError('no dataset given; pass --data or a config "data" key')
         d, dropped = load_dataset(rc.data, rc)
         cfg, resolved = resolve_reference(rc, d)
-        # a configuration the tables reject fails before any replicate runs
-        tables = estimate_tables(d, cfg) if dump_tables else None
+        # a configuration the tables reject fails before any replicate runs;
+        # the empirical estimator checks, and returns, its own tables first
+        tables = None
+        if dump_tables and rc.estimator == "closed-form":
+            tables = estimate_tables(d, cfg)
         result = bootstrap_decomposition(
             d, cfg, B=rc.bootstrap_B, level=rc.level, seed=rc.seed,
             estimator=rc.estimator,
         )
-        if tables is not None:
+        if dump_tables:
             with open(dump_tables, "w", encoding="utf-8") as fh:
-                fh.write(tables.to_json())
+                fh.write((tables or result.tables).to_json())
         doc = _report_doc(rc, cfg, resolved, result, n=d.n, dropped=dropped)
         if rc.output == "json":
             click.echo(json.dumps(doc, indent=2))

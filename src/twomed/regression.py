@@ -133,17 +133,28 @@ def _dependent_columns(x: np.ndarray, names) -> list[str]:
     return bad
 
 
+def _nested_design(d: Dataset, topology: Topology):
+    """The outcome design in nested column order [1, a, C | m1, a*m1 | m2,
+    a*m2, m1*m2, a*m1*m2], and each model's design columns as columns of it,
+    in _design_names order. The first mediator's model, and the second's when
+    non-sequential, take its first 2 + k columns; the sequential second
+    mediator's model its first 4 + k."""
+    a, m1, m2, k = d.a, d.m1, d.m2, d.k
+    am1 = a * m1
+    x = np.column_stack(
+        [np.ones(d.n), a, d.covariates, m1, am1, m2, a * m2, m1 * m2, am1 * m2]
+    )
+    c = list(range(2, 2 + k))
+    m2_columns = [0, 1, 2 + k, 3 + k] if topology is Topology.SEQUENTIAL else [0, 1]
+    y_columns = [0, 1, 2 + k, 4 + k, 3 + k, 5 + k, 6 + k, 7 + k]
+    return x, {"y": y_columns + c, "m2": m2_columns + c, "m1": [0, 1] + c}
+
+
 def _design_matrices(d: Dataset, topology: Topology) -> dict[str, np.ndarray]:
     """The three design matrices, keyed and ordered like _design_names."""
-    a, m1, m2, c = d.a, d.m1, d.m2, d.covariates
-    one = np.ones(d.n)
-    x_y = np.column_stack([one, a, m1, m2, a * m1, a * m2, m1 * m2, a * m1 * m2, c])
-    if topology is Topology.SEQUENTIAL:
-        x_m2 = np.column_stack([one, a, m1, a * m1, c])
-    else:
-        x_m2 = np.column_stack([one, a, c])
-    x_m1 = np.column_stack([one, a, c])
-    return {"y": x_y, "m2": x_m2, "m1": x_m1}
+    x, columns = _nested_design(d, topology)
+    # take() gives row-major copies; lstsq's rounding depends on the layout
+    return {key: x.take(cols, axis=1) for key, cols in columns.items()}
 
 
 def _coefficients(
@@ -241,74 +252,78 @@ class CountWeightedFit:
     """Refits of all three models under row-count weights, against one QR.
 
     A bootstrap resample that takes row i w_i times has the same least-squares
-    fit as the weighted problem min sum_i w_i (y_i - x_i b)^2. Each design is
-    factored once as X = Q0 R0; a replicate then solves the p x p system
-    (Q0' W Q0) z = Q0' W y and maps back with b = R0^{-1} z (least squares
-    through QR, never X'WX itself). Q0' W Q0 is close to n times the identity
-    for a typical resample, so these small solves are well conditioned.
+    fit as the weighted problem min sum_i w_i (y_i - x_i b)^2. The nested
+    design (_nested_design) is factored once as X = Q R. The QR of its leading
+    p columns is Q_p R_p, the leading blocks of Q and R, so this covers every
+    model. With z0 = Q_p' y and the full-data residual r0 = y - Q_p z0, a
+    replicate's fit is z = z0 + dz, where G dz = h for G = Q_p' W Q_p and
+    h = Q_p' W r0, and b = R_p^{-1} z (least squares through QR, never X'WX
+    itself). Its residual sum of squares is sum w r0^2 - h'dz: the subtracted
+    term is O(p sigma^2) against O(n sigma^2), so nothing cancels. G is close
+    to n times the identity for a typical resample, so these small solves are
+    well conditioned.
 
-    Every count-weighted sum a chunk of replicates needs, for all three
-    models, comes from one product counts @ columns, where columns holds
-    [q_i * q_j for i <= j, per model | y * Q0, per model].
+    Every count-weighted sum a chunk of replicates needs comes from one
+    product counts @ columns.T. Each row of columns is one column of
+    [q_i * q_j for i <= j | r0 * Q_p, r0^2 per model]; a model's G is the
+    leading p x p block of the outcome model's.
     """
 
     def __init__(self, d: Dataset, topology: Topology):
         _check_rows(d)
         self._n = d.n
         self._topology = topology
-        factors = {
-            key: np.linalg.qr(x) for key, x in _design_matrices(d, topology).items()
-        }
-        widths = {key: r.shape[0] for key, (_, r) in factors.items()}
-        n_pairs = sum(p * (p + 1) // 2 for p in widths.values())
-        # written in place to keep the set-up's peak memory down
-        self._columns = np.empty((d.n, n_pairs + sum(widths.values())))
+        x, design_columns = _nested_design(d, topology)
+        q, self._r = np.linalg.qr(x)
+        del x
+        qt = np.ascontiguousarray(q.T)  # rows, to write each product in one pass
+        del q
+        p = qt.shape[0]
+        self._pairs = np.triu_indices(p)
+        n_rows = len(self._pairs[0]) + sum(len(c) + 1 for c in design_columns.values())
+        self._columns = np.empty((n_rows, d.n))
+        for row, (i, j) in enumerate(zip(*self._pairs)):
+            np.multiply(qt[i], qt[j], out=self._columns[row])
+        row = len(self._pairs[0])
         self._models = {}
-        start, rhs = 0, n_pairs
-        for key, (q, r) in factors.items():
-            p = widths[key]
-            pairs = slice(start, start + p * (p + 1) // 2)
-            for i in range(p):  # column products in np.triu_indices order
-                out = self._columns[:, start : start + p - i]
-                np.multiply(q[:, i : i + 1], q[:, i:], out=out)
-                start += p - i
-            y = getattr(d, key)
-            np.multiply(y[:, None], q, out=self._columns[:, rhs : rhs + p])
-            weighted_y = slice(rhs, rhs + p)
-            rhs += p
-            self._models[key] = (
-                y, q, r, np.linalg.cond(r), np.triu_indices(p), pairs, weighted_y
-            )
+        for key, cols in design_columns.items():
+            p = len(cols)
+            z0 = qt[:p] @ getattr(d, key)
+            r0 = getattr(d, key) - z0 @ qt[:p]
+            np.multiply(qt[:p], r0, out=self._columns[row : row + p])
+            np.multiply(r0, r0, out=self._columns[row + p])
+            self._models[key] = (cols, np.linalg.cond(self._r[:p, :p]), z0, row)
+            row += p + 1
 
     def fit(self, counts: np.ndarray, cond_limit: float):
         """Coefficients for every row of a (replicates, n) count matrix.
 
         Returns a CoefficientBatch and a boolean array, true for a replicate
-        whose cond(R0) * sqrt(cond(Q0' W Q0)), an upper bound on the condition
-        number of its resampled design, is below cond_limit for every model.
-        The caller refits the others the reference way, so rank decisions stay
-        with the per-replicate fit; their batch values are meaningless.
-        Residual sums of squares come from explicit residuals, not from
-        y'Wy - h'z, which cancels.
+        whose cond(R_p) * sqrt(cond(Q_p' W Q_p)), an upper bound on the
+        condition number of its resampled design, is below cond_limit for every
+        model. The caller refits the others the reference way, so rank
+        decisions stay with the per-replicate fit; their batch values are
+        meaningless.
         """
         reps = counts.shape[0]
-        sums = counts @ self._columns
+        sums = counts @ self._columns.T
+        gram = np.empty((reps,) + self._r.shape)
+        iu, il = self._pairs, self._pairs[::-1]
+        gram[:, iu[0], iu[1]] = gram[:, il[0], il[1]] = sums[:, : len(iu[0])]
         ok = np.ones(reps, dtype=bool)
         fits, rss = {}, {}
-        for key, (y, q, r, cond_r, iu, pairs, weighted_y) in self._models.items():
-            p = r.shape[0]
-            gram = np.empty((reps, p, p))
-            gram[:, iu[0], iu[1]] = sums[:, pairs]
-            gram[:, iu[1], iu[0]] = sums[:, pairs]
-            eig = np.linalg.eigvalsh(gram)
+        for key, (cols, cond_r, z0, row) in self._models.items():
+            p = len(cols)
+            eig = np.linalg.eigvalsh(gram[:, :p, :p])
             # cond_r * sqrt(max eig / min eig) < cond_limit, squared and
             # cleared of the division; false whenever min eig <= 0
             ok &= cond_r**2 * eig[:, -1] < cond_limit**2 * eig[:, 0]
-            gram[~ok] = np.eye(p)  # skipped replicates must not make solve raise
-            z = np.linalg.solve(gram, sums[:, weighted_y, None])[:, :, 0]
-            fits[key] = np.linalg.solve(r, z.T)
-            resid = z @ q.T
-            np.subtract(y, resid, out=resid)
-            resid *= resid
-            rss[key] = np.einsum("bi,bi->b", counts, resid)
+            # skipped replicates must not make solve raise
+            gram[~ok] = np.eye(len(self._r))
+            h = sums[:, row : row + p]
+            dz = np.linalg.solve(gram[:, :p, :p], h[:, :, None])[:, :, 0]
+            # an exact fit leaves rounding in both terms, a skipped replicate
+            # anything: neither may make a sigma NaN
+            rss[key] = np.maximum(sums[:, row + p] - np.einsum("bi,bi->b", h, dz), 0.0)
+            fits[key] = np.linalg.solve(self._r[:p, :p], (z0 + dz).T)[cols]
         return _coefficients(fits, rss, self._n, self._topology, CoefficientBatch), ok

@@ -25,6 +25,7 @@ from twomed import (
     fit_all,
 )
 from twomed.empirical import CellCoder
+from twomed.regression import CountWeightedFit
 
 
 def _noisy_dataset(seed=0, n=400):
@@ -338,6 +339,57 @@ def test_bootstrap_does_not_depend_on_the_chunk_size(monkeypatch, topology, per_
         assert bounds.keys() == want.keys()
         for name, value in bounds.items():
             assert math.isclose(value, want[name], rel_tol=1e-12), name
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("topology", list(Topology))
+def test_exact_fit_outcome_gives_zero_sigma_not_nan(monkeypatch, topology):
+    """A noiseless outcome leaves only rounding in a replicate's count-weighted
+    residual sum of squares, which the update can take below zero: most often
+    for a replicate the gate sends to the reference refit, whose batch values
+    are computed all the same."""
+    d, scm = _noisy_dataset()
+    t, (a, m1, m2, c) = scm.theta, (d.a, d.m1, d.m2, d.covariates)
+    y = (t[0] + t[1] * a + t[2] * m1 + t[3] * m2 + t[4] * a * m1 + t[5] * a * m2
+         + t[6] * m1 * m2 + t[7] * a * m1 * m2 + c @ np.asarray(scm.theta_c))
+    d = Dataset(a=a, m1=m1, m2=m2, y=y, covariates=c)
+    cfg = ReferenceConfig(
+        a=1.0, a_star=0.0, m1_star=0.0, m2_star=0.0,
+        covariates=(0.0, 0.0), topology=topology,
+    )
+    counts = np.ones((1, d.n))
+    fitter = CountWeightedFit(d, topology)
+    batch, ok = fitter.fit(counts, twomed.bootstrap._COND_LIMIT)
+    assert ok.all() and batch.sigma_y[0] < 1e-12
+    assert np.isfinite(fitter.fit(counts, 0.0)[0].sigma_y).all()
+
+    batched = bootstrap_decomposition(d, cfg, B=100, seed=4)
+    monkeypatch.setattr(twomed.bootstrap, "_COND_LIMIT", 0.0)
+    reference = bootstrap_decomposition(d, cfg, B=100, seed=4)
+    assert batched.failed_replicates == reference.failed_replicates == 0
+    for name, value in batched.lower.items():
+        assert math.isclose(value, reference.lower[name], rel_tol=1e-9, abs_tol=1e-12)
+
+
+@pytest.mark.parametrize("B", [100, 200, 997])
+def test_bounds_equal_per_column_quantiles(monkeypatch, B):
+    """One quantile call over the replicate axis gives, bit for bit, the bounds
+    of one call per component and probability; the rare-rows data leave a
+    kept count that is not B."""
+    d = _dataset_with_rare_rows(n=200, rare=4, seed=9)
+    seen = []
+    quantile = np.quantile
+    monkeypatch.setattr(
+        np, "quantile", lambda a, q, **kw: seen.append(a) or quantile(a, q, **kw)
+    )
+    for level in (0.8, 0.9, 0.95):
+        seen.clear()
+        r = bootstrap_decomposition(d, RARE_CFG, B=B, level=level, seed=5)
+        (vals,) = seen
+        assert len(vals) == B - r.failed_replicates
+        for j, name in enumerate(r.lower):
+            assert r.lower[name] == float(quantile(vals[:, j], (1.0 - level) / 2.0)), name
+            assert r.upper[name] == float(quantile(vals[:, j], (1.0 + level) / 2.0)), name
 
 
 def test_chunk_size_keeps_matrix_products_and_bounds_memory():

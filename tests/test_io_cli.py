@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import twomed.dataio
+import twomed.empirical
 from conftest import loop_load_dataset, loop_write_dataset_csv, random_linear_scm
 from twomed import (
     BinaryScm,
@@ -555,6 +556,47 @@ def test_cli_dump_tables_rejects_a_bad_configuration_before_the_bootstrap(
     assert res.exit_code == 2, res.output
     assert "m1 reference level" in res.output
     assert "not in the table support" in res.output
+    assert not dump.exists()
+
+
+def test_cli_dump_tables_takes_the_empirical_estimators_own_tables(
+    runner, tmp_path, monkeypatch
+):
+    scm = parse_scm_spec(BINARY_SPEC, Topology.SEQUENTIAL)
+    d = simulate_dataset(scm, n=400, seed=6)
+    data = tmp_path / "bin.csv"
+    write_dataset_csv(d, str(data))
+    cfg = _write(tmp_path / "cfg.json", json.dumps({"m1_star": 0, "m2_star": 0}))
+    coders = []
+    init = twomed.empirical.CellCoder.__init__
+    monkeypatch.setattr(twomed.empirical.CellCoder, "__init__",
+                        lambda coder, d: coders.append(d) or init(coder, d))
+    dump = tmp_path / "tables.json"
+
+    def analyze(config):
+        return runner.invoke(main, [
+            "analyze", "--data", str(data), "--config", config, "--bootstrap-B", "100",
+            "--estimator", "empirical-categorical", "--dump-tables", str(dump),
+        ])
+
+    res = analyze(cfg)
+    assert res.exit_code == 0, res.output
+    assert len(coders) == 1
+    loaded, _ = load_dataset(str(data), build_run_config(None, data=str(data)))
+    cfg_obj, _ = resolve_reference(
+        build_run_config({"m1_star": 0, "m2_star": 0}, data=str(data)), loaded)
+    assert dump.read_text() == twomed.empirical.estimate_tables(loaded, cfg_obj).to_json()
+
+    # a rejected configuration still fails before any replicate is drawn
+    def no_replicates(*args, **kwargs):
+        raise AssertionError("a replicate ran before the table check")
+
+    monkeypatch.setattr(twomed.bootstrap, "_resample_indices", no_replicates)
+    bad = _write(tmp_path / "bad.json", json.dumps({"m1_star": 7, "m2_star": 0}))
+    dump.unlink()
+    res = analyze(bad)
+    assert res.exit_code == 2, res.output
+    assert "m1 reference level" in res.output
     assert not dump.exists()
 
 

@@ -1,5 +1,7 @@
 """OLS fitting of the three working models."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from twomed import (
     Topology,
     fit_all,
 )
+from twomed.regression import CountWeightedFit
 
 
 def _dataset_from(arrays):
@@ -192,3 +195,49 @@ def test_vcov_matches_textbook_formula():
     s2 = float(resid @ resid) / (n - 4)
     want = s2 * np.linalg.inv(x.T @ x)
     assert np.allclose(fit.vcov["m2"], want, rtol=1e-8, atol=1e-12)
+
+
+def _topology_dataset(topology, k, n, seed=11):
+    rng = np.random.default_rng(seed)
+    scm = random_linear_scm(rng, k=k, sequential=topology is Topology.SEQUENTIAL)
+    return _dataset_from(make_linear_dataset(scm, n, seed=seed + 1))
+
+
+@pytest.mark.parametrize("k", [0, 2])
+@pytest.mark.parametrize("topology", list(Topology))
+def test_count_weighted_fit_of_unit_counts_is_the_full_data_fit(topology, k):
+    """Every row taken once is the full data, so each model's coefficients
+    come back in its design's column order, as fit_all gives them."""
+    d = _topology_dataset(topology, k, n=500)
+    batch, ok = CountWeightedFit(d, topology).fit(np.ones((3, d.n)), 1e8)
+    want = fit_all(d, topology).coefficients
+    assert ok.all()
+    for name in batch._fields:
+        got, expected = getattr(batch, name), getattr(want, name)
+        if isinstance(expected, tuple):
+            assert len(got) == len(expected), name
+        else:
+            got, expected = (got,), (expected,)
+        for g, e in zip(got, expected):
+            assert np.allclose(g, e, rtol=1e-10, atol=1e-12), name
+
+
+@pytest.mark.parametrize("k", [0, 2])
+@pytest.mark.parametrize("topology", list(Topology))
+def test_count_weighted_fit_set_up_holds_little_beyond_its_column_block(topology, k):
+    """The block holds the outcome Q's column pairs and, per model, r0 * Q_p
+    and r0^2: (p_y (p_y + 1) / 2 + sum (p + 1)) rows of n floats. Building it
+    costs at most a quarter more than it keeps, plus one design's worth."""
+    n = 20_000
+    d = _topology_dataset(topology, k, n=n)
+    widths = [len(names) for names in fit_all(d, topology).design_names.values()]
+    p_y = 8 + k
+    tracemalloc.start()
+    try:
+        fitter = CountWeightedFit(d, topology)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    columns = fitter._columns
+    assert columns.nbytes == (p_y * (p_y + 1) // 2 + sum(p + 1 for p in widths)) * n * 8
+    assert peak <= 1.25 * columns.nbytes + n * p_y * 8
