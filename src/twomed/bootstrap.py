@@ -47,10 +47,11 @@ from .regression import CountWeightedFit, Dataset, fit_all
 ESTIMATORS = ("closed-form", "empirical-categorical")
 
 # A replicate takes the count-weighted route only while this bounds the
-# condition number of its resampled designs. numpy's lstsq calls a design rank
-# deficient near cond = 1 / (eps * n), about 2e12 at n = 2,000 and still above
-# 1e8 up to n = 4e7, so every replicate below the bound is one the reference
-# refit would accept.
+# condition number of its resampled designs. The reference refit, fit_all,
+# calls a design rank deficient when the singular values of its R_p have
+# sigma_min <= sigma_max * eps * max(n, p), near cond = 1 / (eps * n): about
+# 2e12 at n = 2,000 and still above 1e8 up to n = 4e7, so every replicate
+# below the bound is one the reference refit would accept.
 _COND_LIMIT = 1e8
 
 # Replicates per chunk, and the most bytes of float64 counts a chunk may hold

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import sys
 
 import click
@@ -67,6 +68,13 @@ def _with_model_covariates(rc, scm):
 def _die(code: int, exc: Exception) -> None:
     click.echo(f"error: {exc}", err=True)
     sys.exit(code)
+
+
+def _finite_nonnegative(ctx, param, value: float) -> float:
+    """A tolerance must be a finite number >= 0: NaN fails every comparison."""
+    if not (math.isfinite(value) and value >= 0.0):
+        raise click.BadParameter(f"must be finite and >= 0, got {value}")
+    return value
 
 
 def _guarded(body) -> None:
@@ -261,11 +269,11 @@ def simulate(spec_path, n_rows, data_out, truth_out, config_path, topology, seed
 @click.option("--config", "config_path", default=None, help="JSON run-config path.")
 @click.option("--topology", type=click.Choice(_TOPOLOGIES), default=None)
 @click.option("--seed", type=int, default=None)
-@click.option("--mc-n", "mc_n", type=int, default=1_000_000,
-              help="Monte Carlo draws for linear models.")
-@click.option("--tol", type=float, default=1e-12,
+@click.option("--mc-n", "mc_n", type=click.IntRange(min=2), default=1_000_000,
+              help="Monte Carlo draws for linear models (at least 2).")
+@click.option("--tol", type=float, default=1e-12, callback=_finite_nonnegative,
               help="Tolerance for exact path agreement.")
-@click.option("--mc-z", "mc_z", type=float, default=4.0,
+@click.option("--mc-z", "mc_z", type=float, default=4.0, callback=_finite_nonnegative,
               help="Allowed SE multiples for Monte-Carlo deltas.")
 def validate(spec_path, config_path, topology, seed, mc_n, tol, mc_z):
     """Cross-check the computation paths on a model spec (exit 5 on failure)."""

@@ -2,14 +2,15 @@
 
 The outcome model regresses Y on exposure, both mediators, all their
 products, and covariates; the second mediator's model depends on the
-topology; the first mediator's model is exposure plus covariates. Solves
-use an orthogonal decomposition of the design (never normal equations)
-because the triple-product column can be badly scaled.
+topology; the first mediator's model is exposure plus covariates. One QR of
+the outcome design in nested column order serves every fit; solves use it,
+never normal equations, as the triple-product column can be badly scaled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -136,25 +137,19 @@ def _dependent_columns(x: np.ndarray, names) -> list[str]:
 def _nested_design(d: Dataset, topology: Topology):
     """The outcome design in nested column order [1, a, C | m1, a*m1 | m2,
     a*m2, m1*m2, a*m1*m2], and each model's design columns as columns of it,
-    in _design_names order. The first mediator's model, and the second's when
-    non-sequential, take its first 2 + k columns; the sequential second
-    mediator's model its first 4 + k."""
-    a, m1, m2, k = d.a, d.m1, d.m2, d.k
-    am1 = a * m1
+    in _design_names order: its first 2 + k, or 4 + k for the sequential m2."""
+    cov = [f"#{i}" for i in range(d.k)]  # by position: no name can clash with a term
+    terms = {"intercept": np.ones(d.n), "a": d.a, "m1": d.m1, "m2": d.m2}
+    terms |= dict(zip(cov, d.covariates.T))
+    sequential = _design_names(Topology.SEQUENTIAL, cov)
+    nested = list(dict.fromkeys(sequential["m1"] + sequential["m2"] + sequential["y"]))
     x = np.column_stack(
-        [np.ones(d.n), a, d.covariates, m1, am1, m2, a * m2, m1 * m2, am1 * m2]
+        [reduce(np.multiply, [terms[t] for t in name.split(":")]) for name in nested]
     )
-    c = list(range(2, 2 + k))
-    m2_columns = [0, 1, 2 + k, 3 + k] if topology is Topology.SEQUENTIAL else [0, 1]
-    y_columns = [0, 1, 2 + k, 4 + k, 3 + k, 5 + k, 6 + k, 7 + k]
-    return x, {"y": y_columns + c, "m2": m2_columns + c, "m1": [0, 1] + c}
-
-
-def _design_matrices(d: Dataset, topology: Topology) -> dict[str, np.ndarray]:
-    """The three design matrices, keyed and ordered like _design_names."""
-    x, columns = _nested_design(d, topology)
-    # take() gives row-major copies; lstsq's rounding depends on the layout
-    return {key: x.take(cols, axis=1) for key, cols in columns.items()}
+    return x, {
+        key: [nested.index(name) for name in names]
+        for key, names in _design_names(topology, cov).items()
+    }
 
 
 def _coefficients(
@@ -188,54 +183,63 @@ def _coefficients(
     )
 
 
-def _fit_one(x: np.ndarray, y: np.ndarray, names, label: str):
-    n, p = x.shape
-    coefs, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
-    if rank < p:
-        bad = _dependent_columns(x, names)
-        raise EstimationError(
-            f"{label} design is rank-deficient; collinear columns: "
-            + ", ".join(bad or ["(numerically degenerate)"])
-        )
-    resid = y - x @ coefs
-    rss = float(resid @ resid)
-    dof = n - p
-    s2 = rss / dof if dof > 0 else 0.0
-    r = np.linalg.qr(x, mode="r")
-    rinv = np.linalg.solve(r, np.eye(p))
-    xtx_inv = rinv @ rinv.T
-    vcov = s2 * xtx_inv
-    stderr = {nm: float(v) for nm, v in zip(names, np.sqrt(np.diag(vcov)))}
-    tss = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - rss / tss if tss > 0.0 else 1.0
-    return coefs, stderr, r2, vcov, rss
-
-
 _LABELS = {"y": "outcome", "m2": "m2", "m1": "m1"}
 
 
-def _check_rows(d: Dataset) -> None:
+def _nested_qr(d: Dataset, topology: Topology):
+    """Q and R of the nested design X = QR (_nested_design), and each model's
+    full-data fit read off them. The QR of X's leading p columns is Q_p R_p,
+    the leading blocks of Q and R, so each model, by its design columns, has
+    z0 = Q_p'y, the residual r0 = y - Q_p z0 and its design's singular values,
+    those of R_p."""
     if d.n <= 8 + d.k:
         raise DataError(
             f"need more than {8 + d.k} rows to fit the outcome design, got {d.n}"
         )
+    with np.errstate(all="ignore"):  # an overflowing product is rejected below
+        x, columns = _nested_design(d, topology)
+    finite = np.isfinite(x).all(axis=0)
+    if not finite.all():
+        names = _design_names(topology, d.covariate_names)["y"]
+        raise EstimationError(
+            "outcome design is not finite; overflowing columns: "
+            + ", ".join(nm for nm, j in zip(names, columns["y"]) if not finite[j])
+        )
+    q, r = np.linalg.qr(x)
+    del x
+    models = {}
+    for key, cols in columns.items():
+        p, y = len(cols), getattr(d, key)
+        z0 = y @ q[:, :p]
+        s = np.linalg.svd(r[:p, :p], compute_uv=False)
+        models[key] = (cols, z0, y - q[:, :p] @ z0, s)
+    return q, r, models
 
 
 def fit_all(d: Dataset, topology: Topology) -> FittedModels:
-    """Fit the outcome and both mediator models, returning plug-in coefficients.
-
-    The residual variance of the first mediator's model (unbiased, denominator
-    n - (2 + k)) supplies the sigma_m1 the closed forms need.
-    """
+    """Fit the outcome and both mediator models, returning plug-in coefficients."""
     if not isinstance(topology, Topology):
         raise ConfigError(f"unknown topology {topology!r}")
-    _check_rows(d)
+    _, r, models = _nested_qr(d, topology)
     names = _design_names(topology, d.covariate_names)
     fits, stderr, r2, vcov, rss = {}, {}, {}, {}, {}
-    for key, x in _design_matrices(d, topology).items():
-        fits[key], stderr[key], r2[key], vcov[key], rss[key] = _fit_one(
-            x, getattr(d, key), names[key], _LABELS[key]
-        )
+    for key, (cols, z0, r0, s) in models.items():
+        p, y = len(cols), getattr(d, key)
+        # an SVD solver's rank cutoff, rcond = eps * max(n, p), on X_p's singular values
+        if s[-1] <= s[0] * np.finfo(float).eps * max(d.n, p):
+            bad = _dependent_columns(r[:, cols], names[key])  # X's columns, rotated
+            raise EstimationError(
+                f"{_LABELS[key]} design is rank-deficient; collinear columns: "
+                + ", ".join(bad or ["(numerically degenerate)"])
+            )
+        rinv = np.linalg.inv(r[:p, :p])
+        rss[key] = float(r0 @ r0)
+        fits[key] = (rinv @ z0)[cols]
+        # s^2 (X'X)^{-1} = s^2 R_p^{-1} R_p^{-T}, at the design's columns
+        vcov[key] = (rss[key] / (d.n - p) * (rinv @ rinv.T))[np.ix_(cols, cols)]
+        stderr[key] = dict(zip(names[key], np.sqrt(np.diag(vcov[key])).tolist()))
+        tss = float(np.sum((y - y.mean()) ** 2))
+        r2[key] = 1.0 - rss[key] / tss if tss > 0.0 else 1.0
     coefficients = _coefficients(fits, rss, d.n, topology)
     return FittedModels(
         coefficients=coefficients,
@@ -252,11 +256,9 @@ class CountWeightedFit:
     """Refits of all three models under row-count weights, against one QR.
 
     A bootstrap resample that takes row i w_i times has the same least-squares
-    fit as the weighted problem min sum_i w_i (y_i - x_i b)^2. The nested
-    design (_nested_design) is factored once as X = Q R. The QR of its leading
-    p columns is Q_p R_p, the leading blocks of Q and R, so this covers every
-    model. With z0 = Q_p' y and the full-data residual r0 = y - Q_p z0, a
-    replicate's fit is z = z0 + dz, where G dz = h for G = Q_p' W Q_p and
+    fit as the weighted problem min sum_i w_i (y_i - x_i b)^2. From the
+    full-data z0 and r0 of the nested QR (_nested_qr), as fit_all reads them,
+    a replicate's fit is z = z0 + dz, where G dz = h for G = Q_p' W Q_p and
     h = Q_p' W r0, and b = R_p^{-1} z (least squares through QR, never X'WX
     itself). Its residual sum of squares is sum w r0^2 - h'dz: the subtracted
     term is O(p sigma^2) against O(n sigma^2), so nothing cancels. G is close
@@ -270,29 +272,25 @@ class CountWeightedFit:
     """
 
     def __init__(self, d: Dataset, topology: Topology):
-        _check_rows(d)
         self._n = d.n
         self._topology = topology
-        x, design_columns = _nested_design(d, topology)
-        q, self._r = np.linalg.qr(x)
-        del x
+        q, self._r, models = _nested_qr(d, topology)
         qt = np.ascontiguousarray(q.T)  # rows, to write each product in one pass
         del q
-        p = qt.shape[0]
-        self._pairs = np.triu_indices(p)
-        n_rows = len(self._pairs[0]) + sum(len(c) + 1 for c in design_columns.values())
+        self._pairs = np.triu_indices(qt.shape[0])
+        n_rows = len(self._pairs[0]) + sum(len(m[0]) + 1 for m in models.values())
         self._columns = np.empty((n_rows, d.n))
         for row, (i, j) in enumerate(zip(*self._pairs)):
             np.multiply(qt[i], qt[j], out=self._columns[row])
         row = len(self._pairs[0])
-        self._models = {}
-        for key, cols in design_columns.items():
+        # cond(R_p) per distinct block: non-sequential m1 and m2 share theirs
+        self._models, self._cond_r = {}, {}
+        for key, (cols, z0, r0, s) in models.items():
             p = len(cols)
-            z0 = qt[:p] @ getattr(d, key)
-            r0 = getattr(d, key) - z0 @ qt[:p]
             np.multiply(qt[:p], r0, out=self._columns[row : row + p])
             np.multiply(r0, r0, out=self._columns[row + p])
-            self._models[key] = (cols, np.linalg.cond(self._r[:p, :p]), z0, row)
+            self._models[key] = (cols, z0, row)
+            self._cond_r[p] = s[0] / s[-1]
             row += p + 1
 
     def fit(self, counts: np.ndarray, cond_limit: float):
@@ -311,15 +309,16 @@ class CountWeightedFit:
         iu, il = self._pairs, self._pairs[::-1]
         gram[:, iu[0], iu[1]] = gram[:, il[0], il[1]] = sums[:, : len(iu[0])]
         ok = np.ones(reps, dtype=bool)
-        fits, rss = {}, {}
-        for key, (cols, cond_r, z0, row) in self._models.items():
-            p = len(cols)
+        for p, cond_r in self._cond_r.items():
             eig = np.linalg.eigvalsh(gram[:, :p, :p])
             # cond_r * sqrt(max eig / min eig) < cond_limit, squared and
             # cleared of the division; false whenever min eig <= 0
             ok &= cond_r**2 * eig[:, -1] < cond_limit**2 * eig[:, 0]
-            # skipped replicates must not make solve raise
-            gram[~ok] = np.eye(len(self._r))
+        # skipped replicates must not make solve raise
+        gram[~ok] = np.eye(len(self._r))
+        fits, rss = {}, {}
+        for key, (cols, z0, row) in self._models.items():
+            p = len(cols)
             h = sums[:, row : row + p]
             dz = np.linalg.solve(gram[:, :p, :p], h[:, :, None])[:, :, 0]
             # an exact fit leaves rounding in both terms, a skipped replicate

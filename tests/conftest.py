@@ -40,6 +40,13 @@ from twomed.core import (
 )
 from twomed.empirical import _cfg_levels, _check_coverage, _level, _pr1, _pr2, _py
 from twomed.oracle import _BIN, _check_binary_cfg, _dot, _linear_contrasts
+from twomed.regression import (
+    _LABELS,
+    FittedModels,
+    _coefficients,
+    _dependent_columns,
+    _design_names,
+)
 
 
 def random_linear_scm(rng, k=2, sequential=True, scale=1.0):
@@ -123,6 +130,20 @@ def assert_same_outcome(got, want, scale):
         assert abs(got[name] - value) <= 1e-12 * scale, name
 
 
+def count_linalg_calls(monkeypatch, n=None):
+    """Count the calls of numpy.linalg's factorizations and solvers, by name,
+    into the returned dict; with n, only the calls on an array of n rows."""
+    calls = {}
+    for name in ("qr", "lstsq", "svd", "solve", "inv", "eigvalsh", "cond", "pinv"):
+        def counted(x, *args, _name=name, _f=getattr(np.linalg, name), **kwargs):
+            if n is None or np.ndim(x) >= 2 and np.shape(x)[-2] == n:
+                calls[_name] = calls.get(_name, 0) + 1
+            return _f(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
 def loop_estimate_tables(d, cfg):
     """The table estimator as a row-by-row dict tally: the reference that
     the package's cell-coded estimate_tables must match exactly."""
@@ -176,6 +197,90 @@ def loop_estimate_tables(d, cfg):
     )
     _check_coverage(t, cfg)
     return t
+
+
+def _nested_design(d: Dataset, topology: Topology):
+    """The outcome design in nested column order [1, a, C | m1, a*m1 | m2,
+    a*m2, m1*m2, a*m1*m2], and each model's design columns as columns of it,
+    in _design_names order. The first mediator's model, and the second's when
+    non-sequential, take its first 2 + k columns; the sequential second
+    mediator's model its first 4 + k."""
+    a, m1, m2, k = d.a, d.m1, d.m2, d.k
+    am1 = a * m1
+    x = np.column_stack(
+        [np.ones(d.n), a, d.covariates, m1, am1, m2, a * m2, m1 * m2, am1 * m2]
+    )
+    c = list(range(2, 2 + k))
+    m2_columns = [0, 1, 2 + k, 3 + k] if topology is Topology.SEQUENTIAL else [0, 1]
+    y_columns = [0, 1, 2 + k, 4 + k, 3 + k, 5 + k, 6 + k, 7 + k]
+    return x, {"y": y_columns + c, "m2": m2_columns + c, "m1": [0, 1] + c}
+
+
+def _design_matrices(d: Dataset, topology: Topology) -> dict[str, np.ndarray]:
+    """The three design matrices, keyed and ordered like _design_names."""
+    x, columns = _nested_design(d, topology)
+    # take() gives row-major copies; lstsq's rounding depends on the layout
+    return {key: x.take(cols, axis=1) for key, cols in columns.items()}
+
+
+def _fit_one(x: np.ndarray, y: np.ndarray, names, label: str):
+    n, p = x.shape
+    coefs, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
+    if rank < p:
+        bad = _dependent_columns(x, names)
+        raise EstimationError(
+            f"{label} design is rank-deficient; collinear columns: "
+            + ", ".join(bad or ["(numerically degenerate)"])
+        )
+    resid = y - x @ coefs
+    rss = float(resid @ resid)
+    dof = n - p
+    s2 = rss / dof if dof > 0 else 0.0
+    r = np.linalg.qr(x, mode="r")
+    rinv = np.linalg.solve(r, np.eye(p))
+    xtx_inv = rinv @ rinv.T
+    vcov = s2 * xtx_inv
+    stderr = {nm: float(v) for nm, v in zip(names, np.sqrt(np.diag(vcov)))}
+    tss = float(np.sum((y - y.mean()) ** 2))
+    r2 = 1.0 - rss / tss if tss > 0.0 else 1.0
+    return coefs, stderr, r2, vcov, rss
+
+
+def _check_rows(d: Dataset) -> None:
+    if d.n <= 8 + d.k:
+        raise DataError(
+            f"need more than {8 + d.k} rows to fit the outcome design, got {d.n}"
+        )
+
+
+def loop_fit_all(d: Dataset, topology: Topology) -> FittedModels:
+    """The three working models fit one design at a time through numpy's lstsq
+    (an SVD) plus a QR of each design for its covariance: the reference whose
+    coefficients, covariances, R^2, standard errors and errors the package's
+    one nested QR must match.
+
+    The residual variance of the first mediator's model (unbiased, denominator
+    n - (2 + k)) supplies the sigma_m1 the closed forms need.
+    """
+    if not isinstance(topology, Topology):
+        raise ConfigError(f"unknown topology {topology!r}")
+    _check_rows(d)
+    names = _design_names(topology, d.covariate_names)
+    fits, stderr, r2, vcov, rss = {}, {}, {}, {}, {}
+    for key, x in _design_matrices(d, topology).items():
+        fits[key], stderr[key], r2[key], vcov[key], rss[key] = _fit_one(
+            x, getattr(d, key), names[key], _LABELS[key]
+        )
+    coefficients = _coefficients(fits, rss, d.n, topology)
+    return FittedModels(
+        coefficients=coefficients,
+        stderr_diagnostics=stderr,
+        r_squared=r2,
+        residual_sigma_m1=coefficients.sigma_m1,
+        vcov=vcov,
+        design_names=names,
+        n=d.n,
+    )
 
 
 def loop_simulate_linear_components(scm, cfg, n, seed, shards=1):

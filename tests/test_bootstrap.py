@@ -7,6 +7,7 @@ import pytest
 
 import twomed.bootstrap
 from conftest import (
+    count_linalg_calls,
     loop_estimate_tables,
     make_linear_dataset,
     random_linear_scm,
@@ -315,6 +316,26 @@ def test_count_weighted_engine_matches_reference_refits(monkeypatch, topology):
         assert bounds.keys() == want.keys()
         for name, value in bounds.items():
             assert math.isclose(value, want[name], rel_tol=1e-10, abs_tol=1e-12), name
+
+
+@pytest.mark.parametrize("topology", list(Topology))
+def test_closed_form_bootstrap_factors_the_full_data_twice(monkeypatch, topology):
+    """One QR for the point fit and one for the count-weighted refits; no
+    replicate leaves the batched route, so no other n-row array is factored."""
+    d, _ = _noisy_dataset(14)
+    cfg = ReferenceConfig(
+        a=1.0, a_star=0.0, m1_star=0.0, m2_star=0.0,
+        covariates=(0.0, 0.0), topology=topology,
+    )
+    taken = []
+    take = Dataset.take
+    monkeypatch.setattr(
+        Dataset, "take", lambda ds, idx: taken.append(idx) or take(ds, idx)
+    )
+    calls = count_linalg_calls(monkeypatch, n=d.n)
+    r = bootstrap_decomposition(d, cfg, B=100, seed=3)
+    assert r.failed_replicates == 0 and taken == []
+    assert calls == {"qr": 2}
 
 
 @pytest.mark.parametrize("topology", list(Topology))

@@ -670,6 +670,29 @@ def test_cli_exit_code_4_when_the_closed_form_overflows(runner, tmp_path):
     assert isinstance(res.exception, SystemExit)
 
 
+def test_cli_exit_code_4_for_an_overflowing_design(tmp_path):
+    """Finite mediators near 1e160 overflow the m1*m2 column. The run stops
+    with one error line on stderr, from before the design reaches LAPACK."""
+    rng = np.random.default_rng(1)
+    n = 200
+    rows = ["a,m1,m2,y"] + [
+        f"{i % 2},{rng.uniform(0.5, 2.0) * 1e160!r},{rng.uniform(0.5, 2.0) * 1e160!r},"
+        f"{rng.normal()!r}"
+        for i in range(n)
+    ]
+    data = _write(tmp_path / "big.csv", "\n".join(rows) + "\n")
+    src = os.path.dirname(os.path.dirname(twomed.dataio.__file__))
+    res = subprocess.run(
+        [sys.executable, "-m", "twomed.cli", "analyze", "--data", data,
+         "--bootstrap-B", "100"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert res.returncode == 4, res.stderr
+    assert res.stderr.splitlines() == [
+        "error: outcome design is not finite; overflowing columns: m1:m2, a:m1:m2"
+    ]
+
+
 def test_cli_simulate_writes_data_and_truth(runner, tmp_path):
     spec = _write(tmp_path / "spec.json", json.dumps(LINEAR_SPEC))
     out = tmp_path / "sim.csv"
@@ -751,6 +774,30 @@ def test_cli_validate_linear_pass_and_forced_fail(runner, tmp_path):
     )
     assert forced.exit_code == 5
     assert "RESULT: FAIL" in forced.output
+
+
+@pytest.mark.parametrize("flags", [
+    ["--tol", "nan"], ["--tol", "-1"], ["--tol", "inf"],
+    ["--mc-z", "nan"], ["--mc-z", "-1"], ["--mc-z", "inf"],
+    ["--mc-n", "1"], ["--mc-n", "0"],
+])
+def test_cli_validate_rejects_nonsense_tolerances(runner, tmp_path, flags):
+    """A NaN or negative tolerance, or one Monte Carlo draw (every SE 0), can
+    only give a false verdict: a usage error, not RESULT: FAIL."""
+    spec = _write(tmp_path / "spec.json", json.dumps(LINEAR_SPEC))
+    res = runner.invoke(main, ["validate", "--spec", spec, "--mc-n", "1000", *flags])
+    assert res.exit_code == 2, res.output
+    assert "RESULT" not in res.output
+    assert flags[0] in res.output
+
+
+def test_cli_validate_takes_two_monte_carlo_draws(runner, tmp_path):
+    spec = _write(tmp_path / "spec.json", json.dumps(LINEAR_SPEC))
+    res = runner.invoke(
+        main, ["validate", "--spec", spec, "--mc-n", "2", "--seed", "1"]
+    )
+    assert res.exit_code == 0, res.output
+    assert "RESULT: PASS" in res.output
 
 
 def test_cli_validate_compares_zero_spread_terms_by_tolerance(runner, tmp_path):

@@ -1,11 +1,19 @@
 """OLS fitting of the three working models."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import make_linear_dataset, random_linear_scm
+from conftest import (
+    count_linalg_calls,
+    loop_fit_all,
+    make_linear_dataset,
+    random_linear_scm,
+)
 from twomed import (
     DataError,
     Dataset,
@@ -241,3 +249,106 @@ def test_count_weighted_fit_set_up_holds_little_beyond_its_column_block(topology
     columns = fitter._columns
     assert columns.nbytes == (p_y * (p_y + 1) // 2 + sum(p + 1 for p in widths)) * n * 8
     assert peak <= 1.25 * columns.nbytes + n * p_y * 8
+
+
+@pytest.mark.parametrize("topology", list(Topology))
+def test_fit_all_factors_the_data_once(monkeypatch, topology):
+    d = _topology_dataset(topology, k=2, n=300)
+    calls = count_linalg_calls(monkeypatch)
+    fit_all(d, topology)
+    assert calls.get("qr") == 1
+    assert "lstsq" not in calls
+
+
+def test_overflowing_design_is_an_estimation_error():
+    """Finite mediators whose product overflows must not reach the QR, which
+    would turn the infinities into NaN coefficients without a word."""
+    rng = np.random.default_rng(12)
+    n = 200
+    d = Dataset(
+        a=rng.integers(0, 2, n).astype(float),
+        m1=rng.uniform(0.5, 2.0, n) * 1e160,
+        m2=rng.uniform(0.5, 2.0, n) * 1e160,
+        y=rng.standard_normal(n),
+    )
+    for topology in Topology:
+        with pytest.raises(EstimationError, match="not finite") as err:
+            fit_all(d, topology)
+        assert "m1:m2, a:m1:m2" in str(err.value)
+        with pytest.raises(EstimationError, match="not finite"):
+            CountWeightedFit(d, topology)
+
+
+@st.composite
+def _small_integer_data(draw):
+    """A topology and a dataset of small integers, k = 0 to 2 covariates. Each
+    column after the exposure may instead be constant or a copy of an earlier
+    one, so collinear designs come up often."""
+    topology = draw(st.sampled_from(list(Topology)))
+    k = draw(st.integers(0, 2))
+    n = draw(st.integers(8 + k, 20))
+    columns = []
+    for _ in range(4 + k):
+        kind = draw(st.integers(0, 7))
+        if kind == 0 and columns:
+            column = [draw(st.integers(-3, 3))] * n
+        elif kind == 1 and columns:
+            column = draw(st.sampled_from(columns))
+        else:
+            column = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        columns.append(column)
+    a, m1, m2, y, *cov = np.asarray(columns, dtype=float)
+    return Dataset(a=a, m1=m1, m2=m2, y=y, covariates=np.transpose(cov)), topology
+
+
+def _fit_or_error(fit, d, topology):
+    try:
+        return fit(d, topology)
+    except (DataError, EstimationError) as exc:
+        return type(exc), str(exc)
+
+
+def _rank_deficient_m1_design():
+    """The first covariate repeats the exposure: every design is collinear,
+    the first mediator's [1, a, c1] included."""
+    rng = np.random.default_rng(13)
+    a = rng.integers(0, 2, 15).astype(float)
+    m1, m2, y = rng.integers(-3, 4, (3, 15)).astype(float)
+    return Dataset(a=a, m1=m1, m2=m2, y=y, covariates=a[:, None])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_integer_data())
+@example((_rank_deficient_m1_design(), Topology.SEQUENTIAL))
+@example((_rank_deficient_m1_design(), Topology.NONSEQUENTIAL))
+def test_fit_all_matches_the_lstsq_reference(data):
+    """One QR of the nested design gives the per-design lstsq fits: the same
+    error, or coefficients, sigmas, covariances, R^2 and standard errors
+    within 1e-9 relative."""
+    d, topology = data
+    got = _fit_or_error(fit_all, d, topology)
+    want = _fit_or_error(loop_fit_all, d, topology)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert not isinstance(got, tuple), got
+
+    def close(g, w):
+        g, w = np.asarray(g, dtype=float), np.asarray(w, dtype=float)
+        assert g.shape == w.shape
+        return np.allclose(g, w, rtol=1e-9, atol=1e-9)
+
+    for field in dataclasses.fields(want.coefficients):
+        name = field.name
+        assert close(getattr(got.coefficients, name),
+                     getattr(want.coefficients, name)), name
+    assert got.design_names == want.design_names and got.n == want.n
+    assert close(got.residual_sigma_m1, want.residual_sigma_m1)
+    for key in want.vcov:
+        assert close(got.vcov[key], want.vcov[key]), key
+        assert close(got.r_squared[key], want.r_squared[key]), key
+        assert got.stderr_diagnostics[key].keys() == want.stderr_diagnostics[key].keys()
+        assert close(
+            list(got.stderr_diagnostics[key].values()),
+            list(want.stderr_diagnostics[key].values()),
+        ), key
