@@ -18,11 +18,14 @@ exactly as a plain per-replicate refit decides them.
 The empirical-categorical estimator codes each row's table cell once
 (CellCoder). A replicate's cell counts and outcome sums then come from two
 bincounts over its indices' codes, without copying rows, and fill one row of
-a chunk array. CellCoder.decompose_counts decomposes the whole chunk with one
-call of the table engine, and masks the replicates whose own tables would be
-rejected or whose component set would break an identity. Estimates, bounds
-and failures are those of decomposing each replicate's tables on its own,
-bit for bit.
+a chunk array. CellCoder.decompose_counts lays the whole chunk on the grid
+every empirical decomposition works on (the tables of cfg's stratum, a row
+per replicate, nan where a cell has no data) and decomposes it with one call
+of the table engine. A replicate fails when the coverage mask, the same one
+that checks the point estimate's tables, finds a weighted cell without data;
+when a cell mean overflowed; or when its component set breaks an identity.
+Estimates, bounds and failures are those of decomposing each replicate's
+tables on its own, bit for bit.
 """
 
 from __future__ import annotations

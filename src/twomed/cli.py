@@ -4,7 +4,9 @@ Three subcommands: analyze decomposes a dataset with bootstrap intervals,
 simulate draws synthetic data from a model spec next to its exact ground
 truth, and validate cross-checks the computation paths against each other.
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 estimation
-error, 5 validation failure.
+error, 5 validation failure. A config or spec file that is missing or cannot
+be opened is a configuration error, a data file a data error, and an output
+path that cannot be written a configuration error, found before any work.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import sys
 
 import click
@@ -77,6 +80,18 @@ def _finite_nonnegative(ctx, param, value: float) -> float:
     return value
 
 
+def _check_writable(path: str, what: str) -> None:
+    """Raise ConfigError unless path can be opened for writing. The check
+    leaves no file behind: one it had to create is removed again."""
+    existed = os.path.lexists(path)
+    try:
+        open(path, "a", encoding="utf-8").close()
+    except OSError as exc:
+        raise ConfigError(f"{what} {path} cannot be written: {exc.strerror}") from None
+    if not existed:
+        os.remove(path)
+
+
 def _guarded(body) -> None:
     try:
         body()
@@ -124,6 +139,8 @@ def analyze(data, config_path, topology, bootstrap_b, level, seed, estimator,
         )
         if not rc.data:
             raise ConfigError('no dataset given; pass --data or a config "data" key')
+        if dump_tables:
+            _check_writable(dump_tables, "--dump-tables path")
         d, dropped = load_dataset(rc.data, rc)
         cfg, resolved = resolve_reference(rc, d)
         # a configuration the tables reject fails before any replicate runs;
@@ -230,6 +247,9 @@ def simulate(spec_path, n_rows, data_out, truth_out, config_path, topology, seed
         spec_obj = load_json(spec_path, "model spec")
         scm = parse_scm_spec(spec_obj, rc.topology_enum)
         rc = _with_model_covariates(rc, scm)
+        truth_path = truth_out or data_out + ".truth.json"
+        _check_writable(data_out, "--data path")
+        _check_writable(truth_path, "--truth path")
         d = simulate_dataset(
             scm,
             n=n_rows,
@@ -245,7 +265,6 @@ def simulate(spec_path, n_rows, data_out, truth_out, config_path, topology, seed
         else:
             truth = decompose_closed_form(scm, cfg)
         write_dataset_csv(d, data_out)
-        truth_path = truth_out or data_out + ".truth.json"
         doc = {
             "topology": cfg.topology.value,
             "reference": resolved,

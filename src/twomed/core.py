@@ -292,13 +292,16 @@ class SingleMediatorComponents:
     te: float
 
     def __post_init__(self):
-        tol = _IDENTITY_RTOL * max(1.0, abs(self.te))
-        four = self.cde + self.int_ref + self.int_med + self.pie
-        if abs(four - self.te) > tol:
-            raise EstimationError(
-                f"four-way identity violated: {four!r} != TE {self.te!r}"
-            )
-        if abs((self.nde + self.nie) - self.te) > tol:
-            raise EstimationError(
-                f"two-way identity violated: {self.nde + self.nie!r} != TE {self.te!r}"
-            )
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise EstimationError(f"single-mediator {name} is not finite: {value!r}")
+        # identity_checks' rule: 1e-10 of max(1, the sum of |terms|)
+        for split, terms in (
+            ("four-way", (self.cde, self.int_ref, self.int_med, self.pie)),
+            ("two-way", (self.nde, self.nie)),
+        ):
+            total = sum(terms)
+            if abs(total - self.te) > _IDENTITY_RTOL * max(1.0, sum(map(abs, terms))):
+                raise EstimationError(
+                    f"{split} identity violated: {total!r} != TE {self.te!r}"
+                )

@@ -124,13 +124,24 @@ def _as_number(v, path: str) -> float:
     return x
 
 
-def load_json(path: str, what: str) -> dict:
+def _open_input(path: str, what: str, error: type, **kwargs):
+    """open(path, **kwargs) for reading. A missing file, or one the system
+    cannot open (a directory, say), raises error: the exit code it maps to
+    is the same either way."""
     if not os.path.exists(path):
-        raise ConfigError(f"{what} file not found: {path}")
+        raise error(f"{what} file not found: {path}")
     try:
-        with open(path, encoding="utf-8") as fh:
+        return open(path, **kwargs)
+    except OSError as exc:
+        raise error(f"{what} file {path} cannot be opened: {exc.strerror}") from None
+
+
+def load_json(path: str, what: str) -> dict:
+    try:
+        with _open_input(path, what, ConfigError, encoding="utf-8") as fh:
             obj = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        # JSON text is UTF-8 (RFC 8259)
         raise ConfigError(f"{what} file {path} is not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ConfigError(f"{what} file {path} must hold a JSON object")
@@ -174,12 +185,10 @@ def load_dataset(path: str, rc: RunConfig) -> tuple[Dataset, int]:
     bulk parse declines a file, such as one with a quoted, empty or
     non-numeric field or a row too short for a needed column.
     """
-    if not os.path.exists(path):
-        raise DataError(f"data file not found: {path}")
     needed = [rc.exposure, rc.m1, rc.m2, rc.outcome, *rc.covariates]
     # utf-8-sig: a byte-order mark, as spreadsheet programs write, is no part
     # of the first column's name
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with _open_input(path, "data", DataError, newline="", encoding="utf-8-sig") as fh:
         try:
             # the header as csv.DictReader reads it
             header = next(csv.reader(fh), [])

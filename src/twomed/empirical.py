@@ -5,10 +5,17 @@ means, combined by the table engine's iterated-expectation double sums over
 the mediator supports. Covariates are handled as discrete strata only;
 continuous covariates belong to the regression path.
 
-CellCoder codes each row's cell once. Its tables() builds a checked
-ProbTables for the full data or one resample; its decompose_counts()
-decomposes a batch of resamples from their cell counts alone, with array
-masks in place of the checks that tables() and ComponentSet would make.
+Decomposition works on one grid: the tables of cfg's stratum on the
+(x, i, j) grid the table engine takes, with a leading replicate axis and nan
+for each entry the tables lack. CellCoder.decompose_counts fills it from a
+batch of resamples' cell counts, decompose_empirical_sequential from a
+ProbTables. One mask, _uncovered, decides for both which replicates lack an
+entry the sums weight, and only a single grid that fails it is walked, to
+name the first entry missing. CellCoder.tables checks one resample's counts
+before it builds the ProbTables, in the same walk order over the live cells
+alone: a count grid lacks only outcome means, and the grid is quadratic in
+the levels, so a continuous mediator would make it O(n^2). ProbTables stays
+the public input and the --dump-tables form.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from .core import (
     identity_violations,
 )
 from .oracle import BinaryScm
-from .table_engine import decompose_tables, table_component_set
+from .table_engine import decompose_tables
 
 _SUM_TOL = 1e-9
 
@@ -161,6 +168,19 @@ def _distinct(x: np.ndarray):
     return values, inverse.ravel()
 
 
+class _Grid(NamedTuple):
+    """Tables on the engine's (r, x, i, j) grid, nan where they lack an entry,
+    with the reference positions and the levels of the i and j axes."""
+
+    p1: np.ndarray
+    p2: np.ndarray
+    y: np.ndarray
+    m1_ref: int
+    m2_ref: int
+    m1_levels: tuple
+    m2_levels: tuple
+
+
 class CellCoder:
     """A dataset's rows coded once by their (a, m1, m2, stratum) cell.
 
@@ -197,37 +217,82 @@ class CellCoder:
         return (np.bincount(codes, minlength=len(self.cells)),
                 np.bincount(codes, weights=y, minlength=len(self.cells)))
 
+    def _grid(self, levels, n: np.ndarray, y_sum: np.ndarray) -> _Grid:
+        """The grid of cfg's stratum, over the reference levels and those the
+        stratum holds under a or a*, for replicates whose cell counts and
+        outcome sums (as counts() returns them) are the rows of n and y_sum.
+        An outcome mean without rows is nan; a probability whose group has no
+        rows is 0: a structural zero, or Pr(M1 | x) for an exposure without
+        rows, whose reference cells are nan."""
+        a, s, m1r, m2r, c = levels
+        a_lv, m1_lv, m2_lv, c_lv = self.levels
+        exposures = [a_lv.index(a), a_lv.index(s)]
+        cells = self.cells
+        # a cell missing from the data reads column -1, masked to zero below
+        mine = (cells[:, 3] == c_lv.index(c)) & np.isin(cells[:, 0], exposures)
+        lv1 = np.union1d(cells[mine, 1], m1_lv.index(m1r))
+        lv2 = np.union1d(cells[mine, 2], m2_lv.index(m2r))
+        at = np.full((2, len(lv1), len(lv2)), -1)
+        for x, level in enumerate(exposures):
+            rows = np.flatnonzero(mine & (cells[:, 0] == level))
+            at[x, np.searchsorted(lv1, cells[rows, 1]),
+               np.searchsorted(lv2, cells[rows, 2])] = rows
+        grid_n = np.where(at >= 0, n[:, at], 0.0)
+        n_am1 = grid_n.sum(axis=-1)
+        return _Grid(
+            n_am1 / np.maximum(n_am1.sum(axis=-1), 1.0)[..., None],
+            grid_n / np.maximum(n_am1, 1.0)[..., None],
+            np.where(grid_n > 0, y_sum[:, at], np.nan) / np.maximum(grid_n, 1.0),
+            int(np.searchsorted(lv1, m1_lv.index(m1r))),
+            int(np.searchsorted(lv2, m2_lv.index(m2r))),
+            tuple(m1_lv[i] for i in lv1.tolist()),
+            tuple(m2_lv[j] for j in lv2.tolist()),
+        )
+
+    def _require_outcomes(self, levels, live: np.ndarray) -> None:
+        """_require_covered for the tables of the live cells, in time and
+        memory linear in the cells, not in the size of their grid. A count
+        grid lacks only outcome means, so the walk visits just the outcome
+        cells that the live cells of cfg's stratum give weight."""
+        a_lv, m1_lv, m2_lv, c_lv = self.levels
+        cells = self.cells[live & (self.cells[:, 3] == c_lv.index(levels[4]))]
+        held = {(x, i, j) for x in (0, 1)
+                for i, j in cells[cells[:, 0] == a_lv.index(levels[x]), 1:3].tolist()}
+        ref = m1_lv.index(levels[2]), m2_lv.index(levels[3])
+        walk = ([ref] + [(i, ref[1]) for i in sorted({i for x, i, _ in held if x})]
+                + sorted({(i, j) for _, i, j in held}))
+        for x, i, j in ((x, i, j) for i, j in walk for x in (0, 1)):
+            if (x, i, j) not in held:
+                raise _no_outcome(*map(_level_str, (levels[x], m1_lv[i], m2_lv[j])),
+                                  _stratum_str(levels[4]))
+
     def tables(self, cfg: ReferenceConfig, idx=None) -> ProbTables:
         """Tables of rows idx (all rows when None), checked against cfg."""
         n, y_sum = self.counts(idx)
-        n_am1 = np.bincount(self.cell_am1, weights=n, minlength=len(self.am1_keys))
-        n_ac = np.bincount(self.am1_ac, weights=n_am1, minlength=len(self.ac_keys))
-        live, live_am1 = n > 0, n_am1 > 0
+        live = n > 0
         # the supports and strata are the levels the rows still hold
         support_a, support_m1, support_m2, strata = (
             tuple(compress(lv, np.bincount(self.cells[live, j], minlength=len(lv))))
             for j, lv in enumerate(self.levels)
         )
-        _cfg_levels(cfg, support_a, support_m1, support_m2, strata)
+        levels = _cfg_levels(cfg, support_a, support_m1, support_m2, strata)
+        # check coverage on the cells before filling in the zeros, which
+        # number levels x groups: O(n^2) when a mediator is continuous
+        self._require_outcomes(levels, live)
 
+        n_am1 = np.bincount(self.cell_am1, weights=n, minlength=len(self.am1_keys))
+        n_ac = np.bincount(self.am1_ac, weights=n_am1, minlength=len(self.ac_keys))
+        live_am1 = n_am1 > 0
         live_am1_keys = list(compress(self.am1_keys, live_am1))
-        pr1_live = _ZerosElsewhere(zip(
-            live_am1_keys, (n_am1[live_am1] / n_ac[self.am1_ac[live_am1]]).tolist()))
-        pr2_live = _ZerosElsewhere(zip(
-            compress(self.cell_keys, live),
-            (n[live] / n_am1[self.cell_am1[live]]).tolist()))
-        py = dict(zip(compress(self.cell_keys, live), (y_sum[live] / n[live]).tolist()))
-        # walk the cells before filling in the zeros, which number
-        # levels x groups: O(n^2) when a mediator is continuous
-        _check_coverage(_Tables(pr1_live, pr2_live, py, support_a, support_m1,
-                                support_m2, strata), cfg)
-
+        live_keys = list(compress(self.cell_keys, live))
         # unobserved levels within an observed group are structural zeros
         pr1 = {(a, m1, c): 0.0 for a, c in compress(self.ac_keys, n_ac > 0)
                for m1 in support_m1}
-        pr1.update(pr1_live)
+        pr1.update(zip(live_am1_keys,
+                       (n_am1[live_am1] / n_ac[self.am1_ac[live_am1]]).tolist()))
         pr2 = {(a, m1, m2, c): 0.0 for a, m1, c in live_am1_keys for m2 in support_m2}
-        pr2.update(pr2_live)
+        pr2.update(zip(live_keys, (n[live] / n_am1[self.cell_am1[live]]).tolist()))
+        py = dict(zip(live_keys, (y_sum[live] / n[live]).tolist()))
         return ProbTables(pr_m1=pr1, pr_m2=pr2, p_y=py, support_a=support_a,
                           support_m1=support_m1, support_m2=support_m2, strata=strata)
 
@@ -242,79 +307,17 @@ class CellCoder:
         others are those of decompose_empirical_sequential on their tables,
         bit for bit.
         """
-        a_lv, m1_lv, m2_lv, c_lv = self.levels
-        a, s, m1r, m2r, c = _sequential_levels(cfg, *self.levels)
-        exposures = [a_lv.index(a), a_lv.index(s)]
-        cells = self.cells
-        # ProbTables raises EstimationError for a cell mean that overflowed
-        failed = ~np.isfinite(y_sum).all(axis=1)
-
-        # the cells of cfg's stratum under a and a*, on an (x, i, j) grid over
-        # the m1 and m2 levels they hold and the reference levels; a cell
-        # missing from the data reads column -1, masked to zero below
-        mine = (cells[:, 3] == c_lv.index(c)) & np.isin(cells[:, 0], exposures)
-        lv1 = np.union1d(cells[mine, 1], m1_lv.index(m1r))
-        lv2 = np.union1d(cells[mine, 2], m2_lv.index(m2r))
-        at = np.full((2, len(lv1), len(lv2)), -1)
-        for x, level in enumerate(exposures):
-            rows = np.flatnonzero(mine & (cells[:, 0] == level))
-            at[x, np.searchsorted(lv1, cells[rows, 1]),
-               np.searchsorted(lv2, cells[rows, 2])] = rows
-        held = at >= 0
-        grid_n = np.where(held, n[:, at], 0.0)
-        grid_y = np.where(held, y_sum[:, at], 0.0)
-        n_am1 = grid_n.sum(axis=-1)
-        p1 = n_am1 / np.maximum(n_am1.sum(axis=-1), 1.0)[..., None]
-        p2 = grid_n / np.maximum(n_am1, 1.0)[..., None]
-        y = grid_y / np.maximum(grid_n, 1.0)
-
-        # _check_coverage: outcome cells at the references under a and a*,
-        # at (m1, m2*) for every m1 either exposure holds, and at (m1, m2)
-        # under both exposures wherever either holds it. Rows that lose a
-        # level or the stratum cfg names (tables() raises ConfigError) lose
-        # the reference cells with it, so this fails them too.
-        i_ref = np.searchsorted(lv1, m1_lv.index(m1r))
-        j_ref = np.searchsorted(lv2, m2_lv.index(m2r))
-        live = grid_n > 0
-        seen = live.any(axis=(1, 3))
-        failed |= ~(
-            live[:, :, i_ref, j_ref].all(axis=1)
-            & (~seen | live[:, :, :, j_ref].all(axis=1)).all(axis=1)
-            & (live[:, 0] == live[:, 1]).all(axis=(1, 2))
-        )
-
-        comps, aggs = decompose_tables(
-            Topology.SEQUENTIAL, p1, p2, y, i_ref, j_ref, a == s
-        )
+        levels = _sequential_levels(cfg, *self.levels)
+        grid = self._grid(levels, n, y_sum)
+        # ProbTables raises EstimationError for a cell mean that overflowed.
+        # A replicate that loses a level or the stratum cfg names (tables()
+        # raises ConfigError) loses the reference cells, failing the mask.
+        failed = ~np.isfinite(y_sum).all(axis=1) | _uncovered(grid)
+        comps, aggs = _decompose_grid(grid, levels)
         # an overflowed replicate, already failed, warns of nothing new
         with np.errstate(invalid="ignore"):
             failed |= identity_violations(Topology.SEQUENTIAL, comps, aggs)
         return comps | aggs, failed
-
-
-class _ZerosElsewhere(dict):
-    """Observed probabilities; any other key reads as a structural zero.
-
-    Right for the coverage walk: it looks up a level only after it has found
-    outcome cells in that level's group (a, c) or (a, m1, c), and the filled
-    tables hold a zero for every support level of such a group.
-    """
-
-    def __missing__(self, key):
-        return 0.0
-
-
-class _Tables(NamedTuple):
-    """The ProbTables fields _check_coverage reads, without the checks that
-    construction runs."""
-
-    pr_m1: dict
-    pr_m2: dict
-    p_y: dict
-    support_a: tuple
-    support_m1: tuple
-    support_m2: tuple
-    strata: tuple
 
 
 def estimate_tables(d, cfg: ReferenceConfig) -> ProbTables:
@@ -349,57 +352,6 @@ def _cfg_levels(cfg: ReferenceConfig, support_a, support_m1, support_m2, strata)
     return a, s, m1r, m2r, c
 
 
-def _pr1(t, a, m1, c):
-    try:
-        return t.pr_m1[(a, m1, c)]
-    except KeyError:
-        raise EstimationError(
-            f"no data for Pr(M1={_level_str(m1)} | A={_level_str(a)}, "
-            f"{_stratum_str(c)})"
-        ) from None
-
-
-def _pr2(t, a, m1, m2, c):
-    try:
-        return t.pr_m2[(a, m1, m2, c)]
-    except KeyError:
-        raise EstimationError(
-            f"no data for Pr(M2={_level_str(m2)} | A={_level_str(a)}, "
-            f"M1={_level_str(m1)}, {_stratum_str(c)})"
-        ) from None
-
-
-def _py(t, a, m1, m2, c):
-    try:
-        return t.p_y[(a, m1, m2, c)]
-    except KeyError:
-        raise EstimationError(
-            f"no data for E[Y | A={_level_str(a)}, M1={_level_str(m1)}, "
-            f"M2={_level_str(m2)}, {_stratum_str(c)}]"
-        ) from None
-
-
-def _check_coverage(t: ProbTables, cfg: ReferenceConfig) -> None:
-    """Touch every cell any sum can reach with positive weight."""
-    a, s, m1r, m2r, c = _cfg_levels(
-        cfg, t.support_a, t.support_m1, t.support_m2, t.strata
-    )
-    for x in (a, s):
-        _py(t, x, m1r, m2r, c)
-    for y in (a, s):
-        for m1 in t.support_m1:
-            if _pr1(t, y, m1, c) == 0.0:
-                continue
-            for x in (a, s):
-                _py(t, x, m1, m2r, c)
-            for z in (a, s):
-                for m2 in t.support_m2:
-                    if _pr2(t, z, m1, m2, c) == 0.0:
-                        continue
-                    for x in (a, s):
-                        _py(t, x, m1, m2, c)
-
-
 def _sequential_levels(cfg: ReferenceConfig, support_a, support_m1, support_m2, strata):
     """_cfg_levels for the sequential decomposition, the only one tables give."""
     if cfg.topology is not Topology.SEQUENTIAL:
@@ -409,24 +361,67 @@ def _sequential_levels(cfg: ReferenceConfig, support_a, support_m1, support_m2, 
     return _cfg_levels(cfg, support_a, support_m1, support_m2, strata)
 
 
-def _require_cells(t: ProbTables, a, s, m1r, m2r, c) -> None:
-    """Look up every cell the sums give positive weight, in the order the
-    written-out sums first reached them, so a missing one is named as it
-    always was. Each missing cell raises EstimationError."""
-    for x in (a, s):
-        _py(t, x, m1r, m2r, c)
-    for m1 in t.support_m1:
-        if _pr1(t, s, m1, c) != 0.0:
-            for x in (a, s):
-                _py(t, x, m1, m2r, c)
-    for m1 in t.support_m1:
-        if (_pr1(t, a, m1, c), _pr1(t, s, m1, c)) == (0.0, 0.0):
+def _uncovered(g: _Grid) -> np.ndarray:
+    """True for each replicate whose grid lacks an entry the sums weight.
+
+    The sums weight every Pr(M1 | x); Pr(M2 | x, i) under both exposures
+    wherever M1 takes level i under either; and the outcome means at the
+    reference cell, at (i, m2*) wherever M1 takes i under a*, and at (i, j)
+    under both exposures wherever i is weighted and M2 takes j under either.
+    A missing probability (nan) counts as weight, so the entries it
+    conditions are needed too.
+    """
+    rows = (g.p1 != 0).any(axis=1)
+    need_y = rows[..., None] & (g.p2 != 0).any(axis=1)
+    need_y[..., g.m2_ref] |= g.p1[:, 1] != 0
+    need_y[:, g.m1_ref, g.m2_ref] = True
+    return (
+        np.isnan(g.p1).any(axis=(1, 2))
+        | (np.isnan(g.p2) & rows[:, None, :, None]).any(axis=(1, 2, 3))
+        | (np.isnan(g.y) & need_y[:, None]).any(axis=(1, 2, 3))
+    )
+
+
+def _require_covered(g: _Grid, levels) -> None:
+    """Raise EstimationError if the grid's one replicate is _uncovered. The
+    error names the first entry missing in the order the written-out sums
+    first reach them: the reference cells; per m1 level, Pr(M1 | a*) and
+    then its (i, m2*) cells; per m1 level, Pr(M1 | a) and then its row."""
+    if not _uncovered(g)[0]:
+        return
+    p1, p2, y = g.p1[0], g.p2[0], g.y[0]
+    walk = [(y, (x, g.m1_ref, g.m2_ref)) for x in (0, 1)]
+    for i in range(p1.shape[1]):
+        walk.append((p1, (1, i)))
+        walk += [(y, (x, i, g.m2_ref)) for x in (0, 1) if p1[1, i] != 0]
+    for i in range(p1.shape[1]):
+        walk.append((p1, (0, i)))
+        if p1[0, i] == 0 and p1[1, i] == 0:
             continue
-        for m2 in t.support_m2:
-            if (_pr2(t, a, m1, m2, c), _pr2(t, s, m1, m2, c)) == (0.0, 0.0):
-                continue
-            for x in (a, s):
-                _py(t, x, m1, m2, c)
+        for j in range(p2.shape[2]):
+            walk += [(p2, (x, i, j)) for x in (0, 1)]
+            walk += [(y, (x, i, j)) for x in (0, 1) if (p2[:, i, j] != 0).any()]
+    table, (x, i, *j) = next(entry for entry in walk if np.isnan(entry[0][entry[1]]))
+    a = _level_str(levels[x])
+    m1, c = _level_str(g.m1_levels[i]), _stratum_str(levels[4])
+    if table is p1:
+        raise EstimationError(f"no data for Pr(M1={m1} | A={a}, {c})")
+    m2 = _level_str(g.m2_levels[j[0]])
+    if table is p2:
+        raise EstimationError(f"no data for Pr(M2={m2} | A={a}, M1={m1}, {c})")
+    raise _no_outcome(a, m1, m2, c)
+
+
+def _no_outcome(a: str, m1: str, m2: str, c: str) -> EstimationError:
+    return EstimationError(f"no data for E[Y | A={a}, M1={m1}, M2={m2}, {c}]")
+
+
+def _decompose_grid(g: _Grid, levels) -> tuple[dict, dict]:
+    """decompose_tables on the grid, every missing entry read as a zero."""
+    return decompose_tables(
+        Topology.SEQUENTIAL, *(np.where(np.isnan(t), 0.0, t) for t in g[:3]),
+        g.m1_ref, g.m2_ref, levels[0] == levels[1],
+    )
 
 
 def decompose_empirical_sequential(
@@ -438,17 +433,18 @@ def decompose_empirical_sequential(
     every cell that carries no weight. A missing cell that does carry weight
     raises EstimationError.
     """
-    a, s, m1r, m2r, c = _sequential_levels(
-        cfg, t.support_a, t.support_m1, t.support_m2, t.strata
-    )
-    _require_cells(t, a, s, m1r, m2r, c)
     sup1, sup2 = t.support_m1, t.support_m2
-    p1 = [[t.pr_m1.get((x, m1, c), 0.0) for m1 in sup1] for x in (a, s)]
+    levels = _sequential_levels(cfg, t.support_a, sup1, sup2, t.strata)
+    a, s, m1r, m2r, c = levels
+    p1 = [[t.pr_m1.get((x, m1, c), np.nan) for m1 in sup1] for x in (a, s)]
     p2, y = (
-        [[[table.get((x, m1, m2, c), 0.0) for m2 in sup2] for m1 in sup1]
+        [[[table.get((x, m1, m2, c), np.nan) for m2 in sup2] for m1 in sup1]
          for x in (a, s)]
         for table in (t.pr_m2, t.p_y)
     )
-    return table_component_set(
-        Topology.SEQUENTIAL, p1, p2, y, sup1.index(m1r), sup2.index(m2r), a == s
-    )
+    grid = _Grid(*(np.array([g], dtype=float) for g in (p1, p2, y)),
+                 sup1.index(m1r), sup2.index(m2r), sup1, sup2)
+    _require_covered(grid, levels)
+    comps, aggs = _decompose_grid(grid, levels)
+    return ComponentSet(Topology.SEQUENTIAL, *({k: v[0] for k, v in values.items()}
+                                               for values in (comps, aggs)))

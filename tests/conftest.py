@@ -38,7 +38,7 @@ from twomed.core import (
     TDE,
     TE,
 )
-from twomed.empirical import _cfg_levels, _check_coverage, _level, _pr1, _pr2, _py
+from twomed.empirical import _cfg_levels, _level, _level_str, _stratum_str
 from twomed.oracle import _BIN, _check_binary_cfg, _dot, _linear_contrasts
 from twomed.regression import (
     _LABELS,
@@ -144,9 +144,8 @@ def count_linalg_calls(monkeypatch, n=None):
     return calls
 
 
-def loop_estimate_tables(d, cfg):
-    """The table estimator as a row-by-row dict tally: the reference that
-    the package's cell-coded estimate_tables must match exactly."""
+def loop_tally_tables(d):
+    """The tables of a dataset as a row-by-row dict tally, unchecked."""
     a_col = [_level(v) for v in d.a]
     m1_col = [_level(v) for v in d.m1]
     m2_col = [_level(v) for v in d.m2]
@@ -186,7 +185,7 @@ def loop_estimate_tables(d, cfg):
         for m2 in support_m2:
             pr2.setdefault((a, m1, m2, c), 0.0)
 
-    t = ProbTables(
+    return ProbTables(
         pr_m1=pr1,
         pr_m2=pr2,
         p_y=py,
@@ -195,8 +194,67 @@ def loop_estimate_tables(d, cfg):
         support_m2=support_m2,
         strata=strata,
     )
+
+
+def loop_estimate_tables(d, cfg):
+    """The table estimator as a row-by-row dict tally checked by a dict walk:
+    the reference that the package's cell-coded estimate_tables must match
+    exactly, and whose errors it must match in class."""
+    t = loop_tally_tables(d)
     _check_coverage(t, cfg)
     return t
+
+
+def _pr1(t, a, m1, c):
+    try:
+        return t.pr_m1[(a, m1, c)]
+    except KeyError:
+        raise EstimationError(
+            f"no data for Pr(M1={_level_str(m1)} | A={_level_str(a)}, "
+            f"{_stratum_str(c)})"
+        ) from None
+
+
+def _pr2(t, a, m1, m2, c):
+    try:
+        return t.pr_m2[(a, m1, m2, c)]
+    except KeyError:
+        raise EstimationError(
+            f"no data for Pr(M2={_level_str(m2)} | A={_level_str(a)}, "
+            f"M1={_level_str(m1)}, {_stratum_str(c)})"
+        ) from None
+
+
+def _py(t, a, m1, m2, c):
+    try:
+        return t.p_y[(a, m1, m2, c)]
+    except KeyError:
+        raise EstimationError(
+            f"no data for E[Y | A={_level_str(a)}, M1={_level_str(m1)}, "
+            f"M2={_level_str(m2)}, {_stratum_str(c)}]"
+        ) from None
+
+
+def _check_coverage(t: ProbTables, cfg: ReferenceConfig) -> None:
+    """Touch every cell any sum can reach with positive weight: the dict walk
+    whose pass or fail the package's grid mask must match on tallied tables."""
+    a, s, m1r, m2r, c = _cfg_levels(
+        cfg, t.support_a, t.support_m1, t.support_m2, t.strata
+    )
+    for x in (a, s):
+        _py(t, x, m1r, m2r, c)
+    for y in (a, s):
+        for m1 in t.support_m1:
+            if _pr1(t, y, m1, c) == 0.0:
+                continue
+            for x in (a, s):
+                _py(t, x, m1, m2r, c)
+            for z in (a, s):
+                for m2 in t.support_m2:
+                    if _pr2(t, z, m1, m2, c) == 0.0:
+                        continue
+                    for x in (a, s):
+                        _py(t, x, m1, m2, c)
 
 
 def _nested_design(d: Dataset, topology: Topology):

@@ -148,6 +148,27 @@ def test_single_mediator_identities_enforced():
         )
 
 
+@pytest.mark.parametrize("bad", [
+    {"te": math.nan}, {"cde": math.nan}, {"cde": math.inf, "te": math.inf},
+    {"nie": -math.inf},
+])
+def test_single_mediator_values_must_be_finite(bad):
+    # NaN compares False with any tolerance, and inf - inf is NaN
+    values = dict(cde=1.0, int_ref=0.0, int_med=1.0, pie=1.0, nde=1.0, nie=2.0,
+                  te=3.0)
+    with pytest.raises(EstimationError, match="not finite"):
+        SingleMediatorComponents(**(values | bad))
+
+
+def test_single_mediator_tolerance_scales_with_the_terms():
+    # terms near 1e12 that cancel to TE = 0.1: their sum is off by about 1e-4
+    # from rounding, within 1e-10 of the summed |terms| though not of |TE|
+    cde, int_ref = 1e12 + 0.1, -1e12
+    SingleMediatorComponents(cde, int_ref, 0.0, 0.0, nde=cde, nie=int_ref, te=0.1)
+    with pytest.raises(EstimationError, match="four-way identity violated"):
+        SingleMediatorComponents(cde, int_ref, 0.0, 0.0, nde=cde, nie=int_ref, te=1e3)
+
+
 def test_component_values_must_be_finite():
     comps, aggs = _consistent_sequential_set()
     bad = dict(comps)

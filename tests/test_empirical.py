@@ -2,17 +2,20 @@
 
 import dataclasses
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    _check_coverage,
     assert_same_outcome,
     loop_decompose_empirical_sequential,
     loop_estimate_tables,
+    loop_tally_tables,
     outcome,
     random_binary_scm,
 )
@@ -28,6 +31,7 @@ from twomed import (
     enumerate_binary_components,
     estimate_tables,
 )
+import twomed.empirical
 from twomed.empirical import CellCoder
 
 CFG = ReferenceConfig(
@@ -336,6 +340,98 @@ def test_cell_coded_tables_equal_the_row_loop(case):
         assert getattr(full, name) == getattr(want, name), name
 
 
+_NAMED_CELL = re.compile(
+    r"no data for E\[Y \| A=(.+), M1=(.+), M2=(.+), c=\((.*)\)\]$")
+
+
+def _m1_level_under_a_only():
+    # m1 = 1 only under a = 1: Pr(M2 | a* = 0, m1 = 1) is a structural zero,
+    # and the first missing entry is the outcome mean at (a*, 1, 0)
+    rows = np.array([(1, 0, 0), (0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 0, 1)], float)
+    d = Dataset(a=rows[:, 0], m1=rows[:, 1], m2=rows[:, 2], y=np.arange(5.0))
+    return d, np.arange(5), CFG
+
+
+@settings(max_examples=300, deadline=None)
+@given(_resampled_dataset())
+@example(_m1_level_under_a_only())
+def test_a_coverage_error_names_a_cell_the_row_tally_lacks(case):
+    """tables() names the first missing cell in the order of the written-out
+    sums, which can differ from the dict walk's first. The cell it names is
+    one the resample has no rows for, and the dict walk rejects the tables
+    too."""
+    d, idx, cfg = case
+    try:
+        CellCoder(d).tables(cfg, idx)
+        return
+    except ConfigError:
+        return
+    except EstimationError as exc:
+        named = _NAMED_CELL.match(str(exc))
+    assert named, "a count grid lacks only outcome means"
+    *cell, stratum = named.groups()
+    key = (*map(float, cell), tuple(float(v) for v in stratum.split(",") if v))
+    t = loop_tally_tables(d.take(idx))
+    assert key[1] in t.support_m1 and key[2] in t.support_m2
+    assert key not in t.p_y
+    with pytest.raises(EstimationError):
+        _check_coverage(t, cfg)
+
+
+def test_every_grid_route_decides_coverage_with_one_mask(monkeypatch):
+    """decompose_empirical_sequential and decompose_counts decide coverage
+    with _uncovered; tables() walks the cells and builds no grid."""
+    calls, grids = [], []
+    uncovered, grid = twomed.empirical._uncovered, CellCoder._grid
+
+    def counted(g):
+        calls.append(g.p1.shape[0])
+        return uncovered(g)
+
+    monkeypatch.setattr(twomed.empirical, "_uncovered", counted)
+    monkeypatch.setattr(CellCoder, "_grid",
+                        lambda self, *args: grids.append(1) or grid(self, *args))
+    d = _two_strata_dataset()
+    cfg = ReferenceConfig(
+        a=1.0, a_star=0.0, m1_star=0.3, m2_star=2.5,
+        covariates=(2.0,), topology=Topology.SEQUENTIAL,
+    )
+    coder = CellCoder(d)
+    t = coder.tables(cfg)
+    assert calls == grids == []
+    decompose_empirical_sequential(t, cfg)
+    assert calls == [1]
+    n, y_sum = coder.counts()
+    coder.decompose_counts(cfg, np.stack([n, n]), np.stack([y_sum, y_sum]))
+    assert calls == [1, 2] and grids == [1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_resampled_dataset())
+@example(_m1_level_under_a_only())
+def test_the_cell_walk_names_what_the_grid_walk_names(case):
+    """tables() walks the live cells alone. On the resample's count grid, the
+    grid walk passes or fails with it and names the same entry."""
+    d, idx, cfg = case
+    coder = CellCoder(d)
+    try:
+        coder.tables(cfg, idx)
+        want = None
+    except ConfigError:
+        return
+    except EstimationError as exc:
+        want = str(exc)
+    n, y_sum = coder.counts(idx)
+    levels = twomed.empirical._cfg_levels(cfg, *coder.levels)
+    try:
+        twomed.empirical._require_covered(
+            coder._grid(levels, n[None], y_sum[None]), levels)
+        got = None
+    except EstimationError as exc:
+        got = str(exc)
+    assert got == want
+
+
 def _two_strata_dataset():
     # every (a, m1, m2) cell once in each of two strata, outcomes non-dyadic
     rows = [(a, m1, m2, c) for c in (-0.5, 2.0) for a in (0.0, 1.0)
@@ -398,6 +494,34 @@ def test_continuous_mediators_fail_the_coverage_walk_without_the_zero_fill():
     finally:
         tracemalloc.stop()
     assert str(got.value) == str(want.value)
+    assert peak < 5 * 2**20, peak / 2**20
+
+
+def test_continuous_mediators_in_one_stratum_fail_without_the_grid():
+    # no covariates: the stratum's grid would be (2, n, n); the reference
+    # cells are held, and the first m1 level held under a* lacks (a, m2*)
+    rng = np.random.default_rng(22)
+    n = 2000
+    a = rng.integers(0, 2, n).astype(float)
+    m1, m2, y = rng.normal(size=(3, n))
+    a[:3] = (1.0, 0.0, 0.0)
+    m1[0] = m1[1] = m1.min() - 1.0
+    m1[2] = m1[0] + 0.5
+    m2[1] = m2[0]
+    d = Dataset(a=a, m1=m1, m2=m2, y=y)
+    cfg = ReferenceConfig(
+        a=1.0, a_star=0.0, m1_star=float(m1[0]), m2_star=float(m2[0]),
+        covariates=(), topology=Topology.SEQUENTIAL,
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(EstimationError) as got:
+            estimate_tables(d, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(got.value) == (
+        f"no data for E[Y | A=1, M1={float(m1[2])!r}, M2={float(m2[0])!r}, c=()]")
     assert peak < 5 * 2**20, peak / 2**20
 
 

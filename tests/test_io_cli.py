@@ -600,6 +600,105 @@ def test_cli_dump_tables_takes_the_empirical_estimators_own_tables(
     assert not dump.exists()
 
 
+def test_cli_closed_form_dumps_the_nonsequential_tables(runner, tmp_path):
+    """The tables do not depend on the topology; the closed-form run checks
+    them against a non-sequential configuration and writes them."""
+    scm = parse_scm_spec(BINARY_SPEC, Topology.SEQUENTIAL)
+    d = simulate_dataset(scm, n=400, seed=6)
+    data = str(tmp_path / "bin.csv")
+    write_dataset_csv(d, data)
+    config = {"m1_star": 0, "m2_star": 0, "topology": "nonsequential"}
+    cfg = _write(tmp_path / "cfg.json", json.dumps(config))
+    dump = tmp_path / "tables.json"
+    res = runner.invoke(main, [
+        "analyze", "--data", data, "--config", cfg, "--bootstrap-B", "100",
+        "--estimator", "closed-form", "--topology", "nonsequential",
+        "--dump-tables", str(dump),
+    ])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.stdout)["topology"] == "nonsequential"
+    loaded, _ = load_dataset(data, build_run_config(None, data=data))
+    cfg_obj, _ = resolve_reference(build_run_config(config, data=data), loaded)
+    assert cfg_obj.topology is Topology.NONSEQUENTIAL
+    assert dump.read_text() == twomed.empirical.estimate_tables(loaded, cfg_obj).to_json()
+
+
+@pytest.mark.parametrize("command, flag, code, what", [
+    ("analyze", "--data", 3, "data"),
+    ("analyze", "--config", 2, "config"),
+    ("simulate", "--spec", 2, "model spec"),
+    ("validate", "--spec", 2, "model spec"),
+])
+def test_cli_an_input_path_that_cannot_be_opened_exits_like_a_missing_one(
+    runner, tmp_path, command, flag, code, what
+):
+    # a directory: it exists, and open() raises IsADirectoryError
+    rest = {
+        "analyze": ["--data", _linear_csv(tmp_path), "--bootstrap-B", "100"],
+        "simulate": ["--n", "30", "--data", str(tmp_path / "sim.csv")],
+        "validate": [],
+    }[command]
+    res = runner.invoke(main, [command, *rest, flag, str(tmp_path)])
+    assert res.exit_code == code, res.output
+    assert res.stderr.splitlines() == [
+        f"error: {what} file {tmp_path} cannot be opened: Is a directory"
+    ]
+    missing = runner.invoke(main, [command, *rest, flag, str(tmp_path / "none")])
+    assert missing.exit_code == code, missing.output
+
+
+def test_cli_a_config_that_is_not_utf8_exits_2(runner, tmp_path):
+    config = tmp_path / "run.json"
+    config.write_bytes(b'{"seed": "caf\xe9"}')
+    res = runner.invoke(main, ["analyze", "--data", _linear_csv(tmp_path),
+                               "--config", str(config)])
+    assert res.exit_code == 2, res.output
+    assert res.stderr.startswith(f"error: config file {config} is not valid JSON")
+
+
+def test_cli_an_unwritable_tables_path_exits_2_before_the_bootstrap(
+    runner, tmp_path, monkeypatch
+):
+    def no_bootstrap(*args, **kwargs):
+        raise AssertionError("the bootstrap ran before the path check")
+
+    monkeypatch.setattr(twomed.cli, "bootstrap_decomposition", no_bootstrap)
+    data = _linear_csv(tmp_path)
+    for dump, reason in [(tmp_path / "none" / "t.json", "No such file or directory"),
+                         (tmp_path, "Is a directory")]:
+        res = runner.invoke(main, ["analyze", "--data", data, "--bootstrap-B", "100",
+                                   "--dump-tables", str(dump)])
+        assert res.exit_code == 2, res.output
+        assert res.stderr.splitlines() == [
+            f"error: --dump-tables path {dump} cannot be written: {reason}"
+        ]
+    # a path the check could write is left as it was found: absent
+    dump = tmp_path / "t.json"
+    res = runner.invoke(main, ["analyze", "--data", data, "--bootstrap-B", "100",
+                               "--dump-tables", str(dump)])
+    assert res.exit_code == 2, res.output
+    assert "m1 reference level" in res.stderr
+    assert not dump.exists()
+
+
+def test_cli_simulate_checks_its_output_paths_before_writing(runner, tmp_path):
+    spec = _write(tmp_path / "spec.json", json.dumps(LINEAR_SPEC))
+    data, truth = tmp_path / "sim.csv", tmp_path / "none" / "truth.json"
+    res = runner.invoke(main, ["simulate", "--spec", spec, "--n", "30",
+                               "--data", str(data), "--truth", str(truth)])
+    assert res.exit_code == 2, res.output
+    assert res.stderr.splitlines() == [
+        f"error: --truth path {truth} cannot be written: No such file or directory"
+    ]
+    assert not data.exists()
+    res = runner.invoke(main, ["simulate", "--spec", spec, "--n", "30",
+                               "--data", str(tmp_path)])
+    assert res.exit_code == 2, res.output
+    assert res.stderr.splitlines() == [
+        f"error: --data path {tmp_path} cannot be written: Is a directory"
+    ]
+
+
 def test_cli_exit_code_2_for_config_problems(runner, tmp_path):
     res = runner.invoke(main, ["analyze"])
     assert res.exit_code == 2
