@@ -136,9 +136,14 @@ def bootstrap_decomposition(
     if estimator == "closed-form":
         point = _closed_form_estimate(d, cfg)
         fitter = CountWeightedFit(d, cfg.topology)
+        # one count block for every chunk: a fresh one per chunk would be
+        # allocated while the last is still held. It is allocated right after
+        # the fitter's set-up, so it can take the memory the set-up's
+        # temporaries have just freed.
+        block = np.empty((min(chunk, B), n))
         for start in range(0, B, chunk):
             reps = range(start, min(start + chunk, B))
-            counts = np.empty((len(reps), n))
+            counts = block[: len(reps)]
             for row, b in zip(counts, reps):
                 row[:] = np.bincount(_resample_indices(seed, b, n), minlength=n)
             coefficients, ok = fitter.fit(counts, _COND_LIMIT)

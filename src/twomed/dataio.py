@@ -84,6 +84,16 @@ class RunConfig:
             raise ConfigError(
                 f"output must be one of {OUTPUT_FORMATS}, got {self.output!r}"
             )
+        if not isinstance(self.covariates, (list, tuple)) or not all(
+            isinstance(c, str) for c in self.covariates
+        ):
+            raise ConfigError(
+                f"covariates must be a list of column names, got {self.covariates!r}"
+            )
+        if not isinstance(self.covariate_values, (list, tuple)):
+            raise ConfigError(
+                f"covariate_values must be a list, got {self.covariate_values!r}"
+            )
         object.__setattr__(self, "covariates", tuple(self.covariates))
         cv = self.covariate_values
         if not cv:
@@ -104,11 +114,9 @@ class RunConfig:
         for v, cname in zip(self.covariate_values, self.covariates):
             if v != "mean":
                 _as_number(v, f"covariate_values[{cname}]")
-        if int(self.bootstrap_B) != self.bootstrap_B:
-            raise ConfigError(f"bootstrap_B must be an integer, got {self.bootstrap_B!r}")
-        object.__setattr__(self, "bootstrap_B", int(self.bootstrap_B))
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "level", float(self.level))
+        for name in ("bootstrap_B", "seed"):
+            object.__setattr__(self, name, _as_integer(getattr(self, name), name))
+        object.__setattr__(self, "level", _as_number(self.level, "level"))
 
     @property
     def topology_enum(self) -> Topology:
@@ -122,6 +130,15 @@ def _as_number(v, path: str) -> float:
     if not math.isfinite(x):
         raise ConfigError(f"{path}: expected a finite number, got {v!r}")
     return x
+
+
+def _as_integer(v, name: str) -> int:
+    """An integral number, as an int; a bool is no number here."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or (
+        isinstance(v, float) and not v.is_integer()
+    ):
+        raise ConfigError(f"{name} must be an integer, got {v!r}")
+    return int(v)
 
 
 def _open_input(path: str, what: str, error: type, **kwargs):
@@ -162,10 +179,6 @@ def build_run_config(config_obj: dict | None, **overrides) -> RunConfig:
     for key, val in overrides.items():
         if val is not None:
             merged[key] = val
-    if "covariates" in merged and merged["covariates"] is not None:
-        merged["covariates"] = tuple(merged["covariates"])
-    if "covariate_values" in merged and merged["covariate_values"] is not None:
-        merged["covariate_values"] = tuple(merged["covariate_values"])
     try:
         return RunConfig(**merged)
     except TypeError as exc:

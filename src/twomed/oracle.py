@@ -18,6 +18,7 @@ nested-world evaluator per topology, on scalars or on arrays of individuals.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -414,9 +415,9 @@ def _dot(coeffs: tuple[float, ...], values: tuple[float, ...], label: str) -> fl
     return float(np.dot(coeffs, values)) if coeffs else 0.0
 
 
-# Individuals per block of the Monte Carlo oracle: every counterfactual world
-# and contrast is evaluated on one block at a time, so its temporaries stay
-# cache-sized (128 KiB per array) whatever n is.
+# Individuals per block of the Monte Carlo oracle: the errors are drawn, and
+# every counterfactual world and contrast is evaluated, one block at a time,
+# so its arrays stay cache-sized (128 KiB each) whatever n is.
 _MC_BLOCK = 16_384
 
 
@@ -439,6 +440,22 @@ def _linear_contrasts(scm, cfg, t8c, b4c, g2c, e1, e2, ey):
     return comps | aggs
 
 
+def _error_streams(rng, m):
+    """Three generators that draw a shard's e1, e2 and ey, in that order, one
+    block at a time, giving the values that whole-shard draws of m each from
+    rng would give. Each starts at rng's state where its error's whole-shard
+    draw starts. normal(0, sigma) consumes the bits of standard_normal, so
+    drawing e1 and then e2 as standard normals into a block buffer finds the
+    last two starts."""
+    streams = []
+    buf = np.empty(min(m, _MC_BLOCK))
+    for _ in range(2):
+        streams.append(copy.deepcopy(rng))
+        for lo in range(0, m, _MC_BLOCK):
+            rng.standard_normal(out=buf[: min(_MC_BLOCK, m - lo)])
+    return streams + [rng]
+
+
 def simulate_linear_components(
     scm: LinearScm,
     cfg: ReferenceConfig,
@@ -455,8 +472,9 @@ def simulate_linear_components(
     in blocks of _MC_BLOCK individuals, and the per-block sums are merged with
     exact compensated summation, so the result is deterministic given (seed,
     shards) and the fixed block size, and does not depend on merge order.
-    Memory is the error triple, 24 bytes per individual of a shard, plus one
-    block of temporaries.
+    The errors are drawn block by block too (_error_streams), with the values
+    whole-shard draws would give, so memory is one block of errors and
+    temporaries whatever n is.
     """
     if n < 1:
         raise ConfigError(f"n must be at least 1, got {n}")
@@ -476,16 +494,13 @@ def simulate_linear_components(
     base = n // shards
     counts = [base + (1 if i < n % shards else 0) for i in range(shards)]
 
+    sigmas = (scm.sigma_m1, scm.sigma_m2, scm.sigma_y)
     for shard_idx, m in enumerate(counts):
-        rng = np.random.default_rng([seed, shard_idx])
-        e1 = rng.normal(0.0, scm.sigma_m1, size=m)
-        e2 = rng.normal(0.0, scm.sigma_m2, size=m)
-        ey = rng.normal(0.0, scm.sigma_y, size=m)
+        streams = _error_streams(np.random.default_rng([seed, shard_idx]), m)
         for lo in range(0, m, _MC_BLOCK):
-            block = slice(lo, lo + _MC_BLOCK)
-            values = _linear_contrasts(
-                scm, cfg, t8c, b4c, g2c, e1[block], e2[block], ey[block]
-            )
+            size = min(_MC_BLOCK, m - lo)
+            e1, e2, ey = (g.normal(0.0, s, size=size) for g, s in zip(streams, sigmas))
+            values = _linear_contrasts(scm, cfg, t8c, b4c, g2c, e1, e2, ey)
             for k, arr in values.items():
                 sums[k].append(float(np.sum(arr)))
                 # not np.dot: BLAS threads would spin for every short product

@@ -252,6 +252,11 @@ def fit_all(d: Dataset, topology: Topology) -> FittedModels:
     )
 
 
+# Data rows per slice of the count-weighted sums (CountWeightedFit.fit): one
+# slice of the column rows, 32 KiB per row, stays cache-sized whatever n is.
+_SLICE_ROWS = 4096
+
+
 class CountWeightedFit:
     """Refits of all three models under row-count weights, against one QR.
 
@@ -265,33 +270,51 @@ class CountWeightedFit:
     to n times the identity for a typical resample, so these small solves are
     well conditioned.
 
-    Every count-weighted sum a chunk of replicates needs comes from one
-    product counts @ columns.T. Each row of columns is one column of
+    Every count-weighted sum a chunk of replicates needs is a product
+    counts @ columns.T, where each row of columns is one column of
     [q_i * q_j for i <= j | r0 * Q_p, r0^2 per model]; a model's G is the
-    leading p x p block of the outcome model's.
+    leading p x p block of the outcome model's. The fitter keeps only Q' and
+    each model's r0, and fit builds the columns for _SLICE_ROWS data rows at
+    a time into one buffer, so its memory beyond Q' and the counts does not
+    grow with n. The buffer is refilled only for a slice it does not hold:
+    with n <= _SLICE_ROWS, once per fitter.
     """
 
     def __init__(self, d: Dataset, topology: Topology):
         self._n = d.n
         self._topology = topology
         q, self._r, models = _nested_qr(d, topology)
-        qt = np.ascontiguousarray(q.T)  # rows, to write each product in one pass
+        self._qt = np.ascontiguousarray(q.T)  # rows, to write each product in one pass
         del q
-        self._pairs = np.triu_indices(qt.shape[0])
-        n_rows = len(self._pairs[0]) + sum(len(m[0]) + 1 for m in models.values())
-        self._columns = np.empty((n_rows, d.n))
-        for row, (i, j) in enumerate(zip(*self._pairs)):
-            np.multiply(qt[i], qt[j], out=self._columns[row])
-        row = len(self._pairs[0])
+        self._pairs = np.triu_indices(len(self._r))
         # cond(R_p) per distinct block: non-sequential m1 and m2 share theirs
         self._models, self._cond_r = {}, {}
+        row = len(self._pairs[0])
         for key, (cols, z0, r0, s) in models.items():
             p = len(cols)
-            np.multiply(qt[:p], r0, out=self._columns[row : row + p])
-            np.multiply(r0, r0, out=self._columns[row + p])
-            self._models[key] = (cols, z0, row)
+            self._models[key] = (cols, z0, r0, row)
             self._cond_r[p] = s[0] / s[-1]
             row += p + 1
+        self._n_columns = row
+        # the slice buffer, allocated by the first fit, and the first data
+        # row of the slice it holds
+        self._buffer = self._held = None
+
+    def _columns(self, lo: int, hi: int) -> np.ndarray:
+        """Data rows lo:hi of columns, held in the slice buffer."""
+        qt, out = self._qt[:, lo:hi], self._buffer[:, : hi - lo]
+        if self._held == lo:
+            return out
+        at = 0
+        for i in range(len(qt)):  # the pairs (i, j >= i), in triu_indices order
+            np.multiply(qt[i], qt[i:], out=out[at : at + len(qt) - i])
+            at += len(qt) - i
+        for cols, _, r0, row in self._models.values():
+            p, r0 = len(cols), r0[lo:hi]
+            np.multiply(qt[:p], r0, out=out[row : row + p])
+            np.multiply(r0, r0, out=out[row + p])
+        self._held = lo
+        return out
 
     def fit(self, counts: np.ndarray, cond_limit: float):
         """Coefficients for every row of a (replicates, n) count matrix.
@@ -304,7 +327,16 @@ class CountWeightedFit:
         meaningless.
         """
         reps = counts.shape[0]
-        sums = counts @ self._columns.T
+        if self._buffer is None:
+            # not at set-up: allocated there, the buffer took part of the
+            # memory the set-up's temporaries had just freed, and the
+            # bootstrap's count block no longer fit in it (sim-study analyze
+            # peak RSS 74 against 62 MB)
+            self._buffer = np.empty((self._n_columns, min(self._n, _SLICE_ROWS)))
+        sums = np.zeros((reps, self._n_columns))
+        for lo in range(0, self._n, _SLICE_ROWS):
+            hi = min(lo + _SLICE_ROWS, self._n)
+            sums += counts[:, lo:hi] @ self._columns(lo, hi).T
         gram = np.empty((reps,) + self._r.shape)
         iu, il = self._pairs, self._pairs[::-1]
         gram[:, iu[0], iu[1]] = gram[:, il[0], il[1]] = sums[:, : len(iu[0])]
@@ -317,7 +349,7 @@ class CountWeightedFit:
         # skipped replicates must not make solve raise
         gram[~ok] = np.eye(len(self._r))
         fits, rss = {}, {}
-        for key, (cols, z0, row) in self._models.items():
+        for key, (cols, z0, _, row) in self._models.items():
             p = len(cols)
             h = sums[:, row : row + p]
             dz = np.linalg.solve(gram[:, :p, :p], h[:, :, None])[:, :, 0]

@@ -38,6 +38,7 @@ from twomed.core import (
     TDE,
     TE,
 )
+from twomed import oracle
 from twomed.empirical import _cfg_levels, _level, _level_str, _stratum_str
 from twomed.oracle import _BIN, _check_binary_cfg, _dot, _linear_contrasts
 from twomed.regression import (
@@ -361,6 +362,39 @@ def loop_simulate_linear_components(scm, cfg, n, seed, shards=1):
         for k, arr in values.items():
             sums.setdefault(k, []).append(float(np.sum(arr)))
             sumsqs.setdefault(k, []).append(float(np.sum(arr * arr)))
+    means = {k: math.fsum(v) / n for k, v in sums.items()}
+    ses = {}
+    for k, mean in means.items():
+        var = max(math.fsum(sumsqs[k]) - n * mean ** 2, 0.0) / (n - 1) if n > 1 else 0.0
+        ses[k] = math.sqrt(var / n)
+    return means, ses
+
+
+def loop_simulate_with_whole_shard_draws(scm, cfg, n, seed, shards=1):
+    """The Monte Carlo oracle drawing each shard's errors whole, then
+    evaluating them in blocks of oracle._MC_BLOCK individuals: the reference
+    whose means and standard errors, returned as two dicts by name, the
+    package's block-drawn simulate_linear_components must match bit for
+    bit."""
+    t8c = _dot(scm.theta_c, cfg.covariates, "outcome")
+    b4c = _dot(scm.beta_c, cfg.covariates, "m2")
+    g2c = _dot(scm.gamma_c, cfg.covariates, "m1")
+    sums, sumsqs = {}, {}
+    base = n // shards
+    for shard_idx in range(shards):
+        m = base + (1 if shard_idx < n % shards else 0)
+        rng = np.random.default_rng([seed, shard_idx])
+        e1 = rng.normal(0.0, scm.sigma_m1, size=m)
+        e2 = rng.normal(0.0, scm.sigma_m2, size=m)
+        ey = rng.normal(0.0, scm.sigma_y, size=m)
+        for lo in range(0, m, oracle._MC_BLOCK):
+            block = slice(lo, lo + oracle._MC_BLOCK)
+            values = _linear_contrasts(
+                scm, cfg, t8c, b4c, g2c, e1[block], e2[block], ey[block]
+            )
+            for k, arr in values.items():
+                sums.setdefault(k, []).append(float(np.sum(arr)))
+                sumsqs.setdefault(k, []).append(float(np.einsum("i,i->", arr, arr)))
     means = {k: math.fsum(v) / n for k, v in sums.items()}
     ses = {}
     for k, mean in means.items():

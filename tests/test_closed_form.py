@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import twomed.oracle
 from conftest import (
     loop_simulate_linear_components,
+    loop_simulate_with_whole_shard_draws,
     random_linear_scm,
     random_reference,
 )
@@ -449,6 +450,46 @@ def test_blocked_monte_carlo_memory_does_not_grow_with_the_temporaries():
         tracemalloc.stop()
     # three error draws of 4.8 MB each plus one block of temporaries
     assert peak <= 16 * 2**20, peak / 2**20
+
+
+@pytest.mark.parametrize("topology", list(Topology))
+@pytest.mark.parametrize("shards", [1, 3])
+@pytest.mark.parametrize("block", [7, None], ids=["block-7", "default-block"])
+def test_block_drawn_errors_are_the_whole_shard_draws(
+    monkeypatch, topology, shards, block
+):
+    """Each error drawn a block at a time from its own generator gives the
+    values of the whole-shard draws, so every mean and SE is bit for bit the
+    same, partial last blocks included."""
+    if block is None:
+        n = 3 * twomed.oracle._MC_BLOCK + 5
+    else:
+        monkeypatch.setattr(twomed.oracle, "_MC_BLOCK", block)
+        n = 1_000
+    rng = np.random.default_rng(18)
+    scm = random_linear_scm(rng, sequential=topology is Topology.SEQUENTIAL)
+    cfg = random_reference(rng, topology)
+    got = simulate_linear_components(scm, cfg, n=n, seed=6, shards=shards)
+    want_means, want_ses = loop_simulate_with_whole_shard_draws(
+        scm, cfg, n=n, seed=6, shards=shards
+    )
+    assert got.components.components | got.components.aggregates == want_means
+    assert dict(got.standard_errors) == want_ses
+
+
+def test_monte_carlo_memory_does_not_grow_with_n():
+    """Errors drawn a block at a time: the oracle's peak at n = 2,000,000 is
+    under the 48 MB that the whole error triple would take alone."""
+    rng = np.random.default_rng(19)
+    scm = random_linear_scm(rng, sequential=False)
+    cfg = random_reference(rng, Topology.NONSEQUENTIAL)
+    tracemalloc.start()
+    try:
+        simulate_linear_components(scm, cfg, n=2_000_000, seed=9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20, peak / 2**20
 
 
 def _signed_power(exponent, negative):

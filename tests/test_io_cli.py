@@ -656,6 +656,26 @@ def test_cli_a_config_that_is_not_utf8_exits_2(runner, tmp_path):
     assert res.stderr.startswith(f"error: config file {config} is not valid JSON")
 
 
+@pytest.mark.parametrize("entry", [
+    {"seed": 1.5},
+    {"seed": True},
+    {"level": "x"},
+    {"covariates": 5},
+    {"covariate_values": 3},
+], ids=lambda entry: "-".join(map(str, *entry.items())))
+def test_cli_a_config_value_of_the_wrong_type_exits_2(runner, tmp_path, entry):
+    """A seed must be an integer and not a bool, so that a run's seed is the
+    one its config names; a level a number; covariates and their values
+    lists."""
+    config = _write(tmp_path / "run.json", json.dumps({"seed": 3, **entry}))
+    res = runner.invoke(main, ["analyze", "--data", _linear_csv(tmp_path),
+                               "--config", config, "--bootstrap-B", "100"])
+    assert res.exit_code == 2, res.output
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr
+    assert next(iter(entry)) in lines[0]
+
+
 def test_cli_an_unwritable_tables_path_exits_2_before_the_bootstrap(
     runner, tmp_path, monkeypatch
 ):

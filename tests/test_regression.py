@@ -21,6 +21,7 @@ from twomed import (
     Topology,
     fit_all,
 )
+import twomed.regression
 from twomed.regression import CountWeightedFit
 
 
@@ -232,23 +233,47 @@ def test_count_weighted_fit_of_unit_counts_is_the_full_data_fit(topology, k):
 
 @pytest.mark.parametrize("k", [0, 2])
 @pytest.mark.parametrize("topology", list(Topology))
-def test_count_weighted_fit_set_up_holds_little_beyond_its_column_block(topology, k):
-    """The block holds the outcome Q's column pairs and, per model, r0 * Q_p
-    and r0^2: (p_y (p_y + 1) / 2 + sum (p + 1)) rows of n floats. Building it
-    costs at most a quarter more than it keeps, plus one design's worth."""
-    n = 20_000
-    d = _topology_dataset(topology, k, n=n)
-    widths = [len(names) for names in fit_all(d, topology).design_names.values()]
+def test_count_weighted_fit_memory_does_not_grow_beyond_q(topology, k):
+    """The fitter keeps the outcome model's Q' and each model's r0, and builds
+    the count-weighted sums' columns one slice of rows at a time. So its
+    set-up peaks under four copies of the n x p_y outcome design, and a fit's
+    peak beyond its count block is the same at n = 20,000 as at 200,000."""
     p_y = 8 + k
-    tracemalloc.start()
-    try:
-        fitter = CountWeightedFit(d, topology)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    columns = fitter._columns
-    assert columns.nbytes == (p_y * (p_y + 1) // 2 + sum(p + 1 for p in widths)) * n * 8
-    assert peak <= 1.25 * columns.nbytes + n * p_y * 8
+    fit_peaks = []
+    for n in (20_000, 200_000):
+        d = _topology_dataset(topology, k, n=n)
+        counts = np.random.default_rng(n).integers(0, 3, (8, n)).astype(float)
+        tracemalloc.start()
+        try:
+            fitter = CountWeightedFit(d, topology)
+            set_up = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            fitter.fit(counts, 1e8)
+            fit_peaks.append(tracemalloc.get_traced_memory()[1] - held)
+        finally:
+            tracemalloc.stop()
+        assert set_up <= 4 * n * p_y * 8, (n, set_up / (n * p_y * 8))
+    assert fit_peaks[1] <= fit_peaks[0] + 2**16, fit_peaks
+
+
+def test_count_weighted_fit_refills_its_slices_for_every_call(monkeypatch):
+    """With the rows in three slices, a second fit on other counts matches a
+    fresh fitter's bit for bit, so no stale slice is reused; and the sliced
+    sums agree with the one-slice sums to rounding."""
+    d = _topology_dataset(Topology.SEQUENTIAL, 2, n=150)
+    rng = np.random.default_rng(4)
+    first, second = (rng.integers(0, 3, (4, d.n)).astype(float) for _ in range(2))
+    whole, _ = CountWeightedFit(d, Topology.SEQUENTIAL).fit(second, 1e8)
+    monkeypatch.setattr(twomed.regression, "_SLICE_ROWS", 64)
+    fitter = CountWeightedFit(d, Topology.SEQUENTIAL)
+    fitter.fit(first, 1e8)
+    got, _ = fitter.fit(second, 1e8)
+    want, _ = CountWeightedFit(d, Topology.SEQUENTIAL).fit(second, 1e8)
+    for name in got._fields:
+        g = np.asarray(getattr(got, name))
+        assert np.array_equal(g, np.asarray(getattr(want, name))), name
+        assert np.allclose(g, np.asarray(getattr(whole, name)), rtol=1e-10), name
 
 
 @pytest.mark.parametrize("topology", list(Topology))
