@@ -8,12 +8,13 @@ with more than 5% exclusions is invalid.
 
 The closed-form estimator handles a chunk of replicates at once: each
 replicate's indices become a row of counts, CountWeightedFit solves the
-count-weighted least-squares problems of the whole chunk against one QR of the
-full data, and decompose_closed_form_batch evaluates the closed forms and
-checks the component-set identities on the chunk's coefficient arrays. A
-replicate whose resampled design is not clearly full rank is refit from its
-copied rows and decomposed on its own instead, so failures are decided
-exactly as a plain per-replicate refit decides them.
+count-weighted least-squares problems of the whole chunk against the one QR of
+the full data that also gives the point fit, and decompose_closed_form_batch
+evaluates the closed forms and checks the component-set identities on the
+chunk's coefficient arrays. A replicate whose resampled design is not
+clearly full rank is refit from its copied rows and decomposed on its own
+instead, so failures are decided exactly as a plain per-replicate refit
+decides them.
 
 The empirical-categorical estimator codes each row's table cell once
 (CellCoder). A replicate's cell counts and outcome sums then come from two
@@ -91,7 +92,7 @@ def _resample_indices(seed: int, b: int, n: int) -> np.ndarray:
 
 
 def _closed_form_estimate(d: Dataset, cfg: ReferenceConfig) -> ComponentSet:
-    """The closed-form estimate: fit, then decompose."""
+    """The closed-form estimate of a resample: fit, then decompose."""
     return decompose_closed_form(fit_all(d, cfg.topology).coefficients, cfg)
 
 
@@ -118,6 +119,8 @@ def bootstrap_decomposition(
     """
     if B < 100:
         raise ConfigError(f"bootstrap needs B >= 100 replicates, got {B}")
+    if B > 1_000_000:  # kept values, 112 MB at most, and their copies
+        raise ConfigError(f"bootstrap needs B <= 1000000 replicates, got {B}")
     if not (0.0 < level < 1.0):
         raise ConfigError(f"confidence level must be in (0, 1), got {level}")
     if seed < 0:
@@ -134,12 +137,10 @@ def bootstrap_decomposition(
     chunk = _chunk_size(n)
     tables = None
     if estimator == "closed-form":
-        point = _closed_form_estimate(d, cfg)
         fitter = CountWeightedFit(d, cfg.topology)
+        point = decompose_closed_form(fitter.full_fit.coefficients, cfg)
         # one count block for every chunk: a fresh one per chunk would be
-        # allocated while the last is still held. It is allocated right after
-        # the fitter's set-up, so it can take the memory the set-up's
-        # temporaries have just freed.
+        # allocated while the last is still held
         block = np.empty((min(chunk, B), n))
         for start in range(0, B, chunk):
             reps = range(start, min(start + chunk, B))

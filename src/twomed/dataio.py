@@ -84,6 +84,12 @@ class RunConfig:
             raise ConfigError(
                 f"output must be one of {OUTPUT_FORMATS}, got {self.output!r}"
             )
+        for name in ("data", "exposure", "m1", "m2", "outcome"):
+            v = getattr(self, name)
+            if not isinstance(v, str) and not (name == "data" and v is None):
+                raise ConfigError(f"{name} must be a string, got {v!r}")
+        if not isinstance(self.log_m2, bool):
+            raise ConfigError(f"log_m2 must be true or false, got {self.log_m2!r}")
         if not isinstance(self.covariates, (list, tuple)) or not all(
             isinstance(c, str) for c in self.covariates
         ):

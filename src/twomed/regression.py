@@ -192,6 +192,8 @@ def _nested_qr(d: Dataset, topology: Topology):
     the leading blocks of Q and R, so each model, by its design columns, has
     z0 = Q_p'y, the residual r0 = y - Q_p z0 and its design's singular values,
     those of R_p."""
+    if not isinstance(topology, Topology):
+        raise ConfigError(f"unknown topology {topology!r}")
     if d.n <= 8 + d.k:
         raise DataError(
             f"need more than {8 + d.k} rows to fit the outcome design, got {d.n}"
@@ -216,11 +218,9 @@ def _nested_qr(d: Dataset, topology: Topology):
     return q, r, models
 
 
-def fit_all(d: Dataset, topology: Topology) -> FittedModels:
-    """Fit the outcome and both mediator models, returning plug-in coefficients."""
-    if not isinstance(topology, Topology):
-        raise ConfigError(f"unknown topology {topology!r}")
-    _, r, models = _nested_qr(d, topology)
+def _read_fits(d: Dataset, topology: Topology, r: np.ndarray, models) -> FittedModels:
+    """Every model's fit, read off R and the models of _nested_qr: the rank
+    decision, coefficients, covariances, standard errors and R^2."""
     names = _design_names(topology, d.covariate_names)
     fits, stderr, r2, vcov, rss = {}, {}, {}, {}, {}
     for key, (cols, z0, r0, s) in models.items():
@@ -252,6 +252,11 @@ def fit_all(d: Dataset, topology: Topology) -> FittedModels:
     )
 
 
+def fit_all(d: Dataset, topology: Topology) -> FittedModels:
+    """Fit the outcome and both mediator models, returning plug-in coefficients."""
+    return _read_fits(d, topology, *_nested_qr(d, topology)[1:])
+
+
 # Data rows per slice of the count-weighted sums (CountWeightedFit.fit): one
 # slice of the column rows, 32 KiB per row, stays cache-sized whatever n is.
 _SLICE_ROWS = 4096
@@ -261,29 +266,31 @@ class CountWeightedFit:
     """Refits of all three models under row-count weights, against one QR.
 
     A bootstrap resample that takes row i w_i times has the same least-squares
-    fit as the weighted problem min sum_i w_i (y_i - x_i b)^2. From the
-    full-data z0 and r0 of the nested QR (_nested_qr), as fit_all reads them,
-    a replicate's fit is z = z0 + dz, where G dz = h for G = Q_p' W Q_p and
-    h = Q_p' W r0, and b = R_p^{-1} z (least squares through QR, never X'WX
-    itself). Its residual sum of squares is sum w r0^2 - h'dz: the subtracted
-    term is O(p sigma^2) against O(n sigma^2), so nothing cancels. G is close
-    to n times the identity for a typical resample, so these small solves are
-    well conditioned.
+    fit as the weighted problem min sum_i w_i (y_i - x_i b)^2. The set-up
+    factors the full data once (_nested_qr) and first reads its fit, full_fit,
+    off that QR as fit_all does, so a design fit_all rejects fails here alike.
+    From the full-data z0 and r0, a replicate's fit is z = z0 + dz, where
+    G dz = h for G = Q_p' W Q_p and h = Q_p' W r0, and b = R_p^{-1} z (least
+    squares through QR, never X'WX itself). Its residual sum of squares is
+    sum w r0^2 - h'dz: the subtracted term is O(p sigma^2) against
+    O(n sigma^2), so nothing cancels. G is close to n times the identity for
+    a typical resample, so these small solves are well conditioned.
 
     Every count-weighted sum a chunk of replicates needs is a product
     counts @ columns.T, where each row of columns is one column of
     [q_i * q_j for i <= j | r0 * Q_p, r0^2 per model]; a model's G is the
     leading p x p block of the outcome model's. The fitter keeps only Q' and
     each model's r0, and fit builds the columns for _SLICE_ROWS data rows at
-    a time into one buffer, so its memory beyond Q' and the counts does not
-    grow with n. The buffer is refilled only for a slice it does not hold:
-    with n <= _SLICE_ROWS, once per fitter.
+    a time into one buffer, allocated at set-up, so its memory beyond Q' and
+    the counts does not grow with n. The buffer is refilled only for a slice
+    it does not hold: with n <= _SLICE_ROWS, once per fitter.
     """
 
     def __init__(self, d: Dataset, topology: Topology):
         self._n = d.n
         self._topology = topology
         q, self._r, models = _nested_qr(d, topology)
+        self.full_fit = _read_fits(d, topology, self._r, models)
         self._qt = np.ascontiguousarray(q.T)  # rows, to write each product in one pass
         del q
         self._pairs = np.triu_indices(len(self._r))
@@ -295,10 +302,9 @@ class CountWeightedFit:
             self._models[key] = (cols, z0, r0, row)
             self._cond_r[p] = s[0] / s[-1]
             row += p + 1
-        self._n_columns = row
-        # the slice buffer, allocated by the first fit, and the first data
-        # row of the slice it holds
-        self._buffer = self._held = None
+        # the slice buffer, and the first data row of the slice it holds
+        self._buffer = np.empty((row, min(self._n, _SLICE_ROWS)))
+        self._held = None
 
     def _columns(self, lo: int, hi: int) -> np.ndarray:
         """Data rows lo:hi of columns, held in the slice buffer."""
@@ -327,13 +333,7 @@ class CountWeightedFit:
         meaningless.
         """
         reps = counts.shape[0]
-        if self._buffer is None:
-            # not at set-up: allocated there, the buffer took part of the
-            # memory the set-up's temporaries had just freed, and the
-            # bootstrap's count block no longer fit in it (sim-study analyze
-            # peak RSS 74 against 62 MB)
-            self._buffer = np.empty((self._n_columns, min(self._n, _SLICE_ROWS)))
-        sums = np.zeros((reps, self._n_columns))
+        sums = np.zeros((reps, len(self._buffer)))
         for lo in range(0, self._n, _SLICE_ROWS):
             hi = min(lo + _SLICE_ROWS, self._n)
             sums += counts[:, lo:hi] @ self._columns(lo, hi).T

@@ -58,6 +58,28 @@ def test_parameter_validation():
         bootstrap_decomposition(d, CFG, B=100, estimator="ridge")
 
 
+@pytest.mark.parametrize("estimator", twomed.bootstrap.ESTIMATORS)
+def test_B_above_a_million_fails_before_any_replicate_is_drawn(monkeypatch, estimator):
+    """B is capped at 1,000,000: a larger B is a configuration error raised
+    before the first resample; the cap itself passes validation."""
+    class Drawn(Exception):
+        pass
+
+    def drawn(*args):
+        raise Drawn
+
+    monkeypatch.setattr(twomed.bootstrap, "_resample_indices", drawn)
+    rng = np.random.default_rng(2)
+    a, m1, m2 = rng.integers(0, 2, (3, 200)).astype(float)
+    d = Dataset(a=a, m1=m1, m2=m2, y=a + m1 + m2 + rng.normal(0.0, 1.0, 200))
+    cfg = ReferenceConfig(a=1.0, a_star=0.0, m1_star=0.0, m2_star=0.0,
+                          covariates=(), topology=Topology.SEQUENTIAL)
+    with pytest.raises(ConfigError, match="B <= 1000000"):
+        bootstrap_decomposition(d, cfg, B=1_000_001, estimator=estimator)
+    with pytest.raises(Drawn):
+        bootstrap_decomposition(d, cfg, B=1_000_000, estimator=estimator)
+
+
 def test_bitwise_determinism():
     d, _ = _noisy_dataset(3)
     one = bootstrap_decomposition(d, CFG, B=100, seed=11)
@@ -319,8 +341,8 @@ def test_count_weighted_engine_matches_reference_refits(monkeypatch, topology):
 
 
 @pytest.mark.parametrize("topology", list(Topology))
-def test_closed_form_bootstrap_factors_the_full_data_twice(monkeypatch, topology):
-    """One QR for the point fit and one for the count-weighted refits; no
+def test_closed_form_bootstrap_factors_the_full_data_once(monkeypatch, topology):
+    """One QR serves the point fit and the count-weighted refits; no
     replicate leaves the batched route, so no other n-row array is factored."""
     d, _ = _noisy_dataset(14)
     cfg = ReferenceConfig(
@@ -335,7 +357,7 @@ def test_closed_form_bootstrap_factors_the_full_data_twice(monkeypatch, topology
     calls = count_linalg_calls(monkeypatch, n=d.n)
     r = bootstrap_decomposition(d, cfg, B=100, seed=3)
     assert r.failed_replicates == 0 and taken == []
-    assert calls == {"qr": 2}
+    assert calls == {"qr": 1}
 
 
 @pytest.mark.parametrize("topology", list(Topology))

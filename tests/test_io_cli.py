@@ -135,6 +135,18 @@ def test_run_config_validation():
         build_run_config(
             {"covariates": ["age", "sex"], "covariate_values": [1.0]}
         )
+    # a JSON boolean only: the string "false" would be true
+    for value in ("false", "true", 0, 1, None, [True]):
+        with pytest.raises(ConfigError, match="log_m2"):
+            build_run_config({"log_m2": value})
+    # column and path names are strings
+    for key in ("data", "exposure", "m1", "m2", "outcome"):
+        for value in (5, ["x"], {"x": 1}, True):
+            with pytest.raises(ConfigError, match=f"{key} must be a string"):
+                build_run_config({key: value})
+    for key in ("exposure", "m1", "m2", "outcome"):
+        with pytest.raises(ConfigError, match=f"{key} must be a string"):
+            build_run_config({key: None})
 
 
 def _write(path, text):
@@ -674,6 +686,20 @@ def test_cli_a_config_value_of_the_wrong_type_exits_2(runner, tmp_path, entry):
     lines = res.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr
     assert next(iter(entry)) in lines[0]
+
+
+@pytest.mark.parametrize("value", ["false", 0, None], ids=repr)
+def test_cli_a_log_m2_that_is_not_a_bool_exits_2(runner, tmp_path, value):
+    """A log_m2 string such as "false" is no JSON boolean: it fails, rather
+    than log-transforming m2 and dropping every row with m2 <= 0."""
+    config = _write(tmp_path / "run.json", json.dumps({"log_m2": value}))
+    res = runner.invoke(main, ["analyze", "--data", _linear_csv(tmp_path),
+                               "--config", config, "--bootstrap-B", "100"])
+    assert res.exit_code == 2, res.output
+    assert res.stdout == ""
+    assert res.stderr.splitlines() == [
+        f"error: log_m2 must be true or false, got {value!r}"
+    ]
 
 
 def test_cli_an_unwritable_tables_path_exits_2_before_the_bootstrap(

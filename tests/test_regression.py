@@ -349,14 +349,25 @@ def _rank_deficient_m1_design():
 def test_fit_all_matches_the_lstsq_reference(data):
     """One QR of the nested design gives the per-design lstsq fits: the same
     error, or coefficients, sigmas, covariances, R^2 and standard errors
-    within 1e-9 relative."""
+    within 1e-9 relative. The count-weighted fitter's full-data fit, its
+    second reader, gives the same error or fit_all's values bit for bit."""
     d, topology = data
     got = _fit_or_error(fit_all, d, topology)
     want = _fit_or_error(loop_fit_all, d, topology)
+    fitter = _fit_or_error(
+        lambda d, topology: CountWeightedFit(d, topology).full_fit, d, topology)
     if isinstance(want, tuple):
-        assert got == want
+        assert got == want == fitter
         return
     assert not isinstance(got, tuple), got
+    assert not isinstance(fitter, tuple), fitter
+    for field in dataclasses.fields(got):
+        g, f = getattr(got, field.name), getattr(fitter, field.name)
+        if field.name == "vcov":
+            assert g.keys() == f.keys()
+            assert all(np.array_equal(g[key], f[key]) for key in g), field.name
+        else:
+            assert g == f, field.name
 
     def close(g, w):
         g, w = np.asarray(g, dtype=float), np.asarray(w, dtype=float)
