@@ -41,11 +41,10 @@ from .core import (
     ReferenceConfig,
     Topology,
     component_names,
+    contrasts,
     identity_violations,
 )
 from .linear import VECTORS, ModelCoefficients, check_nonsequential_beta
-
-W_NAMES = tuple(W_SLOTS)
 
 
 class CoefficientBatch(NamedTuple):
@@ -348,18 +347,17 @@ def _rounding_scale(m, cfg, t8c, b4c, g2c):
 
 
 def _aggregates_from_w(m, cfg, t8c, b4c, g2c):
-    a, s = cfg.a, cfg.a_star
+    """PDE, TDE and SIE_M1 off the contrast table; TE from its own polynomial,
+    which the component-set identities check against them."""
+    level = {"a": cfg.a, "s": cfg.a_star}
     var1 = _var1(m)
 
-    def w(x, y, z):
+    def w(key):
+        x, y, z = (level[k] for k in key)
         return _w_value(m.theta, m.beta, m.gamma, var1, x, y, z, t8c, b4c, g2c)
 
-    return {
-        PDE: w(a, s, s) - w(s, s, s),
-        TDE: w(a, a, a) - w(s, a, a),
-        SIE_M1: w(s, a, a) - w(s, s, a),
-        TE: _te_polynomial(m, cfg, t8c, b4c, g2c),
-    }
+    aggs = contrasts((PDE, TDE, SIE_M1), w)
+    return aggs | {TE: _te_polynomial(m, cfg, t8c, b4c, g2c)}
 
 
 def decompose_nonsequential_closed_form(

@@ -6,6 +6,11 @@ combined term (the separate pieces would require a counterfactual that sets
 one mediator to two exposure levels at once, which no experiment can realize),
 so the sequential name set simply has no entry for them individually and a
 ComponentSet carrying one is unconstructible.
+
+CONTRASTS writes every component and aggregate of both topologies once, as a
+signed sum of nested worlds; contrasts() evaluates rows of it. The oracle's
+worlds, the table engine's aggregates and the closed form's W aggregates all
+read their values off it.
 """
 
 from __future__ import annotations
@@ -84,6 +89,29 @@ NONSEQUENTIAL_COMPONENT_NAMES: tuple[str, ...] = (
 
 AGGREGATE_NAMES: tuple[str, ...] = (PDE, TDE, SIE_M1, TE)
 
+# Every component and aggregate as a signed sum of nested worlds. World "xij"
+# is Y(x, M1 slot i, M2 slot j): x is the exposure, "a" for a and "s" for
+# a_star; a mediator slot is "a" or "s" for the natural value under that
+# exposure, M2's taken given the world's M1, or "r" for the reference level.
+# contrasts() adds each row's terms left to right, in the order written.
+CONTRASTS: dict[str, str] = {
+    CDE: "+arr -srr",
+    INT_REF_AM1: "+asr -ssr -arr +srr",
+    INT_REF_AM2: "+ars -srs -arr +srr",
+    INT_REF_AM1M2: "+ass -sss -ars +srs -asr +ssr +arr -srr",
+    INT_REF_AM2_PLUS_AM1M2: "+ass -asr -sss +ssr",
+    NATINT_AM1: "+aas -sas -ass +sss",
+    NATINT_AM2: "+asa -ssa -ass +sss",
+    NATINT_AM1M2: "+aaa -saa -asa +ssa -aas +sas +ass -sss",
+    NATINT_M1M2: "+saa -ssa -sas +sss",
+    PIE_M1: "+sas -sss",
+    PIE_M2: "+ssa -sss",
+    PDE: "+ass -sss",
+    TDE: "+aaa -saa",
+    SIE_M1: "+saa -ssa",
+    TE: "+aaa -sss",
+}
+
 # The eight expected nested counterfactuals Wk = E[Y(x, M1(y), M2(z, M1(y)))]:
 # the exposure slots (x, y, z) of each, "a" for a and "s" for a_star.
 W_SLOTS = {
@@ -97,7 +125,7 @@ W_SLOTS = {
     "W8": ("s", "s", "s"),
 }
 
-_INT_REF_NAMES = {
+INT_REF_NAMES = {
     Topology.SEQUENTIAL: (INT_REF_AM1, INT_REF_AM2_PLUS_AM1M2),
     Topology.NONSEQUENTIAL: (INT_REF_AM1, INT_REF_AM2, INT_REF_AM1M2),
 }
@@ -111,6 +139,30 @@ def component_names(topology: Topology) -> tuple[str, ...]:
     if topology is Topology.SEQUENTIAL:
         return SEQUENTIAL_COMPONENT_NAMES
     return NONSEQUENTIAL_COMPONENT_NAMES
+
+
+def contrasts(names, world) -> dict:
+    """The CONTRASTS rows of names, from world(key), the value of world key.
+
+    Each distinct world is evaluated once. A row starts from its first term
+    and adds the others left to right, so its bits are those of the row
+    written out by hand. Values may be floats or arrays alike.
+    """
+    worlds = {}
+
+    def value(term):
+        if term[1:] not in worlds:
+            worlds[term[1:]] = world(term[1:])
+        return worlds[term[1:]]
+
+    out = {}
+    for name in names:
+        first, *rest = CONTRASTS[name].split()
+        total = value(first)
+        for term in rest:
+            total = total + value(term) if term[0] == "+" else total - value(term)
+        out[name] = total
+    return out
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -168,7 +220,7 @@ def identity_checks(
     scale = np.maximum(sum(abs(v) for v in comps), rounding_scale)
     tol = _IDENTITY_RTOL * np.maximum(1.0, scale)
     te = aggregates[TE]
-    pde_sum = components[CDE] + sum(components[n] for n in _INT_REF_NAMES[topology])
+    pde_sum = components[CDE] + sum(components[n] for n in INT_REF_NAMES[topology])
     tde_sum = (
         aggregates[PDE]
         + components[NATINT_AM1]

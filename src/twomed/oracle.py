@@ -13,7 +13,8 @@ Three layers, from micro to macro:
   of that individual's counterfactual worlds.
 
 The individual-level evaluators and the Monte Carlo route share one
-nested-world evaluator per topology, on scalars or on arrays of individuals.
+nested-world evaluator for both topologies, on scalars or on arrays of
+individuals; it reads every contrast off core.CONTRASTS.
 """
 
 from __future__ import annotations
@@ -28,22 +29,6 @@ import numpy as np
 
 from .core import (
     AGGREGATE_NAMES,
-    CDE,
-    INT_REF_AM1,
-    INT_REF_AM1M2,
-    INT_REF_AM2,
-    INT_REF_AM2_PLUS_AM1M2,
-    NATINT_AM1,
-    NATINT_AM1M2,
-    NATINT_AM2,
-    NATINT_M1M2,
-    PDE,
-    PIE_M1,
-    PIE_M2,
-    SIE_M1,
-    TDE,
-    TE,
-    W_SLOTS,
     ComponentSet,
     ConfigError,
     EstimationError,
@@ -51,6 +36,7 @@ from .core import (
     SingleMediatorComponents,
     Topology,
     component_names,
+    contrasts,
 )
 from . import linear
 from .linear import LinearScm, check_nonsequential_beta
@@ -81,95 +67,34 @@ class SingleMediatorPotentials:
     y_of: Callable[[float, float], float]
 
 
-def _sequential_worlds(cfg, y_of, m2_of, m1_a, m1_s):
-    """Nine sequential components + aggregates from potential values.
+def _worlds(cfg, y_of, m1, m2):
+    """Every component and aggregate of cfg's topology, from potential values.
 
-    y_of(x, m1, m2) and m2_of(z, m1) give the outcome's and the second
-    mediator's potential values, m1_a and m1_s the first mediator's under a
-    and a_star. Works elementwise on scalars and arrays alike.
+    y_of(x, m1, m2), m1(x) and m2(z, m1) give the outcome's and the
+    mediators' potential values. World "xij" of core.CONTRASTS is y_of at
+    exposure x, M1 slot i and M2 slot j, and the M2 of slot (j, i) is
+    m2(j, M1(i)), formed once: a non-sequential m2 ignores its M1 argument.
+    Works elementwise on scalars and arrays alike.
     """
-    a, s, m1r, m2r = cfg.a, cfg.a_star, cfg.m1_star, cfg.m2_star
-    level = {"a": a, "s": s}
-    m1_at = {"a": m1_a, "s": m1_s}
-    # the eight nested values Y(x, M1(y), M2(z, M1(y)))
-    w1, w2, w3, w4, w5, w6, w7, w8 = (
-        y_of(level[x], m1_at[yv], m2_of(level[z], m1_at[yv]))
-        for x, yv, z in W_SLOTS.values()
-    )
-    # one or both mediators anchored at their reference levels
-    y_a_nat_ref, y_s_nat_ref = y_of(a, m1_s, m2r), y_of(s, m1_s, m2r)
-    y_a_ref_ref, y_s_ref_ref = y_of(a, m1r, m2r), y_of(s, m1r, m2r)
-    comps = {
-        CDE: y_a_ref_ref - y_s_ref_ref,
-        INT_REF_AM1: y_a_nat_ref - y_s_nat_ref - y_a_ref_ref + y_s_ref_ref,
-        INT_REF_AM2_PLUS_AM1M2: w7 - y_a_nat_ref - w8 + y_s_nat_ref,
-        NATINT_AM1: w2 - w6 - w7 + w8,
-        NATINT_AM2: w3 - w5 - w7 + w8,
-        NATINT_AM1M2: w1 - w4 - w3 + w5 - w2 + w6 + w7 - w8,
-        NATINT_M1M2: w4 - w5 - w6 + w8,
-        PIE_M1: w6 - w8,
-        PIE_M2: w5 - w8,
-    }
-    aggs = {PDE: w7 - w8, TDE: w1 - w4, SIE_M1: w4 - w5, TE: w1 - w8}
-    return comps, aggs
+    level = {"a": cfg.a, "s": cfg.a_star}
+    m1_slot = {"a": m1(cfg.a), "s": m1(cfg.a_star), "r": cfg.m1_star}
+    m2_slot = {}
+
+    def world(key):
+        x, i, j = key
+        if j == "r":
+            return y_of(level[x], m1_slot[i], cfg.m2_star)
+        if (j, i) not in m2_slot:
+            m2_slot[j, i] = m2(level[j], m1_slot[i])
+        return y_of(level[x], m1_slot[i], m2_slot[j, i])
+
+    return contrasts((*component_names(cfg.topology), *AGGREGATE_NAMES), world)
 
 
-def _nonsequential_worlds(cfg, y_of, m1_a, m1_s, m2_a, m2_s):
-    """Ten non-sequential components + aggregates from potential values.
-
-    y_of(x, m1, m2) gives the outcome's potential values; m1_a, m1_s and
-    m2_a, m2_s the mediators' under a and a_star, neither depending on the
-    other mediator. Works elementwise on scalars and arrays alike.
-    """
-    x_slot = {"a": cfg.a, "s": cfg.a_star}
-    # "a"/"s": the natural potential under that exposure; "r": the reference
-    m1_slot = {"a": m1_a, "s": m1_s, "r": cfg.m1_star}
-    m2_slot = {"a": m2_a, "s": m2_s, "r": cfg.m2_star}
-    y = {
-        (x, i, j): y_of(x_slot[x], m1_slot[i], m2_slot[j])
-        for x in ("a", "s")
-        for i in ("a", "s", "r")
-        for j in ("a", "s", "r")
-    }
-    comps = {
-        CDE: y["a", "r", "r"] - y["s", "r", "r"],
-        INT_REF_AM1: (
-            y["a", "s", "r"] - y["s", "s", "r"] - y["a", "r", "r"] + y["s", "r", "r"]
-        ),
-        INT_REF_AM2: (
-            y["a", "r", "s"] - y["s", "r", "s"] - y["a", "r", "r"] + y["s", "r", "r"]
-        ),
-        INT_REF_AM1M2: (
-            y["a", "s", "s"] - y["s", "s", "s"]
-            - y["a", "r", "s"] + y["s", "r", "s"]
-            - y["a", "s", "r"] + y["s", "s", "r"]
-            + y["a", "r", "r"] - y["s", "r", "r"]
-        ),
-        NATINT_AM1: (
-            y["a", "a", "s"] - y["s", "a", "s"] - y["a", "s", "s"] + y["s", "s", "s"]
-        ),
-        NATINT_AM2: (
-            y["a", "s", "a"] - y["s", "s", "a"] - y["a", "s", "s"] + y["s", "s", "s"]
-        ),
-        NATINT_AM1M2: (
-            y["a", "a", "a"] - y["s", "a", "a"]
-            - y["a", "s", "a"] + y["s", "s", "a"]
-            - y["a", "a", "s"] + y["s", "a", "s"]
-            + y["a", "s", "s"] - y["s", "s", "s"]
-        ),
-        NATINT_M1M2: (
-            y["s", "a", "a"] - y["s", "s", "a"] - y["s", "a", "s"] + y["s", "s", "s"]
-        ),
-        PIE_M1: y["s", "a", "s"] - y["s", "s", "s"],
-        PIE_M2: y["s", "s", "a"] - y["s", "s", "s"],
-    }
-    aggs = {
-        PDE: y["a", "s", "s"] - y["s", "s", "s"],
-        TDE: y["a", "a", "a"] - y["s", "a", "a"],
-        SIE_M1: y["s", "a", "a"] - y["s", "s", "a"],
-        TE: y["a", "a", "a"] - y["s", "s", "s"],
-    }
-    return comps, aggs
+def _component_set(cfg, values) -> ComponentSet:
+    """The ComponentSet of cfg's topology holding _worlds' values."""
+    comps = {k: values[k] for k in component_names(cfg.topology)}
+    return ComponentSet(cfg.topology, comps, {k: values[k] for k in AGGREGATE_NAMES})
 
 
 def individual_components_sequential(
@@ -178,10 +103,7 @@ def individual_components_sequential(
     """Nine-component decomposition of one individual, sequential topology."""
     if cfg.topology is not Topology.SEQUENTIAL:
         raise ConfigError("individual_components_sequential needs Sequential topology")
-    comps, aggs = _sequential_worlds(
-        cfg, p.y_of, p.m2_of, p.m1_of(cfg.a), p.m1_of(cfg.a_star)
-    )
-    return ComponentSet(Topology.SEQUENTIAL, comps, aggs)
+    return _component_set(cfg, _worlds(cfg, p.y_of, p.m1_of, p.m2_of))
 
 
 def individual_components_nonsequential(
@@ -198,16 +120,14 @@ def individual_components_nonsequential(
             "individual_components_nonsequential needs NonSequential topology"
         )
     m1_a, m1_s = p.m1_of(cfg.a), p.m1_of(cfg.a_star)
-    m2_at = []
     for z in (cfg.a, cfg.a_star):
         vals = [p.m2_of(z, m1v) for m1v in (m1_a, m1_s, cfg.m1_star)]
         if any(v != vals[0] for v in vals[1:]):
             raise EstimationError(
                 "m2_of varies with its m1 argument; not a non-sequential individual"
             )
-        m2_at.append(vals[0])
-    comps, aggs = _nonsequential_worlds(cfg, p.y_of, m1_a, m1_s, *m2_at)
-    return ComponentSet(Topology.NONSEQUENTIAL, comps, aggs)
+    values = _worlds(cfg, p.y_of, p.m1_of, lambda z, _m1: p.m2_of(z, m1_a))
+    return _component_set(cfg, values)
 
 
 def single_mediator_four_way(
@@ -426,18 +346,13 @@ def _linear_contrasts(scm, cfg, t8c, b4c, g2c, e1, e2, ey):
 
     One array per name, elementwise over the individuals.
     """
-    m2_of = partial(linear.m2, scm, cov=b4c, e=e2)
     y_of = partial(linear.y, scm, cov=t8c, e=ey)
-    m1_a = linear.m1(scm, cfg.a, g2c, e1)
-    m1_s = linear.m1(scm, cfg.a_star, g2c, e1)
+    m1_of = partial(linear.m1, scm, cov=g2c, e=e1)
+    m2_of = partial(linear.m2, scm, cov=b4c, e=e2)
     if cfg.topology is Topology.SEQUENTIAL:
-        comps, aggs = _sequential_worlds(cfg, y_of, m2_of, m1_a, m1_s)
-    else:
-        # beta2 = beta3 = 0: the second mediator ignores the first
-        comps, aggs = _nonsequential_worlds(
-            cfg, y_of, m1_a, m1_s, m2_of(cfg.a, 0.0), m2_of(cfg.a_star, 0.0)
-        )
-    return comps | aggs
+        return _worlds(cfg, y_of, m1_of, m2_of)
+    # beta2 = beta3 = 0: the second mediator ignores the first
+    return _worlds(cfg, y_of, m1_of, lambda z, _m1: m2_of(z, 0.0))
 
 
 def _error_streams(rng, m):
@@ -513,10 +428,6 @@ def simulate_linear_components(
         var = max(total_sq - n * means[k] ** 2, 0.0) / (n - 1) if n > 1 else 0.0
         ses[k] = math.sqrt(var / n)
 
-    comp_names = component_names(cfg.topology)
-    cs = ComponentSet(
-        cfg.topology,
-        {k: means[k] for k in comp_names},
-        {k: means[k] for k in AGGREGATE_NAMES},
+    return MonteCarloResult(
+        components=_component_set(cfg, means), standard_errors=ses, n=n, seed=seed
     )
-    return MonteCarloResult(components=cs, standard_errors=ses, n=n, seed=seed)

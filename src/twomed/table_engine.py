@@ -5,9 +5,10 @@ times a probability contrast, for example
 
     NatINT_AM1 = sum_ij (Y[a,i,j] - Y[a*,i,j]) Pr(j | a*, i) (Pr(i | a) - Pr(i | a*)).
 
-The differences stay inside the sums. The aggregates come apart from them,
-from the nested expectations W(x, y, z) = E[Y(x, M1(y), M2(z, M1(y)))], so
-the component-set identities still check one against the other.
+The differences stay inside the sums. The aggregates come apart from them:
+they are the rows of core.CONTRASTS over the nested expectations
+W(x, y, z) = E[Y(x, M1(y), M2(z, M1(y)))], so the component-set identities
+still check one against the other.
 
 The tables are those of one stratum. Every array has a leading replicate axis
 r and an exposure axis x that holds (a, a*):
@@ -26,27 +27,24 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (
+    AGGREGATE_NAMES,
     CDE,
     INT_REF_AM1,
     INT_REF_AM1M2,
     INT_REF_AM2,
     INT_REF_AM2_PLUS_AM1M2,
+    INT_REF_NAMES,
     NATINT_AM1,
     NATINT_AM1M2,
     NATINT_AM2,
     NATINT_M1M2,
-    PDE,
     PIE_M1,
     PIE_M2,
-    SIE_M1,
-    TDE,
-    TE,
     ComponentSet,
     Topology,
     component_names,
+    contrasts,
 )
-
-_INT_REF_NAMES = {INT_REF_AM1, INT_REF_AM2, INT_REF_AM1M2, INT_REF_AM2_PLUS_AM1M2}
 
 
 def _sum(terms: np.ndarray, axes: int) -> np.ndarray:
@@ -113,20 +111,15 @@ def decompose_tables(
                 2,
             )
         if null_contrast:
-            for k in comps.keys() & _INT_REF_NAMES:
+            for k in INT_REF_NAMES[topology]:
                 comps[k] = np.zeros_like(comps[CDE])
 
-        def w(x: int, x1: int, x2: int) -> np.ndarray:
-            """W at outcome exposure x, M1 exposure x1, M2 exposure x2."""
+        def w(key: str) -> np.ndarray:
+            """The nested expectation of world key, both mediators natural."""
+            x, x1, x2 = ("as".index(slot) for slot in key)
             return _sum(y[:, x] * p1[:, x1, :, None] * p2[:, x2], 2)
 
-        w_ass, w_sss, w_aaa, w_saa = w(0, 1, 1), w(1, 1, 1), w(0, 0, 0), w(1, 0, 0)
-        aggs = {
-            PDE: w_ass - w_sss,
-            TDE: w_aaa - w_saa,
-            SIE_M1: w_saa - w(1, 1, 0),
-            TE: w_aaa - w_sss,
-        }
+        aggs = contrasts(AGGREGATE_NAMES, w)
     return {k: comps[k] for k in component_names(topology)}, aggs
 
 
