@@ -44,7 +44,12 @@ from .core import (
     contrasts,
     identity_violations,
 )
-from .linear import VECTORS, ModelCoefficients, check_nonsequential_beta
+from .linear import (
+    VECTORS,
+    ModelCoefficients,
+    check_nonsequential_beta,
+    contractions,
+)
 
 
 class CoefficientBatch(NamedTuple):
@@ -80,27 +85,6 @@ class CoefficientBatch(NamedTuple):
         )
 
 
-def _fsum(terms):
-    """math.fsum, replicate by replicate when the terms are arrays."""
-    if terms and isinstance(terms[0], np.ndarray):
-        return np.array([math.fsum(row) for row in np.column_stack(terms).tolist()])
-    return math.fsum(terms)
-
-
-def _contractions(m, cfg: ReferenceConfig):
-    """The three covariate dot products, computed once per call."""
-    c = cfg.covariates
-    if len(c) != len(m.theta_c):
-        raise ConfigError(
-            f"covariate dimension mismatch: model expects {len(m.theta_c)}, "
-            f"config supplies {len(c)}"
-        )
-    return tuple(
-        _fsum([ci * vi for ci, vi in zip(c, coefs)])
-        for coefs in (m.theta_c, m.beta_c, m.gamma_c)
-    )
-
-
 def expected_counterfactual(
     which: str, m: ModelCoefficients, cfg: ReferenceConfig
 ) -> float:
@@ -112,7 +96,7 @@ def expected_counterfactual(
     """
     if which not in W_SLOTS:
         raise ConfigError(f"unknown counterfactual {which!r}; expected W1..W8")
-    t8c, b4c, g2c = _contractions(m, cfg)
+    t8c, b4c, g2c = contractions(m, cfg.covariates)
     lv = {"a": cfg.a, "s": cfg.a_star}
     x, y, z = (lv[k] for k in W_SLOTS[which])
     return _w_value(m.theta, m.beta, m.gamma, _var1(m), x, y, z, t8c, b4c, g2c)
@@ -285,7 +269,7 @@ def _decomposition(m, cfg):
     """Components, aggregates and rounding scale, from floats or arrays alike."""
     if cfg.topology is Topology.NONSEQUENTIAL:
         check_nonsequential_beta(m)
-    t8c, b4c, g2c = _contractions(m, cfg)
+    t8c, b4c, g2c = contractions(m, cfg.covariates)
     return (
         _components(m, cfg, b4c, g2c),
         _aggregates_from_w(m, cfg, t8c, b4c, g2c),

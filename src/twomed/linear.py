@@ -6,7 +6,8 @@ Y  = theta0 + theta1 A + theta2 M1 + theta3 M2 + theta4 A M1 + theta5 A M2
      + theta6 M1 M2 + theta7 A M1 M2 + theta_c'C + eY
 
 One coefficient type holds the model, whether estimated (ModelCoefficients)
-or ground truth (LinearScm), and the three equations are written once here.
+or ground truth (LinearScm), and the three equations are written once here,
+with their covariate terms theta_c'c, beta_c'c and gamma_c'c (contractions).
 The closed forms, the Monte Carlo oracle and the simulator all read them.
 """
 
@@ -121,6 +122,28 @@ def y(model, x, m1_value, m2_value, cov, e):
         t[0] + t[1] * x + t[2] * m1_value + t[3] * m2_value + t[4] * x * m1_value
         + t[5] * x * m2_value + t[6] * m1_value * m2_value
         + t[7] * x * m1_value * m2_value + cov + e
+    )
+
+
+def _fsum(terms):
+    """math.fsum, replicate by replicate when the terms are arrays."""
+    if terms and isinstance(terms[0], np.ndarray):
+        return np.array([math.fsum(row) for row in np.column_stack(terms).tolist()])
+    return math.fsum(terms)
+
+
+def contractions(model, c) -> tuple:
+    """The covariate terms theta_c'c, beta_c'c and gamma_c'c of the three
+    equations at conditioning values c, each an exactly rounded math.fsum;
+    model's coefficients may be floats or per-replicate arrays."""
+    if len(c) != len(model.theta_c):
+        raise ConfigError(
+            f"covariate dimension mismatch: model expects {len(model.theta_c)}, "
+            f"config supplies {len(c)}"
+        )
+    return tuple(
+        _fsum([ci * vi for ci, vi in zip(c, coefs)])
+        for coefs in (model.theta_c, model.beta_c, model.gamma_c)
     )
 
 

@@ -326,15 +326,6 @@ class MonteCarloResult:
     seed: int
 
 
-def _dot(coeffs: tuple[float, ...], values: tuple[float, ...], label: str) -> float:
-    if len(coeffs) != len(values):
-        raise ConfigError(
-            f"covariate dimension mismatch: model has {len(coeffs)} {label} "
-            f"coefficients, config supplies {len(values)} values"
-        )
-    return float(np.dot(coeffs, values)) if coeffs else 0.0
-
-
 # Individuals per block of the Monte Carlo oracle: the errors are drawn, and
 # every counterfactual world and contrast is evaluated, one block at a time,
 # so its arrays stay cache-sized (128 KiB each) whatever n is.
@@ -398,9 +389,7 @@ def simulate_linear_components(
     if cfg.topology is Topology.NONSEQUENTIAL:
         check_nonsequential_beta(scm)
 
-    t8c = _dot(scm.theta_c, cfg.covariates, "outcome")
-    b4c = _dot(scm.beta_c, cfg.covariates, "m2")
-    g2c = _dot(scm.gamma_c, cfg.covariates, "m1")
+    t8c, b4c, g2c = linear.contractions(scm, cfg.covariates)
 
     names = list(component_names(cfg.topology)) + list(AGGREGATE_NAMES)
     sums = {k: [] for k in names}

@@ -40,7 +40,8 @@ from twomed.core import (
 )
 from twomed import oracle
 from twomed.empirical import _cfg_levels, _level, _level_str, _stratum_str
-from twomed.oracle import _BIN, _check_binary_cfg, _dot, _linear_contrasts
+from twomed.linear import contractions
+from twomed.oracle import _BIN, _check_binary_cfg, _linear_contrasts
 from twomed.regression import (
     _LABELS,
     FittedModels,
@@ -347,9 +348,7 @@ def loop_simulate_linear_components(scm, cfg, n, seed, shards=1):
     whose means and standard errors, returned as two dicts by name, the
     package's block-by-block simulate_linear_components must match to
     rounding."""
-    t8c = _dot(scm.theta_c, cfg.covariates, "outcome")
-    b4c = _dot(scm.beta_c, cfg.covariates, "m2")
-    g2c = _dot(scm.gamma_c, cfg.covariates, "m1")
+    t8c, b4c, g2c = contractions(scm, cfg.covariates)
     sums, sumsqs = {}, {}
     base = n // shards
     for shard_idx in range(shards):
@@ -376,9 +375,7 @@ def loop_simulate_with_whole_shard_draws(scm, cfg, n, seed, shards=1):
     whose means and standard errors, returned as two dicts by name, the
     package's block-drawn simulate_linear_components must match bit for
     bit."""
-    t8c = _dot(scm.theta_c, cfg.covariates, "outcome")
-    b4c = _dot(scm.beta_c, cfg.covariates, "m2")
-    g2c = _dot(scm.gamma_c, cfg.covariates, "m1")
+    t8c, b4c, g2c = contractions(scm, cfg.covariates)
     sums, sumsqs = {}, {}
     base = n // shards
     for shard_idx in range(shards):
