@@ -231,7 +231,8 @@ def _format_table(doc) -> str:
 
 @main.command()
 @click.option("--spec", "spec_path", required=True, help="Model spec JSON path.")
-@click.option("--n", "n_rows", type=int, required=True, help="Rows to draw.")
+@click.option("--n", "n_rows", type=click.IntRange(max=10_000_000), required=True,
+              help="Rows to draw (at most 10,000,000).")
 @click.option("--data", "data_out", required=True, help="Output CSV path.")
 @click.option("--truth", "truth_out", default=None,
               help="Ground-truth JSON path (default: <data>.truth.json).")
@@ -288,8 +289,9 @@ def simulate(spec_path, n_rows, data_out, truth_out, config_path, topology, seed
 @click.option("--config", "config_path", default=None, help="JSON run-config path.")
 @click.option("--topology", type=click.Choice(_TOPOLOGIES), default=None)
 @click.option("--seed", type=int, default=None)
-@click.option("--mc-n", "mc_n", type=click.IntRange(min=2), default=1_000_000,
-              help="Monte Carlo draws for linear models (at least 2).")
+@click.option("--mc-n", "mc_n", type=click.IntRange(min=2, max=1_000_000_000),
+              default=1_000_000,
+              help="Monte Carlo draws for linear models (2 to 1,000,000,000).")
 @click.option("--tol", type=float, default=1e-12, callback=_finite_nonnegative,
               help="Tolerance for exact path agreement.")
 @click.option("--mc-z", "mc_z", type=float, default=4.0, callback=_finite_nonnegative,

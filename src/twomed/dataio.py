@@ -122,6 +122,8 @@ class RunConfig:
                 _as_number(v, f"covariate_values[{cname}]")
         for name in ("bootstrap_B", "seed"):
             object.__setattr__(self, name, _as_integer(getattr(self, name), name))
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed}")
         object.__setattr__(self, "level", _as_number(self.level, "level"))
 
     @property

@@ -15,7 +15,17 @@ from twomed import (
     Topology,
     total_from_components,
 )
-from twomed.core import component_names
+from twomed.core import (
+    CONTRASTS,
+    INT_REF_AM1M2,
+    INT_REF_AM2,
+    INT_REF_AM2_PLUS_AM1M2,
+    NATINT_AM1,
+    PDE,
+    component_names,
+    contrasts,
+    identity_checks,
+)
 
 
 def test_canonical_component_names():
@@ -186,3 +196,51 @@ def test_nonsequential_set_shape():
     aggs = {"PDE": pde, "TDE": tde, "SIE_M1": sie, "TE": tde + sie + comps["PIE_M2"]}
     cs = ComponentSet(Topology.NONSEQUENTIAL, comps, aggs)
     assert tuple(cs.components) == NONSEQUENTIAL_COMPONENT_NAMES
+
+
+_WORLDS = [x + i + j for x in "as" for i in "asr" for j in "asr"]
+
+
+def _coefficients(row: str) -> np.ndarray:
+    """A CONTRASTS row as integer coefficients over the 18 world keys."""
+    vec = np.zeros(len(_WORLDS), dtype=np.int64)
+    for term in row.split():
+        assert term[0] in "+-" and term[1:] in _WORLDS, term
+        vec[_WORLDS.index(term[1:])] += 1 if term[0] == "+" else -1
+    return vec
+
+
+def test_the_contrast_table_satisfies_every_identity_exactly():
+    """Each row of the table, read as integer coefficients over the nested
+    worlds, so no value is rounded: the identities hold term by term, the
+    sequential combined reference interaction is the sum of the two
+    non-sequential ones, and no sequential row names a world whose first
+    mediator sits at its reference while the second is natural."""
+    assert set(CONTRASTS) == {
+        *SEQUENTIAL_COMPONENT_NAMES, *NONSEQUENTIAL_COMPONENT_NAMES, *AGGREGATE_NAMES
+    }
+    assert all(row.startswith("+") for row in CONTRASTS.values())
+    rows = {name: _coefficients(row) for name, row in CONTRASTS.items()}
+    for topology in Topology:
+        comps = {k: rows[k] for k in component_names(topology)}
+        aggs = {k: rows[k] for k in AGGREGATE_NAMES}
+        for label, lhs, rhs, *_ in identity_checks(topology, comps, aggs):
+            assert np.array_equal(lhs, rhs), (topology, label)
+    assert np.array_equal(
+        rows[INT_REF_AM2_PLUS_AM1M2], rows[INT_REF_AM2] + rows[INT_REF_AM1M2]
+    )
+    for name in (*SEQUENTIAL_COMPONENT_NAMES, *AGGREGATE_NAMES):
+        for term in CONTRASTS[name].split():
+            assert term[2] != "r" or term[3] == "r", (name, term)
+
+
+def test_contrasts_evaluates_each_world_once_in_the_written_order():
+    calls = []
+
+    def world(key):
+        calls.append(key)
+        return float(len(calls))
+
+    values = contrasts((NATINT_AM1, PDE), world)
+    assert calls == ["aas", "sas", "ass", "sss"]
+    assert values == {NATINT_AM1: 1.0 - 2.0 - 3.0 + 4.0, PDE: 3.0 - 4.0}

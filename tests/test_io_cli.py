@@ -131,6 +131,8 @@ def test_run_config_validation():
         build_run_config({"m1_star": "median"})
     with pytest.raises(ConfigError):
         build_run_config({"bootstrap_B": 100.5})
+    with pytest.raises(ConfigError, match="seed must be a nonnegative integer"):
+        build_run_config({"seed": -1})
     with pytest.raises(ConfigError):
         build_run_config(
             {"covariates": ["age", "sex"], "covariate_values": [1.0]}
@@ -934,6 +936,56 @@ def test_cli_validate_rejects_nonsense_tolerances(runner, tmp_path, flags):
     assert res.exit_code == 2, res.output
     assert "RESULT" not in res.output
     assert flags[0] in res.output
+
+
+@pytest.mark.parametrize("command, flag, cap, drawer", [
+    ("simulate", "--n", 10_000_000, "simulate_dataset"),
+    ("validate", "--mc-n", 1_000_000_000, "simulate_linear_components"),
+])
+def test_cli_caps_the_draw_counts(runner, tmp_path, monkeypatch, command, flag, cap,
+                                  drawer):
+    """One draw past the cap is a usage error, before anything is drawn."""
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew past the cap")
+
+    monkeypatch.setattr(twomed.cli, drawer, no_draws)
+    spec = _write(tmp_path / "spec.json", json.dumps(LINEAR_SPEC))
+    data = tmp_path / "sim.csv"
+    out = ["--data", str(data)] if command == "simulate" else []
+    res = runner.invoke(main, [command, "--spec", spec, flag, str(cap + 1), *out])
+    assert res.exit_code == 2, res.output
+    assert flag in res.stderr
+    assert "RESULT" not in res.output
+    assert os.listdir(tmp_path) == ["spec.json"]
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate", "validate-linear",
+                                     "validate-binary"])
+def test_cli_a_negative_seed_exits_2(runner, tmp_path, monkeypatch, command):
+    """Every command refuses seed -1 where it builds the run config, before
+    reading data or drawing anything, with one error line."""
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew with a negative seed")
+
+    for drawer in ("simulate_dataset", "simulate_linear_components"):
+        monkeypatch.setattr(twomed.cli, drawer, no_draws)
+    spec = _write(tmp_path / "spec.json", json.dumps(LINEAR_SPEC))
+    args = {
+        "analyze": ["analyze", "--data", str(tmp_path / "none.csv")],
+        "simulate": ["simulate", "--spec", spec, "--n", "30",
+                     "--data", str(tmp_path / "sim.csv")],
+        "validate-linear": ["validate", "--spec", spec, "--mc-n", "1000"],
+        "validate-binary": [
+            "validate", "--spec", _write(tmp_path / "bin.json", json.dumps(BINARY_SPEC)),
+            "--config", _write(tmp_path / "cfg.json",
+                               json.dumps({"m1_star": 0, "m2_star": 0})),
+        ],
+    }[command]
+    res = runner.invoke(main, [*args, "--seed", "-1"])
+    assert res.exit_code == 2, res.output
+    assert res.stderr.splitlines() == ["error: seed must be a nonnegative integer, got -1"]
+    assert res.stdout == ""
+    assert not (tmp_path / "sim.csv").exists()
 
 
 def test_cli_validate_takes_two_monte_carlo_draws(runner, tmp_path):
