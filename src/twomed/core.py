@@ -151,9 +151,10 @@ def contrasts(names, world) -> dict:
     worlds = {}
 
     def value(term):
-        if term[1:] not in worlds:
-            worlds[term[1:]] = world(term[1:])
-        return worlds[term[1:]]
+        key = term[1:]
+        if key not in worlds:
+            worlds[key] = world(key)
+        return worlds[key]
 
     out = {}
     for name in names:
