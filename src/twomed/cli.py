@@ -25,12 +25,14 @@ from .closed_form import decompose_closed_form, expected_counterfactual
 from .core import (
     AGGREGATE_NAMES,
     TE,
+    W_SLOTS,
     ConfigError,
     DataError,
     EstimationError,
     InferenceError,
     Topology,
     component_names,
+    contrasts,
 )
 from .dataio import (
     OUTPUT_FORMATS,
@@ -373,10 +375,11 @@ def validate(spec_path, config_path, topology, seed, mc_n, tol, mc_z):
                     f"(rel tol {tol:g}) {'PASS' if ok else 'FAIL'}"
                 )
             if cfg.topology is Topology.SEQUENTIAL:
-                w1 = expected_counterfactual("W1", scm, cfg)
-                w8 = expected_counterfactual("W8", scm, cfg)
+                # W1 - W8, the table's TE row over the expected counterfactuals
+                w = {"".join(slots): expected_counterfactual(k, scm, cfg)
+                     for k, slots in W_SLOTS.items()}
                 te = exact.aggregates[TE]
-                delta = abs(te - (w1 - w8))
+                delta = abs(te - contrasts((TE,), w.get)[TE])
                 ok = delta <= tol * max(1.0, abs(te))
                 failures += 0 if ok else 1
                 click.echo(
