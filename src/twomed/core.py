@@ -9,8 +9,8 @@ ComponentSet carrying one is unconstructible.
 
 CONTRASTS writes every component and aggregate of both topologies once, as a
 signed sum of nested worlds; contrasts() evaluates rows of it. The oracle's
-worlds, the table engine's aggregates and the closed form's W aggregates all
-read their values off it.
+worlds, the table engine's components and aggregates, and the closed form's
+W aggregates all read their values off it.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ CONTRASTS: dict[str, str] = {
     INT_REF_AM1: "+asr -ssr -arr +srr",
     INT_REF_AM2: "+ars -srs -arr +srr",
     INT_REF_AM1M2: "+ass -sss -ars +srs -asr +ssr +arr -srr",
-    INT_REF_AM2_PLUS_AM1M2: "+ass -asr -sss +ssr",
+    INT_REF_AM2_PLUS_AM1M2: "+ass -sss -asr +ssr",
     NATINT_AM1: "+aas -sas -ass +sss",
     NATINT_AM2: "+asa -ssa -ass +sss",
     NATINT_AM1M2: "+aaa -saa -asa +ssa -aas +sas +ass -sss",

@@ -8,7 +8,7 @@ import json
 import math
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -20,27 +20,6 @@ from .oracle import BinaryScm
 from .regression import Dataset
 
 OUTPUT_FORMATS = ("json", "table")
-
-_CONFIG_KEYS = {
-    "data",
-    "topology",
-    "exposure",
-    "m1",
-    "m2",
-    "outcome",
-    "covariates",
-    "a",
-    "a_star",
-    "m1_star",
-    "m2_star",
-    "covariate_values",
-    "bootstrap_B",
-    "level",
-    "seed",
-    "estimator",
-    "output",
-    "log_m2",
-}
 
 
 @dataclass(frozen=True)
@@ -129,6 +108,9 @@ class RunConfig:
     @property
     def topology_enum(self) -> Topology:
         return Topology(self.topology)
+
+
+_CONFIG_KEYS = {f.name for f in fields(RunConfig)}
 
 
 def _as_number(v, path: str) -> float:
@@ -396,14 +378,14 @@ def _nested_levels(obj, key: str, depth: int):
     return flat
 
 
+_LINEAR_SPEC_KEYS = {f.name for f in fields(LinearScm)} | {"type", "exposure_p"}
+
+
 def parse_scm_spec(obj: dict, topology: Topology) -> LinearScm | BinaryScm:
     """A linear spec carries regression coefficients; a binary spec carries
     probability tables. The two key sets do not overlap."""
     if "theta" in obj:
-        extra = set(obj) - {
-            "type", "theta", "theta_c", "beta", "beta_c", "gamma", "gamma_c",
-            "sigma_y", "sigma_m1", "sigma_m2", "exposure_p",
-        }
+        extra = set(obj) - _LINEAR_SPEC_KEYS
         if extra:
             raise ConfigError("unknown model spec keys: " + ", ".join(sorted(extra)))
         return LinearScm(

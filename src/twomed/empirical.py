@@ -313,7 +313,7 @@ class CellCoder:
         # A replicate that loses a level or the stratum cfg names (tables()
         # raises ConfigError) loses the reference cells, failing the mask.
         failed = ~np.isfinite(y_sum).all(axis=1) | _uncovered(grid)
-        comps, aggs = _decompose_grid(grid, levels)
+        comps, aggs = _decompose_grid(grid)
         # an overflowed replicate, already failed, warns of nothing new
         with np.errstate(invalid="ignore"):
             failed |= identity_violations(Topology.SEQUENTIAL, comps, aggs)
@@ -384,9 +384,9 @@ def _uncovered(g: _Grid) -> np.ndarray:
 
 def _require_covered(g: _Grid, levels) -> None:
     """Raise EstimationError if the grid's one replicate is _uncovered. The
-    error names the first entry missing in the order the written-out sums
-    first reach them: the reference cells; per m1 level, Pr(M1 | a*) and
-    then its (i, m2*) cells; per m1 level, Pr(M1 | a) and then its row."""
+    error names the first entry missing in this order: the reference cells;
+    per m1 level, Pr(M1 | a*) and then its (i, m2*) cells; per m1 level,
+    Pr(M1 | a) and then its row."""
     if not _uncovered(g)[0]:
         return
     p1, p2, y = g.p1[0], g.p2[0], g.y[0]
@@ -416,11 +416,11 @@ def _no_outcome(a: str, m1: str, m2: str, c: str) -> EstimationError:
     return EstimationError(f"no data for E[Y | A={a}, M1={m1}, M2={m2}, {c}]")
 
 
-def _decompose_grid(g: _Grid, levels) -> tuple[dict, dict]:
+def _decompose_grid(g: _Grid) -> tuple[dict, dict]:
     """decompose_tables on the grid, every missing entry read as a zero."""
     return decompose_tables(
         Topology.SEQUENTIAL, *(np.where(np.isnan(t), 0.0, t) for t in g[:3]),
-        g.m1_ref, g.m2_ref, levels[0] == levels[1],
+        g.m1_ref, g.m2_ref,
     )
 
 
@@ -445,6 +445,6 @@ def decompose_empirical_sequential(
     grid = _Grid(*(np.array([g], dtype=float) for g in (p1, p2, y)),
                  sup1.index(m1r), sup2.index(m2r), sup1, sup2)
     _require_covered(grid, levels)
-    comps, aggs = _decompose_grid(grid, levels)
+    comps, aggs = _decompose_grid(grid)
     return ComponentSet(Topology.SEQUENTIAL, *({k: v[0] for k, v in values.items()}
                                                for values in (comps, aggs)))

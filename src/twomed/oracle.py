@@ -242,7 +242,7 @@ def enumerate_binary_components(
     p2 = [[law(scm.p_m2_given_a_m1[(x, m1)]) for m1 in _BIN] for x in (a, s)]
     y = [[[scm.e_y_given_a_m1_m2[(x, m1, m2)] for m2 in _BIN] for m1 in _BIN]
          for x in (a, s)]
-    return table_component_set(scm.topology, p1, p2, y, m1r, m2r, a == s)
+    return table_component_set(scm.topology, p1, p2, y, m1r, m2r)
 
 
 def _interval_cells(probs) -> list[tuple[float, float]]:

@@ -272,7 +272,7 @@ def test_empirical_bootstrap_equals_the_per_replicate_loop(monkeypatch):
 
 
 @pytest.mark.parametrize("level", [0.0, 1.0])
-def test_empirical_null_contrast_is_exactly_zero(level):
+def test_empirical_equal_exposures_give_exact_zeros(level):
     d = _dataset_with_rare_reference_level(per_cell=8, seed=3)
     cfg = ReferenceConfig(
         a=level, a_star=level, m1_star=2.0, m2_star=1.0,

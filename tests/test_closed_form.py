@@ -233,7 +233,7 @@ def test_contrast_reversal_flips_total_and_direct():
     )
 
 
-def test_null_contrast_gives_all_zero():
+def test_equal_exposures_give_all_zero():
     rng = np.random.default_rng(10)
     scm = random_linear_scm(rng)
     cfg = ReferenceConfig(
@@ -517,11 +517,11 @@ def _wide_coefficients(draw, topology, sigma_m1=_wide.map(abs)):
 
 
 @st.composite
-def _wide_reference(draw, topology, null_contrast=st.just(False)):
+def _wide_reference(draw, topology, equal_exposures=st.just(False)):
     level = st.floats(-2.0, 2.0)
     a = draw(level)
     return ReferenceConfig(
-        a=a, a_star=a if draw(null_contrast) else draw(level),
+        a=a, a_star=a if draw(equal_exposures) else draw(level),
         m1_star=draw(level), m2_star=draw(level),
         covariates=(draw(level), draw(level)), topology=topology,
     )

@@ -356,10 +356,10 @@ def _m1_level_under_a_only():
 @given(_resampled_dataset())
 @example(_m1_level_under_a_only())
 def test_a_coverage_error_names_a_cell_the_row_tally_lacks(case):
-    """tables() names the first missing cell in the order of the written-out
-    sums, which can differ from the dict walk's first. The cell it names is
-    one the resample has no rows for, and the dict walk rejects the tables
-    too."""
+    """tables() names the first missing cell in the walk order of
+    _require_covered, which can differ from the dict walk's first. The cell
+    it names is one the resample has no rows for, and the dict walk rejects
+    the tables too."""
     d, idx, cfg = case
     try:
         CellCoder(d).tables(cfg, idx)

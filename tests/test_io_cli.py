@@ -1014,6 +1014,20 @@ def test_cli_validate_compares_zero_spread_terms_by_tolerance(runner, tmp_path):
     assert "zero-spread" in exact.output and "FAIL" in exact.output
 
 
+def test_cli_validate_checks_equal_exposures_by_tolerance(runner, tmp_path):
+    """At a == a* every individual's components are exact zeros, the combined
+    sequential INT_ref term's too, so each is a zero-spread term held to --tol
+    and none is z-tested against the spread of rounding noise."""
+    spec = _write(tmp_path / "spec.json", json.dumps(LINEAR_SPEC))
+    cfg = _write(tmp_path / "cfg.json", json.dumps({"a": 1.0, "a_star": 1.0}))
+    res = runner.invoke(main, ["validate", "--spec", spec, "--config", cfg,
+                               "--mc-n", "10000", "--seed", "1"])
+    assert res.exit_code == 0, res.output
+    zero_spread = next(line for line in res.output.splitlines()
+                       if "zero-spread terms" in line)
+    assert "INT_ref_AM2+AM1M2" in zero_spread, res.output
+
+
 def test_cli_exit_code_does_not_depend_on_the_seed(runner, tmp_path):
     """A resample that loses a reference level is a failed replicate, not a
     configuration error, so the exit code is the same for every seed."""

@@ -7,13 +7,16 @@ of the individual-level contrast formulas over every deterministic binary
 response pattern.
 """
 
+import dataclasses
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_binary_scm, random_linear_scm
 from twomed import (
     BinaryScm,
     ConfigError,
@@ -28,9 +31,11 @@ from twomed import (
     enumerate_binary_individuals,
     individual_components_nonsequential,
     individual_components_sequential,
+    linear,
     simulate_linear_components,
     single_mediator_four_way,
 )
+from twomed.table_engine import decompose_tables
 
 SEQ_CFG = ReferenceConfig(
     a=1.0, a_star=0.0, m1_star=0.0, m2_star=0.0,
@@ -494,3 +499,61 @@ def test_monte_carlo_rejects_a_model_the_config_does_not_fit(beta, cfg, message)
     scm = LinearScm(**dict(_LINEAR, beta=beta))
     with pytest.raises(ConfigError, match=message):
         simulate_linear_components(scm, cfg, n=100, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# the null contrast
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    topology=st.sampled_from(list(Topology)),
+    seed=st.integers(0, 2**32 - 1),
+    level=st.sampled_from([0.0, 1.0]),
+    offset=st.sampled_from([0.0, 1e3, 1e6, 1e12]),
+)
+def test_every_route_gives_exact_zeros_when_a_equals_a_star(topology, seed, level,
+                                                            offset):
+    """At a == a* each a-world has the bits of its a* twin, and every row of
+    the contrast table subtracts the one right after the other, so every
+    component and aggregate is exactly 0.0 on every route, however far the
+    outcome means sit from zero."""
+    rng = np.random.default_rng(seed)
+    sequential = topology is Topology.SEQUENTIAL
+    refs = [float(rng.integers(2)), float(rng.integers(2))]
+    cfg = ReferenceConfig(level, level, *refs, topology=topology)
+    binary = random_binary_scm(rng, topology)
+    binary = dataclasses.replace(binary, e_y_given_a_m1_m2={
+        k: v + offset for k, v in binary.e_y_given_a_m1_m2.items()})
+    sets = [enumerate_binary_components(binary, cfg),
+            enumerate_binary_components_by_individuals(binary, cfg)]
+
+    scm = random_linear_scm(rng, sequential=sequential)
+    scm = dataclasses.replace(scm, theta=(scm.theta[0] + offset, *scm.theta[1:]))
+    lin_cfg = dataclasses.replace(cfg, covariates=tuple(rng.normal(size=2)))
+    t8c, b4c, g2c = linear.contractions(scm, lin_cfg.covariates)
+    e1, e2, ey = rng.normal(size=3)
+    individual = IndividualPotentials(
+        m1_of=lambda x: linear.m1(scm, x, g2c, e1),
+        m2_of=lambda z, m1: linear.m2(scm, z, m1, b4c, e2),
+        y_of=lambda x, m1, m2: linear.y(scm, x, m1, m2, t8c, ey),
+    )
+    evaluate = (individual_components_sequential if sequential
+                else individual_components_nonsequential)
+    sets += [evaluate(individual, lin_cfg),
+             simulate_linear_components(scm, lin_cfg, n=500, seed=seed).components]
+    for cs in sets:
+        values = cs.components | cs.aggregates
+        assert all(v == 0.0 for v in values.values()), values
+
+    n1, n2 = (int(k) for k in rng.integers(1, 5, size=2))
+    p1 = rng.dirichlet(np.ones(n1), size=(8, 1))
+    p2 = rng.dirichlet(np.ones(n2), size=(8, 1, 1 if not sequential else n1))
+    y = rng.normal(offset, 10.0, size=(8, 1, n1, n2))
+    tables = [np.repeat(t, 2, axis=1) for t in (p1, p2, y)]
+    tables[1] = np.broadcast_to(tables[1], (8, 2, n1, n2))
+    comps, aggs = decompose_tables(topology, *tables, int(rng.integers(n1)),
+                                   int(rng.integers(n2)))
+    for name, value in (comps | aggs).items():
+        assert np.all(value == 0.0), name

@@ -52,9 +52,10 @@ def test_binary_engine_matches_the_written_out_sums(topology, p1, p2, ey, refs, 
     )
     got = outcome(lambda: enumerate_binary_components(scm, cfg))
     if cfg.a == cfg.a_star and odd is None:
-        # every term of a null contrast is an exact zero; the written-out
-        # sums' sequential INT_ref_AM1 cancels only up to rounding, enough at
-        # large means to fail an identity
+        # each row subtracts every a-world right after its a* twin, which has
+        # the same bits, so every value is an exact zero; the loop
+        # reference's sequential INT_ref_AM1 cancels only up to rounding,
+        # enough at large means to fail an identity
         assert set(got.values()) == {0.0}, got
         return
     assert_same_outcome(
@@ -78,12 +79,16 @@ def _random_tables(rng, topology, replicates, n1, n2):
 
 
 @pytest.mark.parametrize("topology", list(Topology))
-@pytest.mark.parametrize("null_contrast", [False, True])
-def test_one_replicate_equals_its_row_in_a_batch(topology, null_contrast):
+@pytest.mark.parametrize("equal_rows", [False, True])
+def test_one_replicate_equals_its_row_in_a_batch(topology, equal_rows):
     rng = np.random.default_rng(17)
     for n1, n2 in [(1, 1), (2, 2), (3, 4), (5, 2)]:
         p1, p2, y = _random_tables(rng, topology, 37, n1, n2)
-        refs = (int(rng.integers(n1)), int(rng.integers(n2)), null_contrast)
+        if equal_rows:
+            # a == a*: the x = a* tables are those of x = a
+            for t in (p1, p2, y):
+                t[:, 1] = t[:, 0]
+        refs = (int(rng.integers(n1)), int(rng.integers(n2)))
         comps, aggs = decompose_tables(topology, p1, p2, y, *refs)
         batch = comps | aggs
         for r in range(len(y)):
@@ -99,9 +104,9 @@ def test_a_level_without_data_leaves_every_sum_unchanged(topology):
     """An inserted level with probability 0 and outcome 0 adds exact zeros."""
     rng = np.random.default_rng(23)
     p1, p2, y = _random_tables(rng, topology, 20, 3, 3)
-    comps, aggs = decompose_tables(topology, p1, p2, y, 1, 2, False)
+    comps, aggs = decompose_tables(topology, p1, p2, y, 1, 2)
     wide = [np.insert(t, 1, 0.0, axis=2) for t in (p1, p2, y)]
     wide[1:] = [np.insert(t, 0, 0.0, axis=3) for t in wide[1:]]
-    c2, a2 = decompose_tables(topology, *wide, 2, 3, False)
+    c2, a2 = decompose_tables(topology, *wide, 2, 3)
     for name, value in (comps | aggs).items():
         assert np.array_equal((c2 | a2)[name], value), name
