@@ -58,8 +58,10 @@ ESTIMATORS = ("closed-form", "empirical-categorical")
 # below the bound is one the reference refit would accept.
 _COND_LIMIT = 1e8
 
-# Replicates per chunk, and the most bytes of float64 counts a chunk may hold
-# (_chunk_size). 32 replicates keep the count-weighted sums matrix-matrix
+# Replicates per chunk, and the most bytes a chunk's counts may take as
+# float64 (_chunk_size); the count block itself holds them in the narrowest
+# unsigned type that holds n, so it takes half that or less (a quarter up to
+# n = 65,535). 32 replicates keep the count-weighted sums matrix-matrix
 # products; at n = 2,000 doubling that added 2.4 MB of peak memory for no
 # measurable gain. The byte bound caps the chunk from n = 65,536 rows on.
 _CHUNK_REPLICATES = 32
@@ -98,7 +100,7 @@ def _closed_form_estimate(d: Dataset, cfg: ReferenceConfig) -> ComponentSet:
 
 def _chunk_size(n: int) -> int:
     """Replicates per count-weighted batch: enough to make the batch's sums a
-    matrix-matrix product, with the (chunk, n) count block held under
+    matrix-matrix product, with the chunk's counts, as float64, held under
     _CHUNK_BYTES at very large n. It depends on n alone, so a run's
     arithmetic, and hence its output, is the same every time."""
     return max(1, min(_CHUNK_REPLICATES, _CHUNK_BYTES // (8 * n)))
@@ -140,8 +142,9 @@ def bootstrap_decomposition(
         fitter = CountWeightedFit(d, cfg.topology)
         point = decompose_closed_form(fitter.full_fit.coefficients, cfg)
         # one count block for every chunk: a fresh one per chunk would be
-        # allocated while the last is still held
-        block = np.empty((min(chunk, B), n))
+        # allocated while the last is still held. A count is at most n, so
+        # the narrowest unsigned type that holds n holds every count exactly
+        block = np.empty((min(chunk, B), n), dtype=np.min_scalar_type(n))
         for start in range(0, B, chunk):
             reps = range(start, min(start + chunk, B))
             counts = block[: len(reps)]

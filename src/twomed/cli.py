@@ -360,12 +360,18 @@ def validate(spec_path, config_path, topology, seed, mc_n, tol, mc_z):
                 z = delta / se
                 if z > worst_z:
                     worst_name, worst_z = name, z
-            ok = worst_z <= mc_z
-            failures += 0 if ok else 1
-            click.echo(
-                f"  closed form vs Monte Carlo: worst |z| = {worst_z:.2f} "
-                f"({worst_name}; allowed {mc_z:g}) {'PASS' if ok else 'FAIL'}"
-            )
+            if len(constant) == len(names):
+                click.echo(
+                    "  closed form vs Monte Carlo: no term has Monte Carlo "
+                    "spread, so none is z-tested"
+                )
+            else:
+                ok = worst_z <= mc_z
+                failures += 0 if ok else 1
+                click.echo(
+                    f"  closed form vs Monte Carlo: worst |z| = {worst_z:.2f} "
+                    f"({worst_name}; allowed {mc_z:g}) {'PASS' if ok else 'FAIL'}"
+                )
             if constant:
                 ok = worst_rel <= tol
                 failures += 0 if ok else 1

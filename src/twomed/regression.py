@@ -283,7 +283,10 @@ class CountWeightedFit:
     each model's r0, and fit builds the columns for _SLICE_ROWS data rows at
     a time into one buffer, allocated at set-up, so its memory beyond Q' and
     the counts does not grow with n. The buffer is refilled only for a slice
-    it does not hold: with n <= _SLICE_ROWS, once per fitter.
+    it does not hold: with n <= _SLICE_ROWS, once per fitter. The counts may
+    be of any numeric dtype, narrow integers included: fit copies each slice
+    of them into one float64 window for its product, so the sums are those of
+    float64 counts bit for bit.
     """
 
     def __init__(self, d: Dataset, topology: Topology):
@@ -323,7 +326,8 @@ class CountWeightedFit:
         return out
 
     def fit(self, counts: np.ndarray, cond_limit: float):
-        """Coefficients for every row of a (replicates, n) count matrix.
+        """Coefficients for every row of a (replicates, n) count matrix of any
+        numeric dtype.
 
         Returns a CoefficientBatch and a boolean array, true for a replicate
         whose cond(R_p) * sqrt(cond(Q_p' W Q_p)), an upper bound on the
@@ -334,9 +338,12 @@ class CountWeightedFit:
         """
         reps = counts.shape[0]
         sums = np.zeros((reps, len(self._buffer)))
+        window = np.empty((reps, min(self._n, _SLICE_ROWS)))
         for lo in range(0, self._n, _SLICE_ROWS):
             hi = min(lo + _SLICE_ROWS, self._n)
-            sums += counts[:, lo:hi] @ self._columns(lo, hi).T
+            slice_counts = window[:, : hi - lo]
+            slice_counts[...] = counts[:, lo:hi]
+            sums += slice_counts @ self._columns(lo, hi).T
         gram = np.empty((reps,) + self._r.shape)
         iu, il = self._pairs, self._pairs[::-1]
         gram[:, iu[0], iu[1]] = gram[:, il[0], il[1]] = sums[:, : len(iu[0])]

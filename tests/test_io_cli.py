@@ -1028,6 +1028,25 @@ def test_cli_validate_checks_equal_exposures_by_tolerance(runner, tmp_path):
     assert "INT_ref_AM2+AM1M2" in zero_spread, res.output
 
 
+@pytest.mark.parametrize("topology", ["sequential", "nonsequential"])
+def test_cli_validate_says_when_no_term_is_z_tested(runner, tmp_path, topology):
+    """At a == a* every term has zero spread, so none is z-tested: validate
+    says so in words, not as a worst |z| of 0 for an unnamed term, and still
+    passes on the exact checks."""
+    # m2 free of a and m1, as the non-sequential topology needs
+    spec = dict(LINEAR_SPEC, beta=[0.0, 0.8, 0.0, 0.0])
+    spec = _write(tmp_path / "spec.json", json.dumps(spec))
+    cfg = _write(tmp_path / "cfg.json", json.dumps({"a": 1, "a_star": 1}))
+    res = runner.invoke(main, ["validate", "--spec", spec, "--config", cfg,
+                               "--topology", topology, "--mc-n", "10000"])
+    assert res.exit_code == 0, res.output
+    lines = res.output.splitlines()
+    assert not any("worst |z|" in line for line in lines), res.output
+    assert ("  closed form vs Monte Carlo: no term has Monte Carlo spread, "
+            "so none is z-tested") in lines, res.output
+    assert lines[-1] == "RESULT: PASS"
+
+
 def test_cli_exit_code_does_not_depend_on_the_seed(runner, tmp_path):
     """A resample that loses a reference level is a failed replicate, not a
     configuration error, so the exit code is the same for every seed."""

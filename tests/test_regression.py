@@ -276,6 +276,39 @@ def test_count_weighted_fit_refills_its_slices_for_every_call(monkeypatch):
         assert np.allclose(g, np.asarray(getattr(whole, name)), rtol=1e-10), name
 
 
+@pytest.mark.parametrize("n", [150, 255])
+@pytest.mark.parametrize("topology", list(Topology))
+def test_count_dtype_does_not_change_a_fit(monkeypatch, topology, n):
+    """fit copies each slice of the counts into a float64 window, so the same
+    counts held as float64 or as unsigned integers give the same fit bit for
+    bit. The rows are in slices of 64, the last one short; n <= 255 is uint8,
+    np.min_scalar_type(n), and the first replicate takes one row n times, the
+    top of that range (a design the condition gate refuses)."""
+    monkeypatch.setattr(twomed.regression, "_SLICE_ROWS", 64)
+    d = _topology_dataset(topology, 2, n=n)
+    rng = np.random.default_rng(n)
+    counts = np.array([np.bincount(rng.integers(0, n, n), minlength=n)
+                       for _ in range(5)])
+    counts[0] = 0
+    counts[0, 7] = n
+    assert np.min_scalar_type(n) == np.uint8
+    fitter = CountWeightedFit(d, topology)
+    want, want_ok = fitter.fit(counts.astype(np.float64), 1e8)
+    assert not want_ok[0] and want_ok[1:].all()
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        got, ok = fitter.fit(counts.astype(dtype), 1e8)
+        assert np.array_equal(ok, want_ok), dtype
+        for name in got._fields:
+            g, w = getattr(got, name), getattr(want, name)
+            if not isinstance(w, tuple):
+                g, w = (g,), (w,)
+            assert len(g) == len(w), (dtype, name)
+            for gi, wi in zip(g, w):
+                gi, wi = np.asarray(gi), np.asarray(wi)
+                assert gi.dtype == wi.dtype == np.float64, (dtype, name)
+                assert gi.tobytes() == wi.tobytes(), (dtype, name)
+
+
 @pytest.mark.parametrize("topology", list(Topology))
 def test_fit_all_factors_the_data_once(monkeypatch, topology):
     d = _topology_dataset(topology, k=2, n=300)
