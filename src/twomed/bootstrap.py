@@ -93,6 +93,32 @@ def _resample_indices(seed: int, b: int, n: int) -> np.ndarray:
     return np.random.default_rng([seed, b]).integers(0, n, size=n)
 
 
+def _percentile_bounds(vals: np.ndarray, probs) -> list[np.ndarray]:
+    """np.quantile(vals, probs, axis=0), numpy's default linear method, bit for
+    bit, one array per probability. np.quantile is not called: on float input
+    it calls np.unique, whose masked-array check imports numpy.ma, about 14 ms
+    and 1 MB per run. vals is partitioned at the order statistics that
+    method reads, as numpy partitions it, and each bound is interpolated as
+    numpy's _lerp does; a column holding a NaN gives NaN."""
+    last = len(vals) - 1
+    spots = []
+    for q in probs:
+        at = last * q
+        # from the last index on, numpy reads the largest value at both ends
+        spots.append((at, *((int(at), int(at) + 1) if at < last else (-1, -1))))
+    kth = sorted({0, -1, *(i for _, lo, hi in spots for i in (lo, hi))})
+    ordered = np.partition(vals, kth, axis=0)
+    top = ordered[-1]
+    bounds = []
+    for at, lo, hi in spots:
+        t, a, b = at - lo, ordered[lo], ordered[hi]
+        diff = b - a
+        bound = a + diff * t if t < 0.5 else b - diff * (1 - t)
+        np.copyto(bound, top, where=np.isnan(top))
+        bounds.append(bound)
+    return bounds
+
+
 def _closed_form_estimate(d: Dataset, cfg: ReferenceConfig) -> ComponentSet:
     """The closed-form estimate of a resample: fit, then decompose."""
     return decompose_closed_form(fit_all(d, cfg.topology).coefficients, cfg)
@@ -181,7 +207,7 @@ def bootstrap_decomposition(
             f"{failed} of {B} bootstrap replicates failed (> 5%); "
             "intervals would be unreliable"
         )
-    lower, upper = np.quantile(vals, [(1.0 - level) / 2.0, (1.0 + level) / 2.0], axis=0)
+    lower, upper = _percentile_bounds(vals, [(1.0 - level) / 2.0, (1.0 + level) / 2.0])
     return BootstrapResult(
         point=point,
         lower=dict(zip(names, lower.tolist())),

@@ -2,15 +2,15 @@
 
 The outcome model regresses Y on exposure, both mediators, all their
 products, and covariates; the second mediator's model depends on the
-topology; the first mediator's model is exposure plus covariates. One QR of
-the outcome design in nested column order serves every fit; solves use it,
-never normal equations, as the triple-product column can be badly scaled.
+topology; the first mediator's model is exposure plus covariates. One
+Householder QR of the outcome design in nested column order, factored in
+place (_qr_in_place), serves every fit; solves use it, never normal
+equations, as the triple-product column can be badly scaled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
@@ -136,20 +136,72 @@ def _dependent_columns(x: np.ndarray, names) -> list[str]:
 
 def _nested_design(d: Dataset, topology: Topology):
     """The outcome design in nested column order [1, a, C | m1, a*m1 | m2,
-    a*m2, m1*m2, a*m1*m2], and each model's design columns as columns of it,
-    in _design_names order: its first 2 + k, or 4 + k for the sequential m2."""
+    a*m2, m1*m2, a*m1*m2], transposed: one C-order (p_y, n) array with a row
+    per column, each product written into its row in place. Also each model's
+    design columns as rows of it, in _design_names order: its first 2 + k, or
+    4 + k for the sequential m2."""
     cov = [f"#{i}" for i in range(d.k)]  # by position: no name can clash with a term
-    terms = {"intercept": np.ones(d.n), "a": d.a, "m1": d.m1, "m2": d.m2}
+    terms = {"intercept": 1.0, "a": d.a, "m1": d.m1, "m2": d.m2}
     terms |= dict(zip(cov, d.covariates.T))
     sequential = _design_names(Topology.SEQUENTIAL, cov)
     nested = list(dict.fromkeys(sequential["m1"] + sequential["m2"] + sequential["y"]))
-    x = np.column_stack(
-        [reduce(np.multiply, [terms[t] for t in name.split(":")]) for name in nested]
-    )
-    return x, {
+    xt = np.empty((len(nested), d.n))
+    for row, name in zip(xt, nested):
+        first, *rest = name.split(":")
+        row[...] = terms[first]
+        for term in rest:
+            np.multiply(row, terms[term], out=row)
+    return xt, {
         key: [nested.index(name) for name in names]
         for key, names in _design_names(topology, cov).items()
     }
+
+
+def _qr_in_place(xt: np.ndarray) -> np.ndarray:
+    """R of X = QR for a C-order (p, n) array xt = X', n > p, by Householder
+    reflections, overwriting xt with Q' (p x n).
+
+    The conventions are LAPACK dgeqr2's: reflector j maps x = X_j[j:] to
+    beta e_1 with beta = -sign(alpha) ||x||, alpha = x[0], the norm scaled by
+    max |x| so that no square overflows, and tau = (beta - alpha) / beta;
+    tau = 0 (no reflection) when x[1:] is all zero. Each reflector
+    v = [1, x[1:] / (alpha - beta)] is stored below the diagonal, and is then
+    overwritten by Q' = (H_0 ... H_{p-1})' accumulated backward, as dorg2r
+    does. So R's diagonal has the signs np.linalg.qr gives it. Every row
+    update is written in place through one n-float work row.
+    """
+    p, n = xt.shape
+    tau = np.zeros(p)
+    work = np.empty(n)
+    for j in range(p):
+        x, below = xt[j, j:], xt[j, j + 1 :]
+        alpha = x[0]
+        scaled = np.abs(x, out=work[: n - j])
+        if not scaled[1:].any():
+            continue
+        scale = scaled.max()
+        np.divide(x, scale, out=scaled)
+        beta = -np.copysign(scale * np.sqrt(scaled @ scaled), alpha)
+        tau[j] = (beta - alpha) / beta
+        np.multiply(below, 1.0 / (alpha - beta), out=below)
+        x[0] = beta
+        # H_j = I - tau v v' on the later columns: c -= tau (v'c) v
+        w = tau[j] * (xt[j + 1 :, j] + xt[j + 1 :, j + 1 :] @ below)
+        for row, wk in zip(xt[j + 1 :], w):
+            row[j] -= wk
+            row[j + 1 :] -= np.multiply(below, wk, out=work[: n - j - 1])
+    r = np.triu(xt[:, :p].T)
+    for j in range(p - 1, -1, -1):
+        below = xt[j, j + 1 :]
+        # later rows already hold Q' rows, zero in column j: only v[1:] acts
+        w = tau[j] * (xt[j + 1 :, j + 1 :] @ below)
+        for row, wk in zip(xt[j + 1 :], w):
+            row[j] = -wk
+            row[j + 1 :] -= np.multiply(below, wk, out=work[: n - j - 1])
+        below *= -tau[j]
+        xt[j, j] = 1.0 - tau[j]
+        xt[j, :j] = 0.0
+    return r
 
 
 def _coefficients(
@@ -187,11 +239,11 @@ _LABELS = {"y": "outcome", "m2": "m2", "m1": "m1"}
 
 
 def _nested_qr(d: Dataset, topology: Topology):
-    """Q and R of the nested design X = QR (_nested_design), and each model's
-    full-data fit read off them. The QR of X's leading p columns is Q_p R_p,
-    the leading blocks of Q and R, so each model, by its design columns, has
-    z0 = Q_p'y, the residual r0 = y - Q_p z0 and its design's singular values,
-    those of R_p."""
+    """Q' and R of the nested design X = QR (_nested_design), factored in place
+    (_qr_in_place), and each model's full-data fit read off them. The QR of
+    X's leading p columns is Q_p R_p, the leading blocks of Q and R, so each
+    model, by its design columns, has z0 = Q_p'y, the residual
+    r0 = y - Q_p z0 and its design's singular values, those of R_p."""
     if not isinstance(topology, Topology):
         raise ConfigError(f"unknown topology {topology!r}")
     if d.n <= 8 + d.k:
@@ -199,23 +251,23 @@ def _nested_qr(d: Dataset, topology: Topology):
             f"need more than {8 + d.k} rows to fit the outcome design, got {d.n}"
         )
     with np.errstate(all="ignore"):  # an overflowing product is rejected below
-        x, columns = _nested_design(d, topology)
-    finite = np.isfinite(x).all(axis=0)
-    if not finite.all():
+        qt, columns = _nested_design(d, topology)  # X', until factored into Q'
+    finite = [np.isfinite(row).all() for row in qt]
+    if not all(finite):
         names = _design_names(topology, d.covariate_names)["y"]
         raise EstimationError(
             "outcome design is not finite; overflowing columns: "
             + ", ".join(nm for nm, j in zip(names, columns["y"]) if not finite[j])
         )
-    q, r = np.linalg.qr(x)
-    del x
+    r = _qr_in_place(qt)
     models = {}
     for key, cols in columns.items():
         p, y = len(cols), getattr(d, key)
-        z0 = y @ q[:, :p]
+        z0 = qt[:p] @ y
+        r0 = z0 @ qt[:p]
         s = np.linalg.svd(r[:p, :p], compute_uv=False)
-        models[key] = (cols, z0, y - q[:, :p] @ z0, s)
-    return q, r, models
+        models[key] = (cols, z0, np.subtract(y, r0, out=r0), s)
+    return qt, r, models
 
 
 def _read_fits(d: Dataset, topology: Topology, r: np.ndarray, models) -> FittedModels:
@@ -257,9 +309,12 @@ def fit_all(d: Dataset, topology: Topology) -> FittedModels:
     return _read_fits(d, topology, *_nested_qr(d, topology)[1:])
 
 
-# Data rows per slice of the count-weighted sums (CountWeightedFit.fit): one
-# slice of the column rows, 32 KiB per row, stays cache-sized whatever n is.
-_SLICE_ROWS = 4096
+# Data rows per slice of the count-weighted sums (CountWeightedFit.fit). The
+# column buffer holds one slice, 1.25 MB for the 76 rows of a non-sequential
+# fit with k = 2, and the float64 window of a chunk's counts 0.5 MB; both are
+# bounded whatever n is. With n <= _SLICE_ROWS, as at n = 2,000, the buffer
+# is built once per fitter.
+_SLICE_ROWS = 2048
 
 
 class CountWeightedFit:
@@ -267,8 +322,9 @@ class CountWeightedFit:
 
     A bootstrap resample that takes row i w_i times has the same least-squares
     fit as the weighted problem min sum_i w_i (y_i - x_i b)^2. The set-up
-    factors the full data once (_nested_qr) and first reads its fit, full_fit,
-    off that QR as fit_all does, so a design fit_all rejects fails here alike.
+    factors the full data once (_nested_qr), in place, so the design and Q'
+    are one n x p_y array, and first reads its fit, full_fit, off that QR as
+    fit_all does, so a design fit_all rejects fails here alike.
     From the full-data z0 and r0, a replicate's fit is z = z0 + dz, where
     G dz = h for G = Q_p' W Q_p and h = Q_p' W r0, and b = R_p^{-1} z (least
     squares through QR, never X'WX itself). Its residual sum of squares is
@@ -279,10 +335,10 @@ class CountWeightedFit:
     Every count-weighted sum a chunk of replicates needs is a product
     counts @ columns.T, where each row of columns is one column of
     [q_i * q_j for i <= j | r0 * Q_p, r0^2 per model]; a model's G is the
-    leading p x p block of the outcome model's. The fitter keeps only Q' and
-    each model's r0, and fit builds the columns for _SLICE_ROWS data rows at
-    a time into one buffer, allocated at set-up, so its memory beyond Q' and
-    the counts does not grow with n. The buffer is refilled only for a slice
+    leading p x p block of the outcome model's. The fitter keeps only that
+    Q' and each model's r0, and fit builds the columns for _SLICE_ROWS data
+    rows at a time into one buffer, allocated at set-up, so its memory beyond
+    Q' and the counts does not grow with n. The buffer is refilled only for a slice
     it does not hold: with n <= _SLICE_ROWS, once per fitter. The counts may
     be of any numeric dtype, narrow integers included: fit copies each slice
     of them into one float64 window for its product, so the sums are those of
@@ -292,10 +348,9 @@ class CountWeightedFit:
     def __init__(self, d: Dataset, topology: Topology):
         self._n = d.n
         self._topology = topology
-        q, self._r, models = _nested_qr(d, topology)
+        # Q' in rows, to write each product in one pass
+        self._qt, self._r, models = _nested_qr(d, topology)
         self.full_fit = _read_fits(d, topology, self._r, models)
-        self._qt = np.ascontiguousarray(q.T)  # rows, to write each product in one pass
-        del q
         self._pairs = np.triu_indices(len(self._r))
         # cond(R_p) per distinct block: non-sequential m1 and m2 share theirs
         self._models, self._cond_r = {}, {}

@@ -8,6 +8,7 @@ import os
 
 import numpy as np
 
+import twomed.regression
 from twomed import (
     BinaryScm,
     ComponentSet,
@@ -144,6 +145,16 @@ def count_linalg_calls(monkeypatch, n=None):
 
         monkeypatch.setattr(np.linalg, name, counted)
     return calls
+
+
+def count_factorizations(monkeypatch):
+    """Record the (p, n) shape of every design regression._qr_in_place
+    factors, into the returned list."""
+    shapes = []
+    factor = twomed.regression._qr_in_place
+    monkeypatch.setattr(twomed.regression, "_qr_in_place",
+                        lambda xt: shapes.append(xt.shape) or factor(xt))
+    return shapes
 
 
 def loop_tally_tables(d):

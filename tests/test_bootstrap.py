@@ -1,6 +1,9 @@
 """Percentile-bootstrap behavior: determinism, seeding contract, failure policy."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 
 import twomed.bootstrap
 from conftest import (
+    count_factorizations,
     count_linalg_calls,
     loop_estimate_tables,
     make_linear_dataset,
@@ -343,8 +347,9 @@ def test_count_weighted_engine_matches_reference_refits(monkeypatch, topology):
 
 @pytest.mark.parametrize("topology", list(Topology))
 def test_closed_form_bootstrap_factors_the_full_data_once(monkeypatch, topology):
-    """One QR serves the point fit and the count-weighted refits; no
-    replicate leaves the batched route, so no other n-row array is factored."""
+    """One in-place factorization serves the point fit and the count-weighted
+    refits; no replicate leaves the batched route, so nothing else is
+    factored, and numpy's qr and lstsq are never called."""
     d, _ = _noisy_dataset(14)
     cfg = ReferenceConfig(
         a=1.0, a_star=0.0, m1_star=0.0, m2_star=0.0,
@@ -355,10 +360,12 @@ def test_closed_form_bootstrap_factors_the_full_data_once(monkeypatch, topology)
     monkeypatch.setattr(
         Dataset, "take", lambda ds, idx: taken.append(idx) or take(ds, idx)
     )
-    calls = count_linalg_calls(monkeypatch, n=d.n)
+    factored = count_factorizations(monkeypatch)
+    calls = count_linalg_calls(monkeypatch)
     r = bootstrap_decomposition(d, cfg, B=100, seed=3)
     assert r.failed_replicates == 0 and taken == []
-    assert calls == {"qr": 1}
+    assert factored == [(10, d.n)]
+    assert "qr" not in calls and "lstsq" not in calls
 
 
 @pytest.mark.parametrize("topology", list(Topology))
@@ -417,23 +424,75 @@ def test_exact_fit_outcome_gives_zero_sigma_not_nan(monkeypatch, topology):
 
 @pytest.mark.parametrize("B", [100, 200, 997])
 def test_bounds_equal_per_column_quantiles(monkeypatch, B):
-    """One quantile call over the replicate axis gives, bit for bit, the bounds
-    of one call per component and probability; the rare-rows data leave a
-    kept count that is not B."""
+    """The bounds, taken over the replicate axis at once, are bit for bit
+    np.quantile's of one call per component and probability; the rare-rows
+    data leave a kept count that is not B."""
     d = _dataset_with_rare_rows(n=200, rare=4, seed=9)
     seen = []
-    quantile = np.quantile
-    monkeypatch.setattr(
-        np, "quantile", lambda a, q, **kw: seen.append(a) or quantile(a, q, **kw)
-    )
+    bounds = twomed.bootstrap._percentile_bounds
+    monkeypatch.setattr(twomed.bootstrap, "_percentile_bounds",
+                        lambda vals, probs: seen.append(vals) or bounds(vals, probs))
     for level in (0.8, 0.9, 0.95):
         seen.clear()
         r = bootstrap_decomposition(d, RARE_CFG, B=B, level=level, seed=5)
         (vals,) = seen
         assert len(vals) == B - r.failed_replicates
         for j, name in enumerate(r.lower):
-            assert r.lower[name] == float(quantile(vals[:, j], (1.0 - level) / 2.0)), name
-            assert r.upper[name] == float(quantile(vals[:, j], (1.0 + level) / 2.0)), name
+            column = vals[:, j]
+            assert r.lower[name] == float(np.quantile(column, (1.0 - level) / 2.0)), name
+            assert r.upper[name] == float(np.quantile(column, (1.0 + level) / 2.0)), name
+
+
+def _bound_columns(rng, n):
+    """Columns of n values: normal, heavily tied, constant, with +-inf, with a
+    NaN, and signed zeros."""
+    normal = rng.standard_normal(n)
+    ties = np.round(2.0 * rng.standard_normal(n)) / 2.0
+    infs = rng.standard_normal(n)
+    infs[::7], infs[3::11] = np.inf, -np.inf
+    nan = rng.standard_normal(n)
+    nan[n // 2] = np.nan
+    zeros = np.where(rng.random(n) < 0.5, 0.0, -0.0)
+    return np.column_stack([normal, ties, np.full(n, 0.7), infs, nan, zeros])
+
+
+@pytest.mark.parametrize("n", [1, 2, 95, 200, 997])
+@pytest.mark.parametrize("level", [1e-9, 0.5, 0.95, 1 - 1e-9, 1 - 1e-16])
+def test_percentile_bounds_are_numpys_quantiles(n, level):
+    """Bit for bit np.quantile's, ties, constant, infinite and NaN columns
+    and signed zeros included, at levels near 0 and 1: at 1 - 1e-16 the upper
+    probability rounds to 1, where numpy reads the largest value."""
+    vals = _bound_columns(np.random.default_rng(n), n)
+    probs = [(1.0 - level) / 2.0, (1.0 + level) / 2.0]
+    with np.errstate(invalid="ignore"):  # inf - inf, in both
+        got = twomed.bootstrap._percentile_bounds(vals, probs)
+        want = np.quantile(vals, probs, axis=0)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (g, w)
+
+
+def test_closed_form_bootstrap_leaves_numpy_ma_unloaded():
+    """np.quantile calls np.unique, whose masked-array check imports numpy.ma:
+    about 14 ms and 1 MB of every analyze. A closed-form run, in a fresh
+    process, takes its bounds without it."""
+    src = os.path.dirname(os.path.dirname(twomed.bootstrap.__file__))
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from twomed import Dataset, ReferenceConfig, bootstrap_decomposition\n"
+        "rng = np.random.default_rng(1)\n"
+        "a = rng.integers(0, 2, 300).astype(float)\n"
+        "m1, m2, y = rng.standard_normal((3, 300))\n"
+        "cfg = ReferenceConfig(a=1.0, a_star=0.0, m1_star=0.0, m2_star=0.0)\n"
+        "r = bootstrap_decomposition(Dataset(a=a, m1=m1, m2=m2, y=y), cfg, B=100)\n"
+        "print(r.failed_replicates, 'numpy.ma' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    assert out.split() == ["0", "False"]
 
 
 def test_chunk_size_keeps_matrix_products_and_bounds_memory():
@@ -449,8 +508,10 @@ def test_chunk_size_keeps_matrix_products_and_bounds_memory():
 def test_count_block_does_not_set_the_closed_form_peak(topology):
     """The count block holds a chunk's counts in the narrowest unsigned type
     that holds n: at n = 50,000, 3.2 MB for 32 replicates, where float64
-    counts would take 12.8 MB. So the bootstrap's traced peak stays within the
-    fitter's own set-up bound, four copies of the n x p_y outcome design."""
+    counts would take 12.8 MB. The fitter factors the n x p_y outcome design
+    in place and keeps that one array, so with the block (0.8 of a design
+    here), the three residuals, the slice buffer and the counts' float64
+    window the bootstrap's traced peak stays under three designs' bytes."""
     n, k = 50_000, 2
     rng = np.random.default_rng(23)
     scm = random_linear_scm(rng, k=k, sequential=topology is Topology.SEQUENTIAL)
@@ -465,7 +526,7 @@ def test_count_block_does_not_set_the_closed_form_peak(topology):
     finally:
         tracemalloc.stop()
     assert r.failed_replicates == 0
-    assert peak <= 4 * n * (8 + k) * 8, peak / 2**20
+    assert peak <= 3 * n * (8 + k) * 8, peak / 2**20
 
 
 # a config, and 4 rare rows (a, m1, m2, c, y), for each way a resample fails;

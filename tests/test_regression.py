@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    count_factorizations,
     count_linalg_calls,
     loop_fit_all,
     make_linear_dataset,
@@ -257,6 +258,81 @@ def test_count_weighted_fit_memory_does_not_grow_beyond_q(topology, k):
     assert fit_peaks[1] <= fit_peaks[0] + 2**16, fit_peaks
 
 
+@pytest.mark.parametrize("topology", list(Topology))
+def test_count_weighted_fit_set_up_holds_one_copy_of_the_design(topology):
+    """The set-up writes the design once and factors it in place into Q', so
+    beside that one n x p_y array it holds only the three residuals and the
+    slice buffer: its traced peak stays under two designs' bytes at
+    n = 200,000."""
+    n, k = 200_000, 2
+    d = _topology_dataset(topology, k, n=n)
+    tracemalloc.start()
+    try:
+        CountWeightedFit(d, topology)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * n * (8 + k) * 8, peak / (n * (8 + k) * 8)
+
+
+def _qr_reference_designs():
+    """(name, n x p design) pairs: random; column scales from 1e-6 to 1e6;
+    and a last column within 1e-9 of the first."""
+    rng = np.random.default_rng(17)
+    x = rng.standard_normal((400, 10))
+    near = x.copy()
+    near[:, -1] = near[:, 0] + 1e-9 * rng.standard_normal(400)
+    return [("random", x), ("scaled", x * np.logspace(-6, 6, 10)),
+            ("near-collinear", near)]
+
+
+@pytest.mark.parametrize("name, x", _qr_reference_designs())
+def test_in_place_qr_is_numpys_factorization(name, x):
+    """The in-place factorization leaves Q' in the array and returns R with
+    QR = X and Q'Q = I to about 1e-14, and R equal to np.linalg.qr's to
+    rounding, the signs of its diagonal included."""
+    qt = np.ascontiguousarray(x.T)
+    r = twomed.regression._qr_in_place(qt)
+    scale = np.linalg.norm(x, axis=0)
+    assert qt.flags.c_contiguous and np.isfinite(qt).all()
+    assert np.all(np.abs(qt.T @ r - x) <= 1e-14 * scale), name
+    assert np.abs(qt @ qt.T - np.eye(len(qt))).max() <= 1e-14, name
+    want = np.linalg.qr(x, mode="r")
+    assert np.all(np.abs(r - want) <= 1e-14 * scale), name
+    assert np.array_equal(np.sign(np.diag(r)), np.sign(np.diag(want))), name
+
+
+def test_in_place_qr_of_a_column_whose_squares_overflow():
+    """A finite column near 1e155 has squares past the float range; the norm,
+    scaled by the column's largest entry, keeps its factorization finite."""
+    rng = np.random.default_rng(18)
+    x = rng.standard_normal((300, 10))
+    x[:, 3] *= 1e155
+    qt = np.ascontiguousarray(x.T)
+    r = twomed.regression._qr_in_place(qt)
+    assert np.isfinite(qt).all() and np.isfinite(r).all()
+    assert np.abs(qt @ qt.T - np.eye(10)).max() <= 1e-14
+    scale = np.abs(x).max(axis=0) * np.sqrt(len(x))  # past any column's norm
+    assert np.all(np.abs(qt.T @ r - x) <= 1e-14 * scale)
+
+
+@pytest.mark.parametrize("topology", list(Topology))
+@pytest.mark.parametrize("kind", ["zero", "duplicate"])
+def test_rank_deficient_design_names_its_columns(topology, kind):
+    """A zero covariate column, or one that repeats m1, is rank deficient; both
+    readers of the factorization raise, naming that column."""
+    rng = np.random.default_rng(31)
+    a = rng.integers(0, 2, 300).astype(float)
+    m1, m2, y, c = rng.standard_normal((4, 300))
+    second = np.zeros(300) if kind == "zero" else m1
+    d = Dataset(a=a, m1=m1, m2=m2, y=y, covariates=np.column_stack([c, second]))
+    want = "outcome design is rank-deficient; collinear columns: c2"
+    for fit in (fit_all, CountWeightedFit):
+        with pytest.raises(EstimationError) as err:
+            fit(d, topology)
+        assert str(err.value) == want, fit
+
+
 def test_count_weighted_fit_refills_its_slices_for_every_call(monkeypatch):
     """With the rows in three slices, a second fit on other counts matches a
     fresh fitter's bit for bit, so no stale slice is reused; and the sliced
@@ -311,11 +387,14 @@ def test_count_dtype_does_not_change_a_fit(monkeypatch, topology, n):
 
 @pytest.mark.parametrize("topology", list(Topology))
 def test_fit_all_factors_the_data_once(monkeypatch, topology):
+    """One in-place factorization of the nested design; numpy's qr and lstsq
+    are never called."""
     d = _topology_dataset(topology, k=2, n=300)
+    factored = count_factorizations(monkeypatch)
     calls = count_linalg_calls(monkeypatch)
     fit_all(d, topology)
-    assert calls.get("qr") == 1
-    assert "lstsq" not in calls
+    assert factored == [(10, d.n)]
+    assert "qr" not in calls and "lstsq" not in calls
 
 
 def test_overflowing_design_is_an_estimation_error():
