@@ -11,8 +11,8 @@ for each entry the tables lack. CellCoder.decompose_counts fills it from a
 batch of resamples' cell counts, decompose_empirical_sequential from a
 ProbTables. One mask, _uncovered, decides for both which replicates lack an
 entry the sums weight, and only a single grid that fails it is walked, to
-name the first entry missing. CellCoder.tables checks one resample's counts
-before it builds the ProbTables, in the same walk order over the live cells
+name the first entry missing. CellCoder.tables checks the data's counts
+before it builds the ProbTables, in the same walk order over the cells
 alone: a count grid lacks only outcome means, and the grid is quadratic in
 the levels, so a continuous mediator would make it O(n^2). ProbTables stays
 the public input and the --dump-tables form.
@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -184,12 +183,12 @@ class _Grid(NamedTuple):
 class CellCoder:
     """A dataset's rows coded once by their (a, m1, m2, stratum) cell.
 
-    tables() estimates the tables of all rows, or of the resample made of rows
-    idx, from two bincounts over the codes (counts()) plus work in the number
-    of cells, not rows. Counts are exact integers and each cell's outcomes are
-    summed in row order from 0.0, so the tables are exactly those of a
-    row-by-row tally of the resampled rows. decompose_counts() decomposes many
-    resamples from their bincounts at once.
+    tables() estimates the tables of all rows from two bincounts over the
+    codes (counts()) plus work in the number of cells, not rows. Counts are
+    exact integers and each cell's outcomes are summed in row order from 0.0,
+    so the tables are exactly those of a row-by-row tally.
+    decompose_counts() decomposes many resamples from their bincounts at
+    once.
     """
 
     def __init__(self, d):
@@ -249,13 +248,13 @@ class CellCoder:
             tuple(m2_lv[j] for j in lv2.tolist()),
         )
 
-    def _require_outcomes(self, levels, live: np.ndarray) -> None:
-        """_require_covered for the tables of the live cells, in time and
-        memory linear in the cells, not in the size of their grid. A count
-        grid lacks only outcome means, so the walk visits just the outcome
-        cells that the live cells of cfg's stratum give weight."""
+    def _require_outcomes(self, levels) -> None:
+        """_require_covered for the tables of all rows, in time and memory
+        linear in the cells, not in the size of their grid. A count grid lacks
+        only outcome means, so the walk visits just the outcome cells that the
+        cells of cfg's stratum give weight."""
         a_lv, m1_lv, m2_lv, c_lv = self.levels
-        cells = self.cells[live & (self.cells[:, 3] == c_lv.index(levels[4]))]
+        cells = self.cells[self.cells[:, 3] == c_lv.index(levels[4])]
         held = {(x, i, j) for x in (0, 1)
                 for i, j in cells[cells[:, 0] == a_lv.index(levels[x]), 1:3].tolist()}
         ref = m1_lv.index(levels[2]), m2_lv.index(levels[3])
@@ -266,33 +265,23 @@ class CellCoder:
                 raise _no_outcome(*map(_level_str, (levels[x], m1_lv[i], m2_lv[j])),
                                   _stratum_str(levels[4]))
 
-    def tables(self, cfg: ReferenceConfig, idx=None) -> ProbTables:
-        """Tables of rows idx (all rows when None), checked against cfg."""
-        n, y_sum = self.counts(idx)
-        live = n > 0
-        # the supports and strata are the levels the rows still hold
-        support_a, support_m1, support_m2, strata = (
-            tuple(compress(lv, np.bincount(self.cells[live, j], minlength=len(lv))))
-            for j, lv in enumerate(self.levels)
-        )
+    def tables(self, cfg: ReferenceConfig) -> ProbTables:
+        """Tables of all rows, checked against cfg."""
+        n, y_sum = self.counts()
+        support_a, support_m1, support_m2, strata = map(tuple, self.levels)
         levels = _cfg_levels(cfg, support_a, support_m1, support_m2, strata)
         # check coverage on the cells before filling in the zeros, which
         # number levels x groups: O(n^2) when a mediator is continuous
-        self._require_outcomes(levels, live)
+        self._require_outcomes(levels)
 
         n_am1 = np.bincount(self.cell_am1, weights=n, minlength=len(self.am1_keys))
         n_ac = np.bincount(self.am1_ac, weights=n_am1, minlength=len(self.ac_keys))
-        live_am1 = n_am1 > 0
-        live_am1_keys = list(compress(self.am1_keys, live_am1))
-        live_keys = list(compress(self.cell_keys, live))
         # unobserved levels within an observed group are structural zeros
-        pr1 = {(a, m1, c): 0.0 for a, c in compress(self.ac_keys, n_ac > 0)
-               for m1 in support_m1}
-        pr1.update(zip(live_am1_keys,
-                       (n_am1[live_am1] / n_ac[self.am1_ac[live_am1]]).tolist()))
-        pr2 = {(a, m1, m2, c): 0.0 for a, m1, c in live_am1_keys for m2 in support_m2}
-        pr2.update(zip(live_keys, (n[live] / n_am1[self.cell_am1[live]]).tolist()))
-        py = dict(zip(live_keys, (y_sum[live] / n[live]).tolist()))
+        pr1 = {(a, m1, c): 0.0 for a, c in self.ac_keys for m1 in support_m1}
+        pr1.update(zip(self.am1_keys, (n_am1 / n_ac[self.am1_ac]).tolist()))
+        pr2 = {(a, m1, m2, c): 0.0 for a, m1, c in self.am1_keys for m2 in support_m2}
+        pr2.update(zip(self.cell_keys, (n / n_am1[self.cell_am1]).tolist()))
+        py = dict(zip(self.cell_keys, (y_sum / n).tolist()))
         return ProbTables(pr_m1=pr1, pr_m2=pr2, p_y=py, support_a=support_a,
                           support_m1=support_m1, support_m2=support_m2, strata=strata)
 
@@ -302,10 +291,10 @@ class CellCoder:
         outcome sums, as counts() returns them, are the rows of n and y_sum.
 
         Returns one array per name, over the replicates, and a mask of the
-        replicates that fail: those whose tables(cfg, idx) would raise, and
-        those whose component set would break an identity. The values of the
-        others are those of decompose_empirical_sequential on their tables,
-        bit for bit.
+        replicates that fail: those whose resampled rows' estimate_tables
+        would raise, and those whose component set would break an identity.
+        The values of the others are those of decompose_empirical_sequential
+        on their tables, bit for bit.
         """
         levels = _sequential_levels(cfg, *self.levels)
         grid = self._grid(levels, n, y_sum)

@@ -19,7 +19,6 @@ individuals; it reads every contrast off core.CONTRASTS.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -346,22 +345,6 @@ def _linear_contrasts(scm, cfg, t8c, b4c, g2c, e1, e2, ey):
     return _worlds(cfg, y_of, m1_of, lambda z, _m1: m2_of(z, 0.0))
 
 
-def _error_streams(rng, m):
-    """Three generators that draw a shard's e1, e2 and ey, in that order, one
-    block at a time, giving the values that whole-shard draws of m each from
-    rng would give. Each starts at rng's state where its error's whole-shard
-    draw starts. normal(0, sigma) consumes the bits of standard_normal, so
-    drawing e1 and then e2 as standard normals into a block buffer finds the
-    last two starts."""
-    streams = []
-    buf = np.empty(min(m, _MC_BLOCK))
-    for _ in range(2):
-        streams.append(copy.deepcopy(rng))
-        for lo in range(0, m, _MC_BLOCK):
-            rng.standard_normal(out=buf[: min(_MC_BLOCK, m - lo)])
-    return streams + [rng]
-
-
 def simulate_linear_components(
     scm: LinearScm,
     cfg: ReferenceConfig,
@@ -373,14 +356,15 @@ def simulate_linear_components(
 
     Each simulated individual gets ONE error triple, reused across every
     counterfactual world, so the per-individual sum identity holds exactly and
-    the averages estimate the population components. Per-shard streams derive
-    from (seed, shard index). Each shard's counterfactual worlds are evaluated
-    in blocks of _MC_BLOCK individuals, and the per-block sums are merged with
-    exact compensated summation, so the result is deterministic given (seed,
-    shards) and the fixed block size, and does not depend on merge order.
-    The errors are drawn block by block too (_error_streams), with the values
-    whole-shard draws would give, so memory is one block of errors and
-    temporaries whatever n is.
+    the averages estimate the population components. Each shard draws e1, e2
+    and ey from three independent streams, the children of
+    SeedSequence([seed, shard index]) in that order. Each shard's errors are
+    drawn, and its counterfactual worlds evaluated, in blocks of _MC_BLOCK
+    individuals, so memory is one block of errors and temporaries whatever n
+    is. The per-block sums are merged with exact compensated summation, so the
+    result is deterministic given (seed, shards) and the fixed block size, and
+    does not depend on merge order. The block size does not change the draws:
+    a stream drawn block by block gives the values of one whole-shard draw.
     """
     if n < 1:
         raise ConfigError(f"n must be at least 1, got {n}")
@@ -400,7 +384,8 @@ def simulate_linear_components(
 
     sigmas = (scm.sigma_m1, scm.sigma_m2, scm.sigma_y)
     for shard_idx, m in enumerate(counts):
-        streams = _error_streams(np.random.default_rng([seed, shard_idx]), m)
+        children = np.random.SeedSequence([seed, shard_idx]).spawn(3)
+        streams = [np.random.default_rng(c) for c in children]
         for lo in range(0, m, _MC_BLOCK):
             size = min(_MC_BLOCK, m - lo)
             e1, e2, ey = (g.normal(0.0, s, size=size) for g, s in zip(streams, sigmas))

@@ -242,8 +242,8 @@ def _nested_qr(d: Dataset, topology: Topology):
     """Q' and R of the nested design X = QR (_nested_design), factored in place
     (_qr_in_place), and each model's full-data fit read off them. The QR of
     X's leading p columns is Q_p R_p, the leading blocks of Q and R, so each
-    model, by its design columns, has z0 = Q_p'y, the residual
-    r0 = y - Q_p z0 and its design's singular values, those of R_p."""
+    model, by its design columns, has z0 = Q_p'y and the residual
+    r0 = y - Q_p z0."""
     if not isinstance(topology, Topology):
         raise ConfigError(f"unknown topology {topology!r}")
     if d.n <= 8 + d.k:
@@ -265,8 +265,7 @@ def _nested_qr(d: Dataset, topology: Topology):
         p, y = len(cols), getattr(d, key)
         z0 = qt[:p] @ y
         r0 = z0 @ qt[:p]
-        s = np.linalg.svd(r[:p, :p], compute_uv=False)
-        models[key] = (cols, z0, np.subtract(y, r0, out=r0), s)
+        models[key] = (cols, z0, np.subtract(y, r0, out=r0))
     return qt, r, models
 
 
@@ -275,9 +274,15 @@ def _read_fits(d: Dataset, topology: Topology, r: np.ndarray, models) -> FittedM
     decision, coefficients, covariances, standard errors and R^2."""
     names = _design_names(topology, d.covariate_names)
     fits, stderr, r2, vcov, rss = {}, {}, {}, {}, {}
-    for key, (cols, z0, r0, s) in models.items():
+    for key, (cols, z0, r0) in models.items():
         p, y = len(cols), getattr(d, key)
-        # an SVD solver's rank cutoff, rcond = eps * max(n, p), on X_p's singular values
+        # an SVD solver's rank cutoff, rcond = eps * max(n, p), on the singular
+        # values of X_p with unit-norm columns, so that units do not decide
+        # rank; R_p shares X_p's column norms (by hypot, which cannot
+        # overflow), and a zero column stays zero
+        norms = np.hypot.reduce(r[:p, :p], axis=0)
+        s = np.linalg.svd(r[:p, :p] / np.where(norms > 0.0, norms, 1.0),
+                          compute_uv=False)
         if s[-1] <= s[0] * np.finfo(float).eps * max(d.n, p):
             bad = _dependent_columns(r[:, cols], names[key])  # X's columns, rotated
             raise EstimationError(
@@ -355,10 +360,11 @@ class CountWeightedFit:
         # cond(R_p) per distinct block: non-sequential m1 and m2 share theirs
         self._models, self._cond_r = {}, {}
         row = len(self._pairs[0])
-        for key, (cols, z0, r0, s) in models.items():
+        for key, (cols, z0, r0) in models.items():
             p = len(cols)
             self._models[key] = (cols, z0, r0, row)
-            self._cond_r[p] = s[0] / s[-1]
+            s = np.linalg.svd(self._r[:p, :p], compute_uv=False)
+            self._cond_r[p] = s[0] / s[-1] if s[-1] > 0.0 else np.inf
             row += p + 1
         # the slice buffer, and the first data row of the slice it holds
         self._buffer = np.empty((row, min(self._n, _SLICE_ROWS)))

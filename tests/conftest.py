@@ -354,6 +354,15 @@ def loop_fit_all(d: Dataset, topology: Topology) -> FittedModels:
     )
 
 
+def _whole_shard_errors(scm, seed, shard_idx, m):
+    """A shard's e1, e2 and ey, each drawn whole from its own child of
+    SeedSequence([seed, shard_idx])."""
+    children = np.random.SeedSequence([seed, shard_idx]).spawn(3)
+    sigmas = (scm.sigma_m1, scm.sigma_m2, scm.sigma_y)
+    return [np.random.default_rng(c).normal(0.0, s, size=m)
+            for c, s in zip(children, sigmas)]
+
+
 def loop_simulate_linear_components(scm, cfg, n, seed, shards=1):
     """The Monte Carlo oracle evaluated on whole shards at once: the reference
     whose means and standard errors, returned as two dicts by name, the
@@ -364,10 +373,7 @@ def loop_simulate_linear_components(scm, cfg, n, seed, shards=1):
     base = n // shards
     for shard_idx in range(shards):
         m = base + (1 if shard_idx < n % shards else 0)
-        rng = np.random.default_rng([seed, shard_idx])
-        e1 = rng.normal(0.0, scm.sigma_m1, size=m)
-        e2 = rng.normal(0.0, scm.sigma_m2, size=m)
-        ey = rng.normal(0.0, scm.sigma_y, size=m)
+        e1, e2, ey = _whole_shard_errors(scm, seed, shard_idx, m)
         values = _linear_contrasts(scm, cfg, t8c, b4c, g2c, e1, e2, ey)
         for k, arr in values.items():
             sums.setdefault(k, []).append(float(np.sum(arr)))
@@ -391,10 +397,7 @@ def loop_simulate_with_whole_shard_draws(scm, cfg, n, seed, shards=1):
     base = n // shards
     for shard_idx in range(shards):
         m = base + (1 if shard_idx < n % shards else 0)
-        rng = np.random.default_rng([seed, shard_idx])
-        e1 = rng.normal(0.0, scm.sigma_m1, size=m)
-        e2 = rng.normal(0.0, scm.sigma_m2, size=m)
-        ey = rng.normal(0.0, scm.sigma_y, size=m)
+        e1, e2, ey = _whole_shard_errors(scm, seed, shard_idx, m)
         for lo in range(0, m, oracle._MC_BLOCK):
             block = slice(lo, lo + oracle._MC_BLOCK)
             values = _linear_contrasts(

@@ -28,9 +28,9 @@ from twomed import (
     bootstrap_decomposition,
     decompose_closed_form,
     decompose_empirical_sequential,
+    estimate_tables,
     fit_all,
 )
-from twomed.empirical import CellCoder
 from twomed.regression import CountWeightedFit
 
 
@@ -584,13 +584,13 @@ def test_batched_failure_masks_match_the_per_replicate_loop(kind):
         d, cfg, B=B, seed=seed, estimator="empirical-categorical"
     )
 
-    coder = CellCoder(d)
     draws = {name: [] for name in r.lower}
     errors = []
     for b in range(B):
         idx = np.random.default_rng([seed, b]).integers(0, d.n, size=d.n)
         try:
-            cs = decompose_empirical_sequential(coder.tables(cfg, idx), cfg)
+            tables = estimate_tables(d.take(idx), cfg)
+            cs = decompose_empirical_sequential(tables, cfg)
         except (ConfigError, EstimationError) as exc:
             errors.append(str(exc))
             continue

@@ -329,15 +329,12 @@ def _tables_or_error(estimate):
 def test_cell_coded_tables_equal_the_row_loop(case):
     d, idx, cfg = case
     want = _tables_or_error(lambda: loop_estimate_tables(d.take(idx), cfg))
-    got = _tables_or_error(lambda: CellCoder(d).tables(cfg, idx))
+    got = _tables_or_error(lambda: estimate_tables(d.take(idx), cfg))
     if isinstance(want, type):
         assert got is want
         return
     for name in _TABLE_FIELDS:
         assert getattr(got, name) == getattr(want, name), name
-    full = estimate_tables(d.take(idx), cfg)
-    for name in _TABLE_FIELDS:
-        assert getattr(full, name) == getattr(want, name), name
 
 
 _NAMED_CELL = re.compile(
@@ -362,7 +359,7 @@ def test_a_coverage_error_names_a_cell_the_row_tally_lacks(case):
     the tables too."""
     d, idx, cfg = case
     try:
-        CellCoder(d).tables(cfg, idx)
+        estimate_tables(d.take(idx), cfg)
         return
     except ConfigError:
         return
@@ -410,12 +407,13 @@ def test_every_grid_route_decides_coverage_with_one_mask(monkeypatch):
 @given(_resampled_dataset())
 @example(_m1_level_under_a_only())
 def test_the_cell_walk_names_what_the_grid_walk_names(case):
-    """tables() walks the live cells alone. On the resample's count grid, the
-    grid walk passes or fails with it and names the same entry."""
+    """tables() walks the cells alone. On the resample's count grid, the grid
+    walk passes or fails with the resampled rows' tables and names the same
+    entry."""
     d, idx, cfg = case
     coder = CellCoder(d)
     try:
-        coder.tables(cfg, idx)
+        estimate_tables(d.take(idx), cfg)
         want = None
     except ConfigError:
         return
@@ -460,7 +458,7 @@ def test_a_resample_that_loses_a_reference_fails_like_the_row_loop(
     with pytest.raises(ConfigError, match=lost) as want:
         loop_estimate_tables(d.take(idx), cfg)
     with pytest.raises(ConfigError) as got:
-        CellCoder(d).tables(cfg, idx)
+        estimate_tables(d.take(idx), cfg)
     assert str(got.value) == str(want.value)
     # the full data holds every level, and both estimators agree on it
     assert estimate_tables(d, cfg) == loop_estimate_tables(d, cfg)
@@ -570,7 +568,7 @@ def test_batched_replicates_equal_their_one_replicate_decompositions(
         for name, value in one.items():
             assert value.tobytes() == values[name][r:r + 1].tobytes(), name
         want = outcome(lambda: decompose_empirical_sequential(
-            coder.tables(cfg, i), cfg))
+            estimate_tables(d.take(i), cfg), cfg))
         assert failed[r] == isinstance(want, tuple)
         if not failed[r]:
             assert {k: v[r] for k, v in values.items()} == want

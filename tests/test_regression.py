@@ -1,10 +1,12 @@
 """OLS fitting of the three working models."""
 
 import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -21,8 +23,10 @@ from twomed import (
     EstimationError,
     Topology,
     fit_all,
+    write_dataset_csv,
 )
 import twomed.regression
+from twomed.cli import main
 from twomed.regression import CountWeightedFit
 
 
@@ -331,6 +335,57 @@ def test_rank_deficient_design_names_its_columns(topology, kind):
         with pytest.raises(EstimationError) as err:
             fit(d, topology)
         assert str(err.value) == want, fit
+
+
+def _scaled_covariate_dataset(scale, n=2_000):
+    """Data whose one covariate is standard normal times scale."""
+    rng = np.random.default_rng(32)
+    a = rng.integers(0, 2, n).astype(float)
+    m1, m2, y, c = rng.standard_normal((4, n))
+    m1 += a
+    m2 += a + 0.5 * m1
+    y += a + m1 + m2
+    return Dataset(a=a, m1=m1, m2=m2, y=y, covariates=(scale * c)[:, None])
+
+
+@pytest.mark.parametrize("scale", [1e12, 1e155])
+@pytest.mark.parametrize("topology", list(Topology))
+def test_a_covariate_in_large_units_does_not_decide_rank(topology, scale):
+    """The rank decision takes the design's columns at unit norm, so a
+    covariate in large units fits by both readers, with the coefficients of
+    the unscaled fit and the covariate's own divided by the scale. At 1e155
+    a column's sum of squares overflows, its norm does not."""
+    want = fit_all(_scaled_covariate_dataset(1.0), topology).coefficients
+    d = _scaled_covariate_dataset(scale)
+    for fit in (fit_all(d, topology), CountWeightedFit(d, topology).full_fit):
+        got = fit.coefficients
+        for name in ("theta", "beta", "gamma", "sigma_m1", "sigma_m2", "sigma_y"):
+            assert np.allclose(getattr(got, name), getattr(want, name),
+                               rtol=1e-9, atol=1e-12), name
+        for name in ("theta_c", "beta_c", "gamma_c"):
+            assert np.allclose(scale * np.asarray(getattr(got, name)),
+                               getattr(want, name), rtol=1e-9, atol=1e-12), name
+
+
+def test_analyze_takes_a_covariate_in_large_units(tmp_path):
+    """analyze on the data with a covariate times 1e12 exits 0, with the
+    unscaled data's estimates and intervals, where it used to exit 4 calling
+    the design numerically degenerate."""
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"covariates": ["c1"]}))
+    reports = []
+    for scale in (1.0, 1e12):
+        data = tmp_path / f"data-{scale:g}.csv"
+        write_dataset_csv(_scaled_covariate_dataset(scale), str(data))
+        res = CliRunner().invoke(main, ["analyze", "--data", str(data), "--config",
+                                        str(config), "--bootstrap-B", "100"])
+        assert res.exit_code == 0, res.output
+        reports.append(json.loads(res.output)["components"])
+    for want, got in zip(*reports):
+        assert got["name"] == want["name"]
+        for field in ("estimate", "ci_lower", "ci_upper"):
+            assert got[field] == pytest.approx(want[field], rel=1e-9, abs=1e-12), (
+                got["name"], field)
 
 
 def test_count_weighted_fit_refills_its_slices_for_every_call(monkeypatch):
