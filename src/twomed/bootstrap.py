@@ -11,10 +11,11 @@ replicate's indices become a row of counts, CountWeightedFit solves the
 count-weighted least-squares problems of the whole chunk against the one QR of
 the full data that also gives the point fit, and decompose_closed_form_batch
 evaluates the closed forms and checks the component-set identities on the
-chunk's coefficient arrays. A replicate whose resampled design is not
-clearly full rank is refit from its copied rows and decomposed on its own
-instead, so failures are decided exactly as a plain per-replicate refit
-decides them.
+chunk's coefficient arrays. A replicate the fitter's condition gate does not
+pass is refit from its copied rows and decomposed on its own instead, so
+failures are decided exactly as a plain per-replicate refit decides them.
+The gate and the rank decision read one SVD of each R_p block at unit-norm
+columns (regression._COND_LIMIT), so the units of a covariate decide neither.
 
 The empirical-categorical estimator codes each row's table cell once
 (CellCoder). A replicate's cell counts and outcome sums then come from two
@@ -49,14 +50,6 @@ from .empirical import CellCoder, ProbTables, decompose_empirical_sequential
 from .regression import CountWeightedFit, Dataset, fit_all
 
 ESTIMATORS = ("closed-form", "empirical-categorical")
-
-# A replicate takes the count-weighted route only while this bounds the
-# condition number of its resampled designs. The reference refit, fit_all,
-# calls a design rank deficient when the singular values of its R_p have
-# sigma_min <= sigma_max * eps * max(n, p), near cond = 1 / (eps * n): about
-# 2e12 at n = 2,000 and still above 1e8 up to n = 4e7, so every replicate
-# below the bound is one the reference refit would accept.
-_COND_LIMIT = 1e8
 
 # Replicates per chunk, and the most bytes a chunk's counts may take as
 # float64 (_chunk_size); the count block itself holds them in the narrowest
@@ -176,7 +169,7 @@ def bootstrap_decomposition(
             counts = block[: len(reps)]
             for row, b in zip(counts, reps):
                 row[:] = np.bincount(_resample_indices(seed, b, n), minlength=n)
-            coefficients, ok = fitter.fit(counts, _COND_LIMIT)
+            coefficients, ok = fitter.fit(counts)
             values, violated = decompose_closed_form_batch(coefficients, cfg)
             draws.append(np.column_stack([values[k][ok & ~violated] for k in names]))
             # resampled designs not clearly full rank: the reference refit

@@ -41,13 +41,6 @@ from .table_engine import decompose_tables
 _SUM_TOL = 1e-9
 
 
-def _level(v) -> float:
-    x = float(v)
-    if not math.isfinite(x):
-        raise ConfigError(f"level must be finite, got {v!r}")
-    return x
-
-
 def _level_str(v: float) -> str:
     return str(int(v)) if float(v).is_integer() else repr(float(v))
 
@@ -321,11 +314,8 @@ def estimate_tables(d, cfg: ReferenceConfig) -> ProbTables:
 
 
 def _cfg_levels(cfg: ReferenceConfig, support_a, support_m1, support_m2, strata):
-    a = _level(cfg.a)
-    s = _level(cfg.a_star)
-    m1r = _level(cfg.m1_star)
-    m2r = _level(cfg.m2_star)
-    c = tuple(_level(v) for v in cfg.covariates)
+    # ReferenceConfig holds finite floats only (core._require_finite)
+    a, s, m1r, m2r, c = cfg.a, cfg.a_star, cfg.m1_star, cfg.m2_star, cfg.covariates
     for lev, sup, what in (
         (a, support_a, "exposure"),
         (s, support_a, "exposure"),

@@ -243,7 +243,10 @@ def _nested_qr(d: Dataset, topology: Topology):
     (_qr_in_place), and each model's full-data fit read off them. The QR of
     X's leading p columns is Q_p R_p, the leading blocks of Q and R, so each
     model, by its design columns, has z0 = Q_p'y and the residual
-    r0 = y - Q_p z0."""
+    r0 = y - Q_p z0. Each model also has s, the singular values of X_p with
+    unit-norm columns, from one SVD per distinct R_p block: the one
+    conditioning measure of the rank decision (_read_fits) and the bootstrap
+    gate (CountWeightedFit.fit)."""
     if not isinstance(topology, Topology):
         raise ConfigError(f"unknown topology {topology!r}")
     if d.n <= 8 + d.k:
@@ -260,13 +263,36 @@ def _nested_qr(d: Dataset, topology: Topology):
             + ", ".join(nm for nm, j in zip(names, columns["y"]) if not finite[j])
         )
     r = _qr_in_place(qt)
-    models = {}
+    models, scaled = {}, {}
     for key, cols in columns.items():
         p, y = len(cols), getattr(d, key)
+        if p not in scaled:  # non-sequential m1 and m2 share their block
+            # R_p shares X_p's column norms (by hypot, which cannot
+            # overflow), and a zero column stays zero
+            norms = np.hypot.reduce(r[:p, :p], axis=0)
+            scaled[p] = np.linalg.svd(r[:p, :p] / np.where(norms > 0.0, norms, 1.0),
+                                      compute_uv=False)
         z0 = qt[:p] @ y
         r0 = z0 @ qt[:p]
-        models[key] = (cols, z0, np.subtract(y, r0, out=r0))
+        models[key] = (cols, z0, np.subtract(y, r0, out=r0), scaled[p])
     return qt, r, models
+
+
+# The bootstrap's gate, beside the rank cutoff of _read_fits: both read s of
+# _nested_qr, the singular values of R_p D^-1, D being X_p's column norms. A
+# replicate with counts W takes the count-weighted route (CountWeightedFit.fit)
+# only while cond(R_p D^-1) * sqrt(cond(G_b)) < _COND_LIMIT for every model,
+# G_b = Q_p' W Q_p. Any other is refit the reference way, fit_all on its
+# copied rows X_b. Every replicate the gate passes is one that refit accepts:
+# - X_b D^-1 has the singular values of W^1/2 X_p D^-1 = W^1/2 Q_p (R_p D^-1),
+#   so cond(X_b D^-1) <= cond(R_p D^-1) * sqrt(cond(G_b)), which the gate
+#   bounds.
+# - The refit scales by the resample's own column norms D_b. Unit-norm
+#   scaling is within sqrt(p) of the best diagonal scaling (van der Sluis
+#   1969; Higham, ASNA, Thm 7.5), so cond(X_b D_b^-1) <= sqrt(p) * _COND_LIMIT.
+# - That stays below the rank cutoff, 1 / (eps * max(n, p)), while
+#   sqrt(p) * max(n, p) < 4.5e7: at p = 10, n up to 1.4e7.
+_COND_LIMIT = 1e8
 
 
 def _read_fits(d: Dataset, topology: Topology, r: np.ndarray, models) -> FittedModels:
@@ -274,15 +300,10 @@ def _read_fits(d: Dataset, topology: Topology, r: np.ndarray, models) -> FittedM
     decision, coefficients, covariances, standard errors and R^2."""
     names = _design_names(topology, d.covariate_names)
     fits, stderr, r2, vcov, rss = {}, {}, {}, {}, {}
-    for key, (cols, z0, r0) in models.items():
+    for key, (cols, z0, r0, s) in models.items():
         p, y = len(cols), getattr(d, key)
         # an SVD solver's rank cutoff, rcond = eps * max(n, p), on the singular
-        # values of X_p with unit-norm columns, so that units do not decide
-        # rank; R_p shares X_p's column norms (by hypot, which cannot
-        # overflow), and a zero column stays zero
-        norms = np.hypot.reduce(r[:p, :p], axis=0)
-        s = np.linalg.svd(r[:p, :p] / np.where(norms > 0.0, norms, 1.0),
-                          compute_uv=False)
+        # values of X_p with unit-norm columns, so that units do not decide rank
         if s[-1] <= s[0] * np.finfo(float).eps * max(d.n, p):
             bad = _dependent_columns(r[:, cols], names[key])  # X's columns, rotated
             raise EstimationError(
@@ -357,15 +378,14 @@ class CountWeightedFit:
         self._qt, self._r, models = _nested_qr(d, topology)
         self.full_fit = _read_fits(d, topology, self._r, models)
         self._pairs = np.triu_indices(len(self._r))
-        # cond(R_p) per distinct block: non-sequential m1 and m2 share theirs
+        # cond(R_p D^-1) per distinct block, from the singular values the
+        # rank decision read: it passed, so s[-1] > 0
         self._models, self._cond_r = {}, {}
         row = len(self._pairs[0])
-        for key, (cols, z0, r0) in models.items():
-            p = len(cols)
+        for key, (cols, z0, r0, s) in models.items():
             self._models[key] = (cols, z0, r0, row)
-            s = np.linalg.svd(self._r[:p, :p], compute_uv=False)
-            self._cond_r[p] = s[0] / s[-1] if s[-1] > 0.0 else np.inf
-            row += p + 1
+            self._cond_r[len(cols)] = s[0] / s[-1]
+            row += len(cols) + 1
         # the slice buffer, and the first data row of the slice it holds
         self._buffer = np.empty((row, min(self._n, _SLICE_ROWS)))
         self._held = None
@@ -386,16 +406,16 @@ class CountWeightedFit:
         self._held = lo
         return out
 
-    def fit(self, counts: np.ndarray, cond_limit: float):
+    def fit(self, counts: np.ndarray):
         """Coefficients for every row of a (replicates, n) count matrix of any
         numeric dtype.
 
         Returns a CoefficientBatch and a boolean array, true for a replicate
-        whose cond(R_p) * sqrt(cond(Q_p' W Q_p)), an upper bound on the
-        condition number of its resampled design, is below cond_limit for every
-        model. The caller refits the others the reference way, so rank
-        decisions stay with the per-replicate fit; their batch values are
-        meaningless.
+        whose cond(R_p D^-1) * sqrt(cond(Q_p' W Q_p)), an upper bound on the
+        condition number of its resampled design at the full data's unit-norm
+        columns, is below _COND_LIMIT for every model. The caller refits the
+        others the reference way, so rank decisions stay with the
+        per-replicate fit; their batch values are meaningless.
         """
         reps = counts.shape[0]
         sums = np.zeros((reps, len(self._buffer)))
@@ -411,9 +431,9 @@ class CountWeightedFit:
         ok = np.ones(reps, dtype=bool)
         for p, cond_r in self._cond_r.items():
             eig = np.linalg.eigvalsh(gram[:, :p, :p])
-            # cond_r * sqrt(max eig / min eig) < cond_limit, squared and
+            # cond_r * sqrt(max eig / min eig) < _COND_LIMIT, squared and
             # cleared of the division; false whenever min eig <= 0
-            ok &= cond_r**2 * eig[:, -1] < cond_limit**2 * eig[:, 0]
+            ok &= cond_r**2 * eig[:, -1] < _COND_LIMIT**2 * eig[:, 0]
         # skipped replicates must not make solve raise
         gram[~ok] = np.eye(len(self._r))
         fits, rss = {}, {}

@@ -40,7 +40,7 @@ from twomed.core import (
     TE,
 )
 from twomed import oracle
-from twomed.empirical import _cfg_levels, _level, _level_str, _stratum_str
+from twomed.empirical import _cfg_levels, _level_str, _stratum_str
 from twomed.linear import contractions
 from twomed.oracle import _BIN, _check_binary_cfg, _linear_contrasts
 from twomed.regression import (
@@ -133,6 +133,17 @@ def assert_same_outcome(got, want, scale):
         assert abs(got[name] - value) <= 1e-12 * scale, name
 
 
+def scaled_covariate_dataset(scale, n=2_000):
+    """Data whose one covariate is standard normal times scale."""
+    rng = np.random.default_rng(32)
+    a = rng.integers(0, 2, n).astype(float)
+    m1, m2, y, c = rng.standard_normal((4, n))
+    m1 += a
+    m2 += a + 0.5 * m1
+    y += a + m1 + m2
+    return Dataset(a=a, m1=m1, m2=m2, y=y, covariates=(scale * c)[:, None])
+
+
 def count_linalg_calls(monkeypatch, n=None):
     """Count the calls of numpy.linalg's factorizations and solvers, by name,
     into the returned dict; with n, only the calls on an array of n rows."""
@@ -155,6 +166,13 @@ def count_factorizations(monkeypatch):
     monkeypatch.setattr(twomed.regression, "_qr_in_place",
                         lambda xt: shapes.append(xt.shape) or factor(xt))
     return shapes
+
+
+def _level(v) -> float:
+    x = float(v)
+    if not math.isfinite(x):
+        raise ConfigError(f"level must be finite, got {v!r}")
+    return x
 
 
 def loop_tally_tables(d):

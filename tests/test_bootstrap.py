@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import twomed.bootstrap
+import twomed.regression
 from conftest import (
     count_factorizations,
     count_linalg_calls,
@@ -17,6 +18,7 @@ from conftest import (
     make_linear_dataset,
     random_linear_scm,
     random_reference,
+    scaled_covariate_dataset,
 )
 from twomed import (
     ConfigError,
@@ -112,7 +114,7 @@ def test_replicates_follow_the_seeding_contract(monkeypatch):
     A zero condition limit sends every replicate down the reference route,
     fit_all on the copied rows, which this loop repeats bit for bit.
     """
-    monkeypatch.setattr(twomed.bootstrap, "_COND_LIMIT", 0.0)
+    monkeypatch.setattr(twomed.regression, "_COND_LIMIT", 0.0)
     d, _ = _noisy_dataset(5, n=80)
     seed, B = 21, 100
     r = bootstrap_decomposition(d, CFG, B=B, seed=seed)
@@ -333,10 +335,39 @@ def test_count_weighted_engine_matches_reference_refits(monkeypatch, topology):
     batched = bootstrap_decomposition(d, cfg, B=B, seed=seed)
     # only the resamples that miss every flagged row leave the batched route
     assert len(taken) == len(misses)
-    monkeypatch.setattr(twomed.bootstrap, "_COND_LIMIT", 0.0)
+    monkeypatch.setattr(twomed.regression, "_COND_LIMIT", 0.0)
     reference = bootstrap_decomposition(d, cfg, B=B, seed=seed)
 
     assert batched.failed_replicates == reference.failed_replicates == len(misses)
+    assert batched.point == reference.point
+    for bounds, want in ((batched.lower, reference.lower),
+                         (batched.upper, reference.upper)):
+        assert bounds.keys() == want.keys()
+        for name, value in bounds.items():
+            assert math.isclose(value, want[name], rel_tol=1e-10, abs_tol=1e-12), name
+
+
+@pytest.mark.parametrize("topology", list(Topology))
+def test_a_covariate_in_large_units_stays_batched(monkeypatch, topology):
+    """The gate reads the rank decision's singular values, taken at unit-norm
+    columns, so a covariate times 1e12 sends no replicate to the reference
+    refit, and the bounds are the reference route's to rounding."""
+    d = scaled_covariate_dataset(1e12)
+    cfg = ReferenceConfig(
+        a=1.0, a_star=0.0, m1_star=0.5, m2_star=-0.5,
+        covariates=(5e11,), topology=topology,
+    )
+    taken = []
+    take = Dataset.take
+    monkeypatch.setattr(
+        Dataset, "take", lambda ds, idx: taken.append(idx) or take(ds, idx)
+    )
+    batched = bootstrap_decomposition(d, cfg, B=100, seed=6)
+    assert taken == [] and batched.failed_replicates == 0
+    monkeypatch.setattr(twomed.regression, "_COND_LIMIT", 0.0)
+    reference = bootstrap_decomposition(d, cfg, B=100, seed=6)
+    assert len(taken) == 100 and reference.failed_replicates == 0
+
     assert batched.point == reference.point
     for bounds, want in ((batched.lower, reference.lower),
                          (batched.upper, reference.upper)):
@@ -410,12 +441,12 @@ def test_exact_fit_outcome_gives_zero_sigma_not_nan(monkeypatch, topology):
     )
     counts = np.ones((1, d.n))
     fitter = CountWeightedFit(d, topology)
-    batch, ok = fitter.fit(counts, twomed.bootstrap._COND_LIMIT)
+    batch, ok = fitter.fit(counts)
     assert ok.all() and batch.sigma_y[0] < 1e-12
-    assert np.isfinite(fitter.fit(counts, 0.0)[0].sigma_y).all()
 
     batched = bootstrap_decomposition(d, cfg, B=100, seed=4)
-    monkeypatch.setattr(twomed.bootstrap, "_COND_LIMIT", 0.0)
+    monkeypatch.setattr(twomed.regression, "_COND_LIMIT", 0.0)
+    assert np.isfinite(fitter.fit(counts)[0].sigma_y).all()
     reference = bootstrap_decomposition(d, cfg, B=100, seed=4)
     assert batched.failed_replicates == reference.failed_replicates == 0
     for name, value in batched.lower.items():

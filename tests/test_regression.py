@@ -16,6 +16,7 @@ from conftest import (
     loop_fit_all,
     make_linear_dataset,
     random_linear_scm,
+    scaled_covariate_dataset,
 )
 from twomed import (
     DataError,
@@ -223,7 +224,7 @@ def test_count_weighted_fit_of_unit_counts_is_the_full_data_fit(topology, k):
     """Every row taken once is the full data, so each model's coefficients
     come back in its design's column order, as fit_all gives them."""
     d = _topology_dataset(topology, k, n=500)
-    batch, ok = CountWeightedFit(d, topology).fit(np.ones((3, d.n)), 1e8)
+    batch, ok = CountWeightedFit(d, topology).fit(np.ones((3, d.n)))
     want = fit_all(d, topology).coefficients
     assert ok.all()
     for name in batch._fields:
@@ -254,7 +255,7 @@ def test_count_weighted_fit_memory_does_not_grow_beyond_q(topology, k):
             set_up = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             held = tracemalloc.get_traced_memory()[0]
-            fitter.fit(counts, 1e8)
+            fitter.fit(counts)
             fit_peaks.append(tracemalloc.get_traced_memory()[1] - held)
         finally:
             tracemalloc.stop()
@@ -337,17 +338,6 @@ def test_rank_deficient_design_names_its_columns(topology, kind):
         assert str(err.value) == want, fit
 
 
-def _scaled_covariate_dataset(scale, n=2_000):
-    """Data whose one covariate is standard normal times scale."""
-    rng = np.random.default_rng(32)
-    a = rng.integers(0, 2, n).astype(float)
-    m1, m2, y, c = rng.standard_normal((4, n))
-    m1 += a
-    m2 += a + 0.5 * m1
-    y += a + m1 + m2
-    return Dataset(a=a, m1=m1, m2=m2, y=y, covariates=(scale * c)[:, None])
-
-
 @pytest.mark.parametrize("scale", [1e12, 1e155])
 @pytest.mark.parametrize("topology", list(Topology))
 def test_a_covariate_in_large_units_does_not_decide_rank(topology, scale):
@@ -355,8 +345,8 @@ def test_a_covariate_in_large_units_does_not_decide_rank(topology, scale):
     covariate in large units fits by both readers, with the coefficients of
     the unscaled fit and the covariate's own divided by the scale. At 1e155
     a column's sum of squares overflows, its norm does not."""
-    want = fit_all(_scaled_covariate_dataset(1.0), topology).coefficients
-    d = _scaled_covariate_dataset(scale)
+    want = fit_all(scaled_covariate_dataset(1.0), topology).coefficients
+    d = scaled_covariate_dataset(scale)
     for fit in (fit_all(d, topology), CountWeightedFit(d, topology).full_fit):
         got = fit.coefficients
         for name in ("theta", "beta", "gamma", "sigma_m1", "sigma_m2", "sigma_y"):
@@ -376,7 +366,7 @@ def test_analyze_takes_a_covariate_in_large_units(tmp_path):
     reports = []
     for scale in (1.0, 1e12):
         data = tmp_path / f"data-{scale:g}.csv"
-        write_dataset_csv(_scaled_covariate_dataset(scale), str(data))
+        write_dataset_csv(scaled_covariate_dataset(scale), str(data))
         res = CliRunner().invoke(main, ["analyze", "--data", str(data), "--config",
                                         str(config), "--bootstrap-B", "100"])
         assert res.exit_code == 0, res.output
@@ -395,12 +385,12 @@ def test_count_weighted_fit_refills_its_slices_for_every_call(monkeypatch):
     d = _topology_dataset(Topology.SEQUENTIAL, 2, n=150)
     rng = np.random.default_rng(4)
     first, second = (rng.integers(0, 3, (4, d.n)).astype(float) for _ in range(2))
-    whole, _ = CountWeightedFit(d, Topology.SEQUENTIAL).fit(second, 1e8)
+    whole, _ = CountWeightedFit(d, Topology.SEQUENTIAL).fit(second)
     monkeypatch.setattr(twomed.regression, "_SLICE_ROWS", 64)
     fitter = CountWeightedFit(d, Topology.SEQUENTIAL)
-    fitter.fit(first, 1e8)
-    got, _ = fitter.fit(second, 1e8)
-    want, _ = CountWeightedFit(d, Topology.SEQUENTIAL).fit(second, 1e8)
+    fitter.fit(first)
+    got, _ = fitter.fit(second)
+    want, _ = CountWeightedFit(d, Topology.SEQUENTIAL).fit(second)
     for name in got._fields:
         g = np.asarray(getattr(got, name))
         assert np.array_equal(g, np.asarray(getattr(want, name))), name
@@ -424,10 +414,10 @@ def test_count_dtype_does_not_change_a_fit(monkeypatch, topology, n):
     counts[0, 7] = n
     assert np.min_scalar_type(n) == np.uint8
     fitter = CountWeightedFit(d, topology)
-    want, want_ok = fitter.fit(counts.astype(np.float64), 1e8)
+    want, want_ok = fitter.fit(counts.astype(np.float64))
     assert not want_ok[0] and want_ok[1:].all()
     for dtype in (np.uint8, np.uint16, np.uint32):
-        got, ok = fitter.fit(counts.astype(dtype), 1e8)
+        got, ok = fitter.fit(counts.astype(dtype))
         assert np.array_equal(ok, want_ok), dtype
         for name in got._fields:
             g, w = getattr(got, name), getattr(want, name)
@@ -450,6 +440,20 @@ def test_fit_all_factors_the_data_once(monkeypatch, topology):
     fit_all(d, topology)
     assert factored == [(10, d.n)]
     assert "qr" not in calls and "lstsq" not in calls
+
+
+@pytest.mark.parametrize("topology", list(Topology))
+def test_each_distinct_block_takes_one_svd(monkeypatch, topology):
+    """The rank decision and the bootstrap gate read one SVD of each distinct
+    R_p block, taken at unit-norm columns: three sequential, two
+    non-sequential, whose m1 and m2 models share theirs."""
+    d = _topology_dataset(topology, k=2, n=300)
+    want = 3 if topology is Topology.SEQUENTIAL else 2
+    calls = count_linalg_calls(monkeypatch)
+    for make in (fit_all, CountWeightedFit):
+        calls.clear()
+        make(d, topology)
+        assert calls.get("svd") == want, make
 
 
 def test_overflowing_design_is_an_estimation_error():
