@@ -355,10 +355,12 @@ def validate(spec_path, config_path, topology, seed, mc_n, tol, mc_z):
                     # the same value for every individual: the Monte Carlo mean
                     # is exact up to rounding, so compare it like an exact path
                     constant.append(name)
-                    worst_rel = max(worst_rel, delta / max(1.0, abs(want)))
+                    rel = delta / max(1.0, abs(want))
+                    if _worse(rel, worst_rel):
+                        worst_rel = rel
                     continue
                 z = delta / se
-                if z > worst_z:
+                if _worse(z, worst_z):
                     worst_name, worst_z = name, z
             if len(constant) == len(names):
                 click.echo(
@@ -402,6 +404,12 @@ def validate(spec_path, config_path, topology, seed, mc_n, tol, mc_z):
         click.echo("RESULT: PASS")
 
     _guarded(body)
+
+
+def _worse(value: float, worst: float) -> bool:
+    """Whether value replaces worst as the largest deviation so far. A NaN is
+    worse than any number and, once worst, stays so; it fails every check."""
+    return not (math.isnan(worst) or value <= worst)
 
 
 def _value(cs, name: str) -> float:

@@ -146,7 +146,9 @@ def contrasts(names, world) -> dict:
 
     Each distinct world is evaluated once. A row starts from its first term
     and adds the others left to right, so its bits are those of the row
-    written out by hand. Values may be floats or arrays alike.
+    written out by hand. Values may be floats or arrays alike: the first two
+    terms give a fresh value, which the later ones update in place, so no
+    world's value is written to.
     """
     worlds = {}
 
@@ -158,10 +160,16 @@ def contrasts(names, world) -> dict:
 
     out = {}
     for name in names:
-        first, *rest = CONTRASTS[name].split()
-        total = value(first)
+        first, second, *rest = CONTRASTS[name].split()
+        if second[0] == "+":
+            total = value(first) + value(second)
+        else:
+            total = value(first) - value(second)
         for term in rest:
-            total = total + value(term) if term[0] == "+" else total - value(term)
+            if term[0] == "+":
+                total += value(term)
+            else:
+                total -= value(term)
         out[name] = total
     return out
 

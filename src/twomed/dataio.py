@@ -458,9 +458,11 @@ def simulate_dataset(
         e1 = rng.normal(0.0, scm.sigma_m1, size=n)
         e2 = rng.normal(0.0, scm.sigma_m2, size=n)
         ey = rng.normal(0.0, scm.sigma_y, size=n)
-        m1 = linear.m1(scm, a, c @ np.asarray(scm.gamma_c), e1)
-        m2 = linear.m2(scm, a, m1, c @ np.asarray(scm.beta_c), e2)
-        y = linear.y(scm, a, m1, m2, c @ np.asarray(scm.theta_c), ey)
+        # an overflow is left to Dataset, which names the non-finite column
+        with np.errstate(over="ignore", invalid="ignore"):
+            m1 = linear.m1(scm, a, c @ np.asarray(scm.gamma_c), e1)
+            m2 = linear.m2(scm, a, m1, c @ np.asarray(scm.beta_c), e2)
+            y = linear.y(scm, a, m1, m2, c @ np.asarray(scm.theta_c), ey)
         return Dataset(a=a, m1=m1, m2=m2, y=y, covariates=c)
     p1 = np.where(a == 1.0, scm.p_m1_given_a[1], scm.p_m1_given_a[0])
     m1 = rng.binomial(1, p1).astype(float)

@@ -8,6 +8,10 @@ Y  = theta0 + theta1 A + theta2 M1 + theta3 M2 + theta4 A M1 + theta5 A M2
 One coefficient type holds the model, whether estimated (ModelCoefficients)
 or ground truth (LinearScm), and the three equations are written once here,
 with their covariate terms theta_c'c, beta_c'c and gamma_c'c (contractions).
+The outcome is written in its factored form Y = u + v M2, with
+u = theta0 + theta1 A + theta_c'C + (theta2 + theta4 A) M1 + eY and
+v = theta3 + theta5 A + (theta6 + theta7 A) M1 (outcome_parts), so a caller
+that evaluates several M2 values at one exposure and M1 forms (u, v) once.
 The closed forms, the Monte Carlo oracle and the simulator all read them.
 """
 
@@ -115,14 +119,20 @@ def m2(model, z, m1_value, cov, e):
     return b[0] + b[1] * z + b[2] * m1_value + b[3] * z * m1_value + cov + e
 
 
+def outcome_parts(model, x, m1_value, cov, e):
+    """The outcome at exposure x and first mediator m1_value as u + v*m2:
+    the pair (u, v). At fixed exposure the outcome is bilinear in the two
+    mediators, so the pair serves every value of the second mediator."""
+    t = model.theta
+    u = t[0] + t[1] * x + cov + (t[2] + t[4] * x) * m1_value + e
+    v = t[3] + t[5] * x + (t[6] + t[7] * x) * m1_value
+    return u, v
+
+
 def y(model, x, m1_value, m2_value, cov, e):
     """The outcome at exposure x and mediators m1_value, m2_value."""
-    t = model.theta
-    return (
-        t[0] + t[1] * x + t[2] * m1_value + t[3] * m2_value + t[4] * x * m1_value
-        + t[5] * x * m2_value + t[6] * m1_value * m2_value
-        + t[7] * x * m1_value * m2_value + cov + e
-    )
+    u, v = outcome_parts(model, x, m1_value, cov, e)
+    return u + v * m2_value
 
 
 def _fsum(terms):

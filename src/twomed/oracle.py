@@ -66,26 +66,30 @@ class SingleMediatorPotentials:
     y_of: Callable[[float, float], float]
 
 
-def _worlds(cfg, y_of, m1, m2):
+def _worlds(cfg, y_at, m1, m2):
     """Every component and aggregate of cfg's topology, from potential values.
 
-    y_of(x, m1, m2), m1(x) and m2(z, m1) give the outcome's and the
-    mediators' potential values. World "xij" of core.CONTRASTS is y_of at
-    exposure x, M1 slot i and M2 slot j, and the M2 of slot (j, i) is
-    m2(j, M1(i)), formed once: a non-sequential m2 ignores its M1 argument.
-    Works elementwise on scalars and arrays alike.
+    m1(x) and m2(z, m1) give the mediators' potential values, and y_at(x, m1)
+    the outcome's at exposure x and first mediator m1, as a function of the
+    second mediator. World "xij" of core.CONTRASTS is y_at at exposure x and
+    M1 slot i, taken at M2 slot j, and the M2 of slot (j, i) is m2(j, M1(i)).
+    Each is formed once: y_at per (x, i), and M2 per (j, i), or per j in the
+    non-sequential topology, whose m2 ignores its M1 argument. Works
+    elementwise on scalars and arrays alike.
     """
     level = {"a": cfg.a, "s": cfg.a_star}
     m1_slot = {"a": m1(cfg.a), "s": m1(cfg.a_star), "r": cfg.m1_star}
-    m2_slot = {}
+    sequential = cfg.topology is Topology.SEQUENTIAL
+    y_slot, m2_slot = {}, {"r": cfg.m2_star}
 
     def world(key):
         x, i, j = key
-        if j == "r":
-            return y_of(level[x], m1_slot[i], cfg.m2_star)
-        if (j, i) not in m2_slot:
-            m2_slot[j, i] = m2(level[j], m1_slot[i])
-        return y_of(level[x], m1_slot[i], m2_slot[j, i])
+        if (x, i) not in y_slot:
+            y_slot[x, i] = y_at(level[x], m1_slot[i])
+        slot = (j, i) if sequential and j != "r" else j
+        if slot not in m2_slot:
+            m2_slot[slot] = m2(level[j], m1_slot[i])
+        return y_slot[x, i](m2_slot[slot])
 
     return contrasts((*component_names(cfg.topology), *AGGREGATE_NAMES), world)
 
@@ -96,13 +100,19 @@ def _component_set(cfg, values) -> ComponentSet:
     return ComponentSet(cfg.topology, comps, {k: values[k] for k in AGGREGATE_NAMES})
 
 
+def _y_at(p: IndividualPotentials):
+    """p's outcome at exposure x and first mediator m1, as a function of the
+    second mediator: _worlds' y_at."""
+    return lambda x, m1: partial(p.y_of, x, m1)
+
+
 def individual_components_sequential(
     p: IndividualPotentials, cfg: ReferenceConfig
 ) -> ComponentSet:
     """Nine-component decomposition of one individual, sequential topology."""
     if cfg.topology is not Topology.SEQUENTIAL:
         raise ConfigError("individual_components_sequential needs Sequential topology")
-    return _component_set(cfg, _worlds(cfg, p.y_of, p.m1_of, p.m2_of))
+    return _component_set(cfg, _worlds(cfg, _y_at(p), p.m1_of, p.m2_of))
 
 
 def individual_components_nonsequential(
@@ -125,7 +135,7 @@ def individual_components_nonsequential(
             raise EstimationError(
                 "m2_of varies with its m1 argument; not a non-sequential individual"
             )
-    values = _worlds(cfg, p.y_of, p.m1_of, lambda z, _m1: p.m2_of(z, m1_a))
+    values = _worlds(cfg, _y_at(p), p.m1_of, lambda z, _m1: p.m2_of(z, m1_a))
     return _component_set(cfg, values)
 
 
@@ -316,7 +326,7 @@ class MonteCarloResult:
     """Monte Carlo estimate of a decomposition with per-name standard errors.
 
     standard_errors covers every component and aggregate; each is the standard
-    deviation of the per-individual values divided by sqrt(n).
+    deviation of the per-individual values divided by sqrt(n), and finite.
     """
 
     components: ComponentSet
@@ -334,15 +344,27 @@ _MC_BLOCK = 16_384
 def _linear_contrasts(scm, cfg, t8c, b4c, g2c, e1, e2, ey):
     """Every component and aggregate of the individuals with errors e1, e2, ey.
 
-    One array per name, elementwise over the individuals.
+    One array per name, elementwise over the individuals. Each world is the
+    outcome u + v*M2 of linear.outcome_parts, from the (u, v) of its exposure
+    and M1 slot: one product and one in-place sum.
     """
-    y_of = partial(linear.y, scm, cov=t8c, e=ey)
+
+    def y_at(x, m1):
+        u, v = linear.outcome_parts(scm, x, m1, t8c, ey)
+
+        def at(m2):
+            y = v * m2
+            y += u
+            return y
+
+        return at
+
     m1_of = partial(linear.m1, scm, cov=g2c, e=e1)
     m2_of = partial(linear.m2, scm, cov=b4c, e=e2)
     if cfg.topology is Topology.SEQUENTIAL:
-        return _worlds(cfg, y_of, m1_of, m2_of)
+        return _worlds(cfg, y_at, m1_of, m2_of)
     # beta2 = beta3 = 0: the second mediator ignores the first
-    return _worlds(cfg, y_of, m1_of, lambda z, _m1: m2_of(z, 0.0))
+    return _worlds(cfg, y_at, m1_of, lambda z, _m1: m2_of(z, 0.0))
 
 
 def simulate_linear_components(
@@ -383,24 +405,40 @@ def simulate_linear_components(
     counts = [base + (1 if i < n % shards else 0) for i in range(shards)]
 
     sigmas = (scm.sigma_m1, scm.sigma_m2, scm.sigma_y)
-    for shard_idx, m in enumerate(counts):
-        children = np.random.SeedSequence([seed, shard_idx]).spawn(3)
-        streams = [np.random.default_rng(c) for c in children]
-        for lo in range(0, m, _MC_BLOCK):
-            size = min(_MC_BLOCK, m - lo)
-            e1, e2, ey = (g.normal(0.0, s, size=size) for g, s in zip(streams, sigmas))
-            values = _linear_contrasts(scm, cfg, t8c, b4c, g2c, e1, e2, ey)
-            for k, arr in values.items():
-                sums[k].append(float(np.sum(arr)))
-                # not np.dot: BLAS threads would spin for every short product
-                sumsqs[k].append(float(np.einsum("i,i->", arr, arr)))
+    # an overflow shows in the merged sums below, which name its terms
+    with np.errstate(over="ignore", invalid="ignore"):
+        for shard_idx, m in enumerate(counts):
+            children = np.random.SeedSequence([seed, shard_idx]).spawn(3)
+            streams = [np.random.default_rng(c) for c in children]
+            for lo in range(0, m, _MC_BLOCK):
+                size = min(_MC_BLOCK, m - lo)
+                e1, e2, ey = (
+                    g.normal(0.0, s, size=size) for g, s in zip(streams, sigmas)
+                )
+                values = _linear_contrasts(scm, cfg, t8c, b4c, g2c, e1, e2, ey)
+                for k, arr in values.items():
+                    sums[k].append(float(np.sum(arr)))
+                    # not np.dot: BLAS threads would spin for every short product
+                    sumsqs[k].append(float(np.einsum("i,i->", arr, arr)))
 
-    means = {k: math.fsum(v) / n for k, v in sums.items()}
-    ses = {}
+    means, ses = {}, {}
     for k in names:
-        total_sq = math.fsum(sumsqs[k])
-        var = max(total_sq - n * means[k] ** 2, 0.0) / (n - 1) if n > 1 else 0.0
-        ses[k] = math.sqrt(var / n)
+        try:
+            mean = math.fsum(sums[k]) / n
+            total_sq = math.fsum(sumsqs[k])
+            var = max(total_sq - n * mean ** 2, 0.0) / (n - 1) if n > 1 else 0.0
+        except (OverflowError, ValueError):
+            # a partial sum or the squared mean overflows; or inf meets -inf
+            mean = var = math.nan
+        means[k], ses[k] = mean, math.sqrt(var / n)
+    overflowing = [
+        k for k in names if not (math.isfinite(means[k]) and math.isfinite(ses[k]))
+    ]
+    if overflowing:
+        raise EstimationError(
+            "Monte Carlo spread overflows for " + ", ".join(overflowing)
+            + ": the per-individual contrasts are too large to square and sum"
+        )
 
     return MonteCarloResult(
         components=_component_set(cfg, means), standard_errors=ses, n=n, seed=seed

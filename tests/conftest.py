@@ -107,6 +107,24 @@ def random_reference(rng, topology=Topology.SEQUENTIAL, k=2, binary=False):
     )
 
 
+def expanded_outcome_terms(model, x, m1, m2, cov, e):
+    """The ten terms of the linear outcome equation written out, the eight
+    theta terms then cov and e: the reference that linear.y's factored form
+    u + v*m2 must sum to within rounding."""
+    t = model.theta
+    return (t[0], t[1] * x, t[2] * m1, t[3] * m2, t[4] * x * m1, t[5] * x * m2,
+            t[6] * m1 * m2, t[7] * x * m1 * m2, cov, e)
+
+
+def expanded_outcome(model, x, m1, m2, cov, e):
+    """The linear outcome equation as its expanded polynomial, added left to
+    right."""
+    total = 0.0
+    for term in expanded_outcome_terms(model, x, m1, m2, cov, e):
+        total = total + term
+    return total
+
+
 def make_linear_dataset(scm, n, seed, exposure_p=0.5):
     """Noisy draws from a linear model, as a plain dict of arrays."""
     d = simulate_dataset(scm, n, seed, exposure_p)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -244,3 +245,37 @@ def test_contrasts_evaluates_each_world_once_in_the_written_order():
     values = contrasts((NATINT_AM1, PDE), world)
     assert calls == ["aas", "sas", "ass", "sss"]
     assert values == {NATINT_AM1: 1.0 - 2.0 - 3.0 + 4.0, PDE: 3.0 - 4.0}
+
+
+# every world key "xij": exposure x, M1 slot i, M2 slot j
+_WORLD_KEYS = ["".join(k) for k in itertools.product("as", "asr", "asr")]
+
+
+@pytest.mark.parametrize("floats", [
+    set(),
+    set(_WORLD_KEYS),
+    # the first two terms of INT_ref_AM1M2 and NatINT_AM1M2, and of the rows
+    # that share them, are floats and the later terms arrays
+    {"ass", "sss", "aaa", "saa"},
+])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_contrasts_sums_in_place_with_the_out_of_place_bits(floats, seed):
+    """contrasts() updates a fresh value in place: worlds given as views of
+    one array stay as they were, and every row has the bits, and the type, of
+    its out-of-place left-to-right sum, whether its terms are floats, arrays
+    or floats first and arrays later."""
+    rng = np.random.default_rng(seed)
+    block = rng.normal(size=(len(_WORLD_KEYS), 5)) * 10.0 ** rng.integers(
+        -3, 4, size=(len(_WORLD_KEYS), 1))
+    frozen = block.copy()
+    value = {key: float(row[0]) if key in floats else row
+             for key, row in zip(_WORLD_KEYS, block)}
+    got = contrasts(tuple(CONTRASTS), value.__getitem__)
+    assert np.array_equal(block, frozen)
+    for name, row in CONTRASTS.items():
+        first, *rest = row.split()
+        want = value[first[1:]]
+        for term in rest:
+            want = want + value[term[1:]] if term[0] == "+" else want - value[term[1:]]
+        assert type(got[name]) is type(want), name
+        assert np.asarray(got[name]).tobytes() == np.asarray(want).tobytes(), name

@@ -1,5 +1,6 @@
 """CSV/config plumbing and the click entry points, including exit codes."""
 
+import dataclasses
 import json
 import math
 import os
@@ -819,6 +820,15 @@ def test_cli_exit_code_4_when_the_closed_form_overflows(runner, tmp_path):
     assert isinstance(res.exception, SystemExit)
 
 
+def _run_cli(*args):
+    """Run the CLI in a child process, as a user would."""
+    src = os.path.dirname(os.path.dirname(twomed.dataio.__file__))
+    return subprocess.run(
+        [sys.executable, "-m", "twomed.cli", *args],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+
+
 def test_cli_exit_code_4_for_an_overflowing_design(tmp_path):
     """Finite mediators near 1e160 overflow the m1*m2 column. The run stops
     with one error line on stderr, from before the design reaches LAPACK."""
@@ -830,16 +840,60 @@ def test_cli_exit_code_4_for_an_overflowing_design(tmp_path):
         for i in range(n)
     ]
     data = _write(tmp_path / "big.csv", "\n".join(rows) + "\n")
-    src = os.path.dirname(os.path.dirname(twomed.dataio.__file__))
-    res = subprocess.run(
-        [sys.executable, "-m", "twomed.cli", "analyze", "--data", data,
-         "--bootstrap-B", "100"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
-    )
+    res = _run_cli("analyze", "--data", data, "--bootstrap-B", "100")
     assert res.returncode == 4, res.stderr
     assert res.stderr.splitlines() == [
         "error: outcome design is not finite; overflowing columns: m1:m2, a:m1:m2"
     ]
+
+
+@pytest.mark.parametrize("theta7", [1e160, 1e300])
+def test_cli_exit_code_4_for_an_overflowing_monte_carlo_spread(tmp_path, theta7):
+    """theta_7 this large leaves the closed form finite, but the squares of
+    the per-individual contrasts overflow. validate stops with one error line
+    naming the terms whose Monte Carlo spread overflows."""
+    spec = _write(tmp_path / "spec.json", json.dumps(
+        {**LINEAR_SPEC, "theta": [*LINEAR_SPEC["theta"][:7], theta7]}))
+    res = _run_cli("validate", "--spec", spec, "--mc-n", "1000", "--seed", "1")
+    assert res.returncode == 4, res.stderr
+    assert res.stderr.splitlines() == [
+        "error: Monte Carlo spread overflows for INT_ref_AM2+AM1M2, NatINT_AM1, "
+        "NatINT_AM2, NatINT_AM1M2, PDE, TDE, TE: the per-individual contrasts "
+        "are too large to square and sum"
+    ]
+
+
+def test_cli_simulate_reports_an_overflowing_outcome_in_one_line(tmp_path):
+    """An outcome that overflows is one error line on stderr, with no numpy
+    warning before it, and no data file."""
+    spec = _write(tmp_path / "spec.json", json.dumps({
+        **LINEAR_SPEC, "theta": [*LINEAR_SPEC["theta"][:7], 1e307],
+        "sigma_m1": 50.0, "sigma_m2": 50.0,
+    }))
+    out = tmp_path / "sim.csv"
+    res = _run_cli("simulate", "--spec", spec, "--n", "1000", "--data", str(out),
+                   "--seed", "1")
+    assert res.returncode == 3, res.stderr
+    assert res.stderr.splitlines() == ["error: column 'y' contains non-finite values"]
+    assert not out.exists()
+
+
+def test_cli_validate_never_passes_a_nan(runner, tmp_path, monkeypatch):
+    """A NaN standard error makes a NaN z, which fails the z-test and stays
+    the worst |z|, whatever terms follow it."""
+    draw = twomed.cli.simulate_linear_components
+
+    def nan_se(*args, **kwargs):
+        mc = draw(*args, **kwargs)
+        ses = {**mc.standard_errors, "CDE": math.nan}
+        return dataclasses.replace(mc, standard_errors=ses)
+
+    monkeypatch.setattr(twomed.cli, "simulate_linear_components", nan_se)
+    spec = _write(tmp_path / "spec.json", json.dumps(LINEAR_SPEC))
+    res = runner.invoke(main, ["validate", "--spec", spec, "--mc-n", "1000",
+                               "--seed", "1"])
+    assert res.exit_code == 5, res.output
+    assert "worst |z| = nan (CDE; allowed 4) FAIL" in res.output
 
 
 def test_cli_simulate_writes_data_and_truth(runner, tmp_path):

@@ -16,7 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_binary_scm, random_linear_scm
+import twomed.oracle
+from conftest import (
+    expanded_outcome,
+    expanded_outcome_terms,
+    random_binary_scm,
+    random_linear_scm,
+)
 from twomed import (
     BinaryScm,
     ConfigError,
@@ -499,6 +505,57 @@ def test_monte_carlo_rejects_a_model_the_config_does_not_fit(beta, cfg, message)
     scm = LinearScm(**dict(_LINEAR, beta=beta))
     with pytest.raises(ConfigError, match=message):
         simulate_linear_components(scm, cfg, n=100, seed=0)
+
+
+_finite = st.floats(-1e6, 1e6)
+_scalar_or_array = st.one_of(
+    _finite, st.lists(_finite, min_size=3, max_size=3).map(np.array)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    theta=st.lists(_finite, min_size=8, max_size=8),
+    x=_scalar_or_array,
+    m1=_scalar_or_array,
+    m2=_scalar_or_array,
+    cov=_finite,
+    e=_scalar_or_array,
+)
+def test_the_factored_outcome_is_the_expanded_polynomial(theta, x, m1, m2, cov, e):
+    """linear.y, formed as u + v*m2 from linear.outcome_parts, is the
+    outcome's eight-term polynomial plus covariate term and error, within a
+    small multiple of eps times the sum of the terms' magnitudes, on scalars
+    and arrays alike."""
+    scm = LinearScm(**dict(_LINEAR, theta=theta))
+    got = linear.y(scm, x, m1, m2, cov, e)
+    want = expanded_outcome(scm, x, m1, m2, cov, e)
+    scale = sum(np.abs(t) for t in expanded_outcome_terms(scm, x, m1, m2, cov, e))
+    tol = 32 * np.finfo(float).eps * scale + np.finfo(float).tiny
+    assert np.shape(got) == np.shape(want)
+    assert np.all(np.abs(got - want) <= tol)
+
+
+@pytest.mark.parametrize("topology", list(Topology))
+def test_each_block_forms_six_outcome_parts(monkeypatch, topology):
+    """Per block the oracle forms (u, v) once per exposure and M1 slot, six
+    in both topologies, and M2 once per distinct value: four sequential, and
+    two non-sequential, where M2 ignores the first mediator."""
+    calls = {"outcome_parts": 0, "m2": 0}
+    for name in calls:
+        def counted(*args, _name=name, _f=getattr(linear, name), **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(linear, name, counted)
+    monkeypatch.setattr(twomed.oracle, "_MC_BLOCK", 100)
+    scm = random_linear_scm(np.random.default_rng(4), k=0,
+                            sequential=topology is Topology.SEQUENTIAL)
+    cfg = ReferenceConfig(1.0, 0.0, 0.5, 0.5, topology=topology)
+    simulate_linear_components(scm, cfg, n=350, seed=2, shards=2)
+    blocks = 4  # two shards of 175 individuals, each two blocks
+    m2_calls = 4 if topology is Topology.SEQUENTIAL else 2
+    assert calls == {"outcome_parts": 6 * blocks, "m2": m2_calls * blocks}
 
 
 # ---------------------------------------------------------------------------
