@@ -7,6 +7,8 @@ contrast, and prove the internal identities symbolically. Second, against the
 installed package: evaluate those definitional expressions at random points
 and compare with decompose_closed_form and expected_counterfactual, and with
 decompose_closed_form_batch on all the points' coefficient sets at once.
+expected_counterfactual is read for W1..W8 and for every world key of
+core.CONTRASTS, reference slots included, in both topologies.
 
 Dev tooling only; sympy is not a package dependency.
 
@@ -31,6 +33,7 @@ from twomed import (
     expected_counterfactual,
 )
 from twomed.closed_form import CoefficientBatch, decompose_closed_form_batch
+from twomed.core import CONTRASTS
 
 t0, t1, t2, t3, t4, t5, t6, t7, t8c = sp.symbols("t0 t1 t2 t3 t4 t5 t6 t7 t8c")
 b0, b1, b2, b3, b4c = sp.symbols("b0 b1 b2 b3 b4c")
@@ -73,14 +76,29 @@ def y_structural(x, m1, m2):
 
 
 def w_sequential(x, y, z):
-    """E[Y(x, M1(y), M2(z, M1(y)))] by expanding the error moments.
+    """E[Y(x, M1(y), M2(z, M1(y)))] by expanding the error moments."""
+    m1 = G(y) + e1
+    return expectation(y_structural(x, m1, B(z) + K(z) * m1))
+
+
+def world_expression(key):
+    """E[Y] in world key "xij" of core.CONTRASTS: exposure x, M1 slot i and
+    M2 slot j, each "a", "s" or "r". M1 at its reference is m1star and M2 at
+    its reference m2star; a natural M2 takes the world's M1, through K, which
+    is zero in the non-sequential topology."""
+    lv = {"a": a, "s": s}
+    m1 = m1r if key[1] == "r" else G(lv[key[1]]) + e1
+    m2 = m2r if key[2] == "r" else B(lv[key[2]]) + K(lv[key[2]]) * m1
+    return expectation(y_structural(lv[key[0]], m1, m2))
+
+
+def expectation(expr):
+    """The mean over e1 of a polynomial in it.
 
     The first mediator is G(y) + e1 with E[e1] = 0 and E[e1^2] = s1sq; the
     second mediator's own error enters linearly and drops in expectation.
     """
-    m1 = G(y) + e1
-    m2 = B(z) + K(z) * m1
-    poly = sp.Poly(sp.expand(y_structural(x, m1, m2)), e1)
+    poly = sp.Poly(sp.expand(expr), e1)
     out = 0
     for (k,), coeff in poly.terms():
         if k == 0:
@@ -226,6 +244,11 @@ def numeric_stage(comp_seq, comp_non, w_seq, points, seed):
     fns_seq = {nm: sp.lambdify(ARGS, ex, "math") for nm, ex in comp_seq.items()}
     fns_non = {nm: sp.lambdify(ARGS, ex, "math") for nm, ex in comp_non.items()}
     fns_w = {nm: sp.lambdify(ARGS, ex, "math") for nm, ex in w_seq.items()}
+    keys = sorted({term[1:] for row in CONTRASTS.values() for term in row.split()})
+    fns_world = {
+        key: sp.lambdify(ARGS, world_expression(key), "math") for key in keys
+    }
+    worst_world = 0.0
     batch_refs = [rng.uniform(-2, 2) for _ in range(4)]
     batch_c = rng.choice([-1, 1]) * rng.uniform(0.5, 2.0)
     batches = {Topology.SEQUENTIAL: ([], []), Topology.NONSEQUENTIAL: ([], [])}
@@ -267,10 +290,13 @@ def numeric_stage(comp_seq, comp_non, w_seq, points, seed):
                 want = fn(*args)
                 got = cs.component(nm)
                 worst = max(worst, abs(want - got) / max(1.0, abs(want)))
-            if topology is Topology.SEQUENTIAL:
-                for nm, fn in fns_w.items():
-                    got = expected_counterfactual(nm, coefs, cfg)
-                    worst = max(worst, abs(fn(*args) - got))
+            for nm, fn in fns_w.items():
+                got = expected_counterfactual(nm, coefs, cfg)
+                worst = max(worst, abs(fn(*args) - got))
+            for key, fn in fns_world.items():
+                want = fn(*args)
+                got = expected_counterfactual(key, coefs, cfg)
+                worst_world = max(worst_world, abs(want - got) / max(1.0, abs(want)))
             models, wants = batches[topology]
             models.append(dataclasses.replace(
                 coefs,
@@ -284,6 +310,10 @@ def numeric_stage(comp_seq, comp_non, w_seq, points, seed):
           f"= {worst:.3e}")
     if worst > 1e-9:
         FAILURES.append("numeric comparison against the package")
+    print(f"world keys: worst relative delta over {len(keys)} keys at {points} "
+          f"random points per topology = {worst_world:.3e}")
+    if worst_world > 1e-9:
+        FAILURES.append("world keys against expected_counterfactual")
 
     worst = 0.0
     for topology, (models, wants) in batches.items():

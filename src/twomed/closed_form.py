@@ -3,11 +3,14 @@
 The model is a linear.ModelCoefficients, estimated or ground truth (a
 LinearScm is one). Everything here is a polynomial in the exposure levels,
 the model coefficients, the conditioning covariate values, and the first
-mediator's error variance (which enters through E[M1^2]). The eight expected
-nested counterfactuals W1..W8 are exposed individually: every component
-equals a signed combination of them, which localizes transcription errors,
-and the total effect is computed BOTH from its own long polynomial and as
-W1 - W8 with the two paths required to agree.
+mediator's error variance (which enters through E[M1^2]). One evaluator gives
+the expected outcome of every world of core.CONTRASTS, reference slots
+included, and expected_counterfactual exposes it: PDE, TDE and SIE_M1 are
+their table rows over it, and every component polynomial equals its row,
+which localizes transcription errors. The component polynomials are written
+once, for the sequential topology; the non-sequential ones are the same at
+beta[2] = beta[3] = 0. The total effect is computed BOTH from its own long
+polynomial and as the component sum, with the two required to agree.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
-    AGGREGATE_NAMES,
     CDE,
     INT_REF_AM1,
     INT_REF_AM1M2,
@@ -34,13 +36,11 @@ from .core import (
     SIE_M1,
     TDE,
     TE,
-    W_SLOTS,
     ComponentSet,
     ConfigError,
     EstimationError,
     ReferenceConfig,
     Topology,
-    component_names,
     contrasts,
     identity_violations,
 )
@@ -85,44 +85,71 @@ class CoefficientBatch(NamedTuple):
         )
 
 
+# W1..W8, the eight natural worlds Wk = E[Y(x, M1(y), M2(z, M1(y)))], by
+# their world keys "xyz"
+_W_KEYS = dict(zip(("W1", "W2", "W3", "W4", "W5", "W6", "W7", "W8"),
+                   ("aaa", "aas", "asa", "saa", "ssa", "sas", "ass", "sss")))
+
+
 def expected_counterfactual(
     which: str, m: ModelCoefficients, cfg: ReferenceConfig
 ) -> float:
-    """One of the eight expected nested counterfactuals W1..W8.
+    """The expected outcome in world which: a key "xij" of core.CONTRASTS,
+    reference slots included, or one of the eight natural worlds W1..W8."""
+    key = _W_KEYS.get(which, which)
+    if not (len(key) == 3 and key[0] in "as" and key[1] in "asr" and key[2] in "asr"):
+        raise ConfigError(
+            f"unknown counterfactual {which!r}; expected a world key such as "
+            "'asr', or W1..W8"
+        )
+    if cfg.topology is Topology.NONSEQUENTIAL:
+        check_nonsequential_beta(m)
+    return _worlds(m, cfg, *contractions(m, cfg.covariates))(key)
 
-    Wk = E[Y(x, M1(y), M2(z, M1(y))) | c] where each of the three exposure
-    slots (outcome's, first mediator's, second mediator's) is set to a or
-    a_star according to the slot table core.W_SLOTS.
-    """
-    if which not in W_SLOTS:
-        raise ConfigError(f"unknown counterfactual {which!r}; expected W1..W8")
-    t8c, b4c, g2c = contractions(m, cfg.covariates)
-    lv = {"a": cfg.a, "s": cfg.a_star}
-    x, y, z = (lv[k] for k in W_SLOTS[which])
-    return _w_value(m.theta, m.beta, m.gamma, _var1(m), x, y, z, t8c, b4c, g2c)
 
-
-# Squares are written as products throughout: numpy squares an array by
-# multiplication, while a Python float's ** 2 goes through pow(), which is
-# not always correctly rounded. Products keep one float and the same float in
-# an array bit-identical.
+# Squares and higher powers are written as products throughout: numpy squares
+# an array by multiplication, while a Python float's ** goes through pow(),
+# which is not always correctly rounded and raises on overflow. Products keep
+# one float and the same float in an array bit-identical, and overflow to inf.
 def _var1(m):
     """The first mediator's error variance, E[M1^2] - E[M1]^2."""
     return m.sigma_m1 * m.sigma_m1
 
 
-def _w_value(t, b, g, var1, x, y, z, t8c, b4c, g2c):
-    gy = g[0] + g[1] * y + g2c        # E[M1(y) | c]
-    bz = b[0] + b[1] * z + b4c        # M2 model baseline at exposure z
-    kz = b[2] + b[3] * z              # M2 model slope in m1 at exposure z
-    return (
-        t[0] + t[1] * x + t8c
-        + (t[3] + t[5] * x) * bz
-        + (t[2] + t[4] * x) * gy
-        + (t[6] + t[7] * x) * bz * gy
-        + (t[3] + t[5] * x) * kz * gy
-        + (t[6] + t[7] * x) * kz * (var1 + gy * gy)
-    )
+def _worlds(m, cfg, t8c, b4c, g2c):
+    """world(key), the expected outcome in world key "xij" of core.CONTRASTS.
+
+    M1 in a natural slot y has mean E[M1(y) | c] and variance sigma_m1^2; at
+    its reference, mean m1_star and variance 0. M2 in a natural slot z has
+    baseline E[M2(z) | M1 = 0, c] and slope beta[2] + beta[3] z in M1; at its
+    reference, baseline m2_star and slope 0.
+    """
+    t, b, g = m.theta, m.beta, m.gamma
+    level = {"a": cfg.a, "s": cfg.a_star}
+    var1 = _var1(m)
+
+    def world(key):
+        x = level[key[0]]
+        if key[1] == "r":
+            gy, v1 = cfg.m1_star, 0.0
+        else:
+            gy, v1 = g[0] + g[1] * level[key[1]] + g2c, var1
+        if key[2] == "r":
+            bz, kz = cfg.m2_star, 0.0
+        else:
+            z = level[key[2]]
+            bz = b[0] + b[1] * z + b4c
+            kz = b[2] + b[3] * z
+        return (
+            t[0] + t[1] * x + t8c
+            + (t[3] + t[5] * x) * bz
+            + (t[2] + t[4] * x) * gy
+            + (t[6] + t[7] * x) * bz * gy
+            + (t[3] + t[5] * x) * kz * gy
+            + (t[6] + t[7] * x) * kz * (v1 + gy * gy)
+        )
+
+    return world
 
 
 def _te_polynomial(m, cfg, t8c, b4c, g2c):
@@ -179,14 +206,16 @@ def _te_polynomial(m, cfg, t8c, b4c, g2c):
     return (
         c1 * (a - s)
         + c2 * (a * a - s * s)
-        + c3 * (a ** 3 - s ** 3)
-        + c4 * (a ** 4 - s ** 4)
+        + c3 * (a * a * a - s * s * s)
+        + c4 * (a * a * a * a - s * s * s * s)
     )
 
 
 def _components(m, cfg, b4c, g2c):
-    """The summary polynomials of cfg's topology: nine sequential ones, or
-    ten non-sequential ones, for beta[2] = beta[3] = 0."""
+    """The component polynomials of cfg's topology. The non-sequential ones
+    are the sequential ones at beta[2] = beta[3] = 0, where every ks and
+    beta[3] term is an exact zero, with the combined reference interaction
+    split into its AM2 and AM1M2 parts."""
     t = m.theta
     b = m.beta
     g = m.gamma
@@ -195,27 +224,19 @@ def _components(m, cfg, b4c, g2c):
     d = a - s
     gs = g[0] + g[1] * s + g2c        # E[M1(a*) | c]
     bs = b[0] + b[1] * s + b4c
+    var1 = _var1(m)
+    g1sq = g[1] * g[1]
+    ks = b[2] + b[3] * s
+    g0c = g[0] + g2c
     comps = {
         CDE: (t[1] + t[4] * m1r + t[5] * m2r + t[7] * m1r * m2r) * d,
         INT_REF_AM1: (gs - m1r) * (t[4] + t[7] * m2r) * d,
     }
     if cfg.topology is Topology.NONSEQUENTIAL:
-        return comps | {
-            INT_REF_AM2: (t[5] + t[7] * m1r) * (bs - m2r) * d,
-            INT_REF_AM1M2: t[7] * (gs - m1r) * (bs - m2r) * d,
-            NATINT_AM1: (t[4] * g[1] + t[7] * g[1] * bs) * d * d,
-            NATINT_AM2: (t[5] * b[1] + t[7] * b[1] * gs) * d * d,
-            NATINT_AM1M2: t[7] * b[1] * g[1] * d ** 3,
-            NATINT_M1M2: b[1] * g[1] * (t[6] + t[7] * s) * d * d,
-            PIE_M1: (g[1] * (t[2] + t[4] * s) + g[1] * (t[6] + t[7] * s) * bs) * d,
-            PIE_M2: (b[1] * (t[3] + t[5] * s) + b[1] * (t[6] + t[7] * s) * gs) * d,
-        }
-    var1 = _var1(m)
-    g1sq = g[1] * g[1]
-    ks = b[2] + b[3] * s
-    g0c = g[0] + g2c
-    return comps | {
-        INT_REF_AM2_PLUS_AM1M2: (
+        comps[INT_REF_AM2] = (t[5] + t[7] * m1r) * (bs - m2r) * d
+        comps[INT_REF_AM1M2] = t[7] * (gs - m1r) * (bs - m2r) * d
+    else:
+        comps[INT_REF_AM2_PLUS_AM1M2] = (
             t[1]
             + t[5] * bs
             + t[7] * bs * gs
@@ -223,7 +244,8 @@ def _components(m, cfg, b4c, g2c):
             + t[7] * ks * (var1 + gs * gs)
             - (t[1] + t[5] * m2r)
             - t[7] * m2r * gs
-        ) * d,
+        ) * d
+    return comps | {
         NATINT_AM1: (
             t[4] * g[1]
             + t[7] * g[1] * bs
@@ -242,7 +264,7 @@ def _components(m, cfg, b4c, g2c):
             + t[5] * b[3] * g[1]
             + 2.0 * t[7] * b[3] * g[1] * g0c
             + t[7] * b[3] * g1sq * (a + s)
-        ) * d ** 3,
+        ) * d * d * d,
         NATINT_M1M2: (
             b[1] * g[1] * (t[6] + t[7] * s)
             + b[3] * g[1] * (t[3] + t[5] * s)
@@ -270,23 +292,18 @@ def _decomposition(m, cfg):
     if cfg.topology is Topology.NONSEQUENTIAL:
         check_nonsequential_beta(m)
     t8c, b4c, g2c = contractions(m, cfg.covariates)
-    return (
-        _components(m, cfg, b4c, g2c),
-        _aggregates_from_w(m, cfg, t8c, b4c, g2c),
-        _rounding_scale(m, cfg, t8c, b4c, g2c),
-    )
+    # PDE, TDE and SIE_M1 off the contrast table; TE from its own polynomial,
+    # which the component-set identities check against them
+    aggs = contrasts((PDE, TDE, SIE_M1), _worlds(m, cfg, t8c, b4c, g2c))
+    aggs[TE] = _te_polynomial(m, cfg, t8c, b4c, g2c)
+    return _components(m, cfg, b4c, g2c), aggs, _rounding_scale(m, cfg, t8c, b4c, g2c)
 
 
 def _finite_decomposition(m, cfg):
     """_decomposition of one coefficient set, refusing a result that is not
-    finite: huge exposure levels overflow the quartic total effect (a float's
-    ** raises on overflow, where products give inf)."""
-    try:
-        comps, aggs, scale = _decomposition(m, cfg)
-        finite = all(map(math.isfinite, (*comps.values(), *aggs.values())))
-    except OverflowError:
-        finite = False
-    if not finite:
+    finite, as huge exposure levels or coefficients give."""
+    comps, aggs, scale = _decomposition(m, cfg)
+    if not all(map(math.isfinite, (*comps.values(), *aggs.values()))):
         raise EstimationError(
             "the closed-form decomposition is not finite at exposure levels "
             f"a={cfg.a!r}, a_star={cfg.a_star!r}"
@@ -309,39 +326,27 @@ def decompose_sequential_closed_form(
 
 
 def _rounding_scale(m, cfg, t8c, b4c, g2c):
-    """A bound on the absolute monomials any W or component polynomial sums.
+    """A bound on the absolute monomials any world or component polynomial
+    sums.
 
-    It is the W polynomial with every coefficient and level replaced by its
+    It is world "aaa" with every coefficient and level replaced by its
     absolute value, the mediator reference levels added to the mediator
-    intercepts. The aggregates are differences of W values and the components
-    are signed sums of the same monomials, so their rounding error is a
-    multiple of this however far the results cancel.
+    intercepts, so it bounds the reference worlds too. The aggregates are
+    differences of world values and the components are signed sums of the
+    same monomials, so their rounding error is a multiple of this however far
+    the results cancel.
     """
     level = max(abs(cfg.a), abs(cfg.a_star))
     b = [abs(v) for v in m.beta]
     b[0] += abs(cfg.m2_star)
-    return _w_value(
+    absolute = CoefficientBatch(
         [abs(v) for v in m.theta],
         b,
         [abs(m.gamma[0]) + abs(cfg.m1_star), abs(m.gamma[1])],
-        _var1(m),
-        level, level, level,
-        abs(t8c), abs(b4c), abs(g2c),
+        sigma_m1=m.sigma_m1,
     )
-
-
-def _aggregates_from_w(m, cfg, t8c, b4c, g2c):
-    """PDE, TDE and SIE_M1 off the contrast table; TE from its own polynomial,
-    which the component-set identities check against them."""
-    level = {"a": cfg.a, "s": cfg.a_star}
-    var1 = _var1(m)
-
-    def w(key):
-        x, y, z = (level[k] for k in key)
-        return _w_value(m.theta, m.beta, m.gamma, var1, x, y, z, t8c, b4c, g2c)
-
-    aggs = contrasts((PDE, TDE, SIE_M1), w)
-    return aggs | {TE: _te_polynomial(m, cfg, t8c, b4c, g2c)}
+    at_level = ReferenceConfig(level, level, 0.0, 0.0)
+    return _worlds(absolute, at_level, abs(t8c), abs(b4c), abs(g2c))("aaa")
 
 
 def decompose_nonsequential_closed_form(
@@ -379,13 +384,6 @@ def decompose_closed_form_batch(
     # a replicate whose values overflow fails its identities; numpy's
     # warnings about it carry nothing more
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            comps, aggs, scale = _decomposition(m, cfg)
-        except OverflowError:
-            # a power of a huge exposure level, which every replicate shares
-            # (see _finite_decomposition): none of them is a decomposition
-            size = np.broadcast(*m.theta, *m.beta, *m.gamma, m.sigma_m1).size
-            names = (*component_names(cfg.topology), *AGGREGATE_NAMES)
-            return {k: np.full(size, np.nan) for k in names}, np.ones(size, bool)
+        comps, aggs, scale = _decomposition(m, cfg)
         violated = identity_violations(cfg.topology, comps, aggs, scale)
     return comps | aggs, violated

@@ -112,19 +112,6 @@ CONTRASTS: dict[str, str] = {
     TE: "+aaa -sss",
 }
 
-# The eight expected nested counterfactuals Wk = E[Y(x, M1(y), M2(z, M1(y)))]:
-# the exposure slots (x, y, z) of each, "a" for a and "s" for a_star.
-W_SLOTS = {
-    "W1": ("a", "a", "a"),
-    "W2": ("a", "a", "s"),
-    "W3": ("a", "s", "a"),
-    "W4": ("s", "a", "a"),
-    "W5": ("s", "s", "a"),
-    "W6": ("s", "a", "s"),
-    "W7": ("a", "s", "s"),
-    "W8": ("s", "s", "s"),
-}
-
 INT_REF_NAMES = {
     Topology.SEQUENTIAL: (INT_REF_AM1, INT_REF_AM2_PLUS_AM1M2),
     Topology.NONSEQUENTIAL: (INT_REF_AM1, INT_REF_AM2, INT_REF_AM1M2),

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 import twomed.oracle
@@ -36,7 +36,11 @@ from twomed.closed_form import (
 )
 from twomed.core import (
     AGGREGATE_NAMES,
+    PDE,
+    SIE_M1,
+    TDE,
     component_names,
+    contrasts,
     identity_checks,
     identity_violations,
 )
@@ -343,6 +347,32 @@ def test_unknown_counterfactual_name_rejected():
         expected_counterfactual("W9", m, cfg)
 
 
+@pytest.mark.parametrize("which", ["W0", "rss", "aaaa", "as", "", "aax"])
+def test_malformed_world_keys_rejected(which):
+    m = ModelCoefficients(
+        theta=(0.0,) * 8, beta=(0.0,) * 4, gamma=(0.0, 0.0), sigma_m1=1.0
+    )
+    cfg = ReferenceConfig(a=1.0, a_star=0.0, m1_star=0.0, m2_star=0.0)
+    with pytest.raises(ConfigError, match="unknown counterfactual"):
+        expected_counterfactual(which, m, cfg)
+
+
+def test_expected_counterfactual_refuses_what_the_decomposition_refuses():
+    """Under the non-sequential topology an M1 -> M2 edge is a configuration
+    error for every world, as it is for the decomposition."""
+    m = ModelCoefficients(
+        theta=(1.0,) * 8, beta=(0.5, 1.0, 0.7, 0.2), gamma=(0.3, 1.0),
+        sigma_m1=1.0,
+    )
+    cfg = ReferenceConfig(a=1.0, a_star=0.0, m1_star=0.0, m2_star=0.0,
+                          topology=Topology.NONSEQUENTIAL)
+    with pytest.raises(ConfigError, match=re.escape("beta[2] = beta[3] = 0")):
+        decompose_closed_form(m, cfg)
+    for which in ("W1", "aaa", "srr"):
+        with pytest.raises(ConfigError, match=re.escape("beta[2] = beta[3] = 0")):
+            expected_counterfactual(which, m, cfg)
+
+
 def test_model_coefficient_shape_validation():
     with pytest.raises(ConfigError):
         ModelCoefficients(theta=(0.0,) * 7, beta=(0.0,) * 4, gamma=(0.0, 0.0))
@@ -625,3 +655,42 @@ def test_batched_identity_check_flags_only_the_planted_replicate(batch, data):
     tol = identity_checks(cfg.topology, comps, aggs, scale)[0][3][i]
     if 1e-8 * abs(comps[name][i]) > 10.0 * tol:
         assert flagged[i]
+
+
+@st.composite
+def _gapped_model(draw):
+    """A wide-scale model of either topology, with a - a* of either sign and
+    a magnitude from 1e-8 to 10."""
+    topology = draw(st.sampled_from(list(Topology)))
+    sigma_m1 = st.one_of(st.just(0.0), _wide.map(abs))
+    m = draw(_wide_coefficients(topology, sigma_m1))
+    level = st.floats(-2.0, 2.0)
+    a_star = draw(level)
+    gap = draw(st.builds(_signed_power, st.floats(-8.0, 1.0), st.booleans()))
+    cfg = ReferenceConfig(
+        a=a_star + gap, a_star=a_star, m1_star=draw(level), m2_star=draw(level),
+        covariates=(draw(level), draw(level)), topology=topology,
+    )
+    return m, cfg
+
+
+# a failing example is reported as drawn: shrinking one past a tolerance took
+# minutes and hundreds of MB
+@settings(max_examples=300, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(_gapped_model())
+def test_every_polynomial_matches_its_contrast_row(model):
+    """Each component polynomial, and TE's, equals its core.CONTRASTS row over
+    the worlds expected_counterfactual evaluates, reference slots included,
+    to a few roundings of the largest world monomial. PDE, TDE and SIE_M1 are
+    those rows, bit for bit."""
+    m, cfg = model
+    cs = decompose_closed_form(m, cfg)
+    values = cs.components | cs.aggregates
+    rows = contrasts(values, lambda key: expected_counterfactual(key, m, cfg))
+    tol = 64 * np.finfo(float).eps * max(1.0, _decomposition(m, cfg)[2])
+    for name, row in rows.items():
+        if name in (PDE, TDE, SIE_M1):
+            assert values[name].hex() == row.hex(), name
+        else:
+            assert abs(values[name] - row) <= tol, name

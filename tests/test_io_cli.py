@@ -1104,6 +1104,23 @@ def test_cli_validate_checks_equal_exposures_by_tolerance(runner, tmp_path):
 
 
 @pytest.mark.parametrize("topology", ["sequential", "nonsequential"])
+def test_cli_validate_checks_the_total_effect_in_both_topologies(
+    runner, tmp_path, topology
+):
+    """The total-effect polynomial is held to W1 - W8 in either layout."""
+    # m2 free of m1, as the non-sequential topology needs
+    spec = _write(tmp_path / "spec.json",
+                  json.dumps(dict(LINEAR_SPEC, beta=[0.0, 0.8, 0.0, 0.0])))
+    res = runner.invoke(main, ["validate", "--spec", spec, "--topology", topology,
+                               "--mc-n", "20000", "--seed", "1"])
+    assert res.exit_code == 0, res.output
+    lines = res.output.splitlines()
+    te = [line for line in lines if "total-effect polynomial vs W1 - W8" in line]
+    assert len(te) == 1 and te[0].endswith(" PASS"), res.output
+    assert lines[-1] == "RESULT: PASS"
+
+
+@pytest.mark.parametrize("topology", ["sequential", "nonsequential"])
 def test_cli_validate_says_when_no_term_is_z_tested(runner, tmp_path, topology):
     """At a == a* every term has zero spread, so none is z-tested: validate
     says so in words, not as a worst |z| of 0 for an unnamed term, and still
@@ -1210,3 +1227,20 @@ def test_the_dev_scripts_run_at_a_tiny_size(script):
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert res.returncode == 0, res.stdout + res.stderr
+
+
+def test_the_symbolic_audit_passes():
+    """The closed-form audit at 20 points, its world-key stage included."""
+    pytest.importorskip("sympy")
+    path = os.pathsep.join(
+        p for p in (os.path.join(_ROOT, "src"), os.environ.get("PYTHONPATH")) if p
+    )
+    res = subprocess.run(
+        [sys.executable, os.path.join(_ROOT, "scripts", "validate_formulas.py"),
+         "--points", "20"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert res.returncode == 0, res.stdout + res.stderr
+    lines = res.stdout.splitlines()
+    assert any(line.startswith("world keys: ") for line in lines), res.stdout
+    assert lines[-1] == "all formula checks passed"
