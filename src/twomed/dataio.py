@@ -496,14 +496,15 @@ def write_dataset_csv(d: Dataset, path: str) -> None:
     the same dataset always produces the same bytes.
 
     The header goes through csv.writer, which quotes a name that needs it; a
-    float's repr never does, so the body is joined directly, one block of
-    rows per write.
+    float's repr never does, so the body is formatted directly: one block of
+    rows per write, by one format string of %r (which is repr) fields.
     """
+    row_fmt = ",".join(["%r"] * (4 + d.k)) + "\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["a", "m1", "m2", "y", *d.covariate_names])
         for lo in range(0, d.n, _CSV_BLOCK_ROWS):
-            block = slice(lo, lo + _CSV_BLOCK_ROWS)
-            rows = np.column_stack((d.a[block], d.m1[block], d.m2[block],
-                                    d.y[block], d.covariates[block])).tolist()
-            fh.write("".join(",".join(map(repr, row)) + "\n" for row in rows))
+            rows = slice(lo, lo + _CSV_BLOCK_ROWS)
+            block = np.column_stack((d.a[rows], d.m1[rows], d.m2[rows],
+                                     d.y[rows], d.covariates[rows]))
+            fh.write(row_fmt * len(block) % tuple(block.ravel().tolist()))

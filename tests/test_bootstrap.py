@@ -1,9 +1,6 @@
 """Percentile-bootstrap behavior: determinism, seeding contract, failure policy."""
 
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
@@ -501,29 +498,6 @@ def test_percentile_bounds_are_numpys_quantiles(n, level):
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (g, w)
-
-
-def test_closed_form_bootstrap_leaves_numpy_ma_unloaded():
-    """np.quantile calls np.unique, whose masked-array check imports numpy.ma:
-    about 14 ms and 1 MB of every analyze. A closed-form run, in a fresh
-    process, takes its bounds without it."""
-    src = os.path.dirname(os.path.dirname(twomed.bootstrap.__file__))
-    code = (
-        "import sys\n"
-        "import numpy as np\n"
-        "from twomed import Dataset, ReferenceConfig, bootstrap_decomposition\n"
-        "rng = np.random.default_rng(1)\n"
-        "a = rng.integers(0, 2, 300).astype(float)\n"
-        "m1, m2, y = rng.standard_normal((3, 300))\n"
-        "cfg = ReferenceConfig(a=1.0, a_star=0.0, m1_star=0.0, m2_star=0.0)\n"
-        "r = bootstrap_decomposition(Dataset(a=a, m1=m1, m2=m2, y=y), cfg, B=100)\n"
-        "print(r.failed_replicates, 'numpy.ma' in sys.modules)\n"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": src},
-    ).stdout
-    assert out.split() == ["0", "False"]
 
 
 def test_chunk_size_keeps_matrix_products_and_bounds_memory():

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -572,6 +573,71 @@ def test_batched_replicates_equal_their_one_replicate_decompositions(
         assert failed[r] == isinstance(want, tuple)
         if not failed[r]:
             assert {k: v[r] for k, v in values.items()} == want
+
+
+@st.composite
+def _cells_and_references(draw):
+    """Rows over a few strata, with exposure and reference levels drawn from
+    the whole support: the stratum cfg names often lacks a reference level,
+    or holds it under neither exposure."""
+    levels = [
+        draw(st.lists(st.sampled_from(_LEVELS), min_size=1, max_size=4, unique=True))
+        for _ in range(4)
+    ]
+    rows = draw(st.lists(st.tuples(*map(st.sampled_from, levels)),
+                         min_size=1, max_size=25))
+    cols = np.array(rows).T
+    y = draw(st.lists(st.floats(-1e3, 1e3), min_size=len(rows), max_size=len(rows)))
+    d = Dataset(a=cols[0], m1=cols[1], m2=cols[2], y=np.array(y),
+                covariates=cols[3:].T)
+    a, s, m1, m2, c = (draw(st.sampled_from(sorted(set(cols[i].tolist()))))
+                       for i in (0, 0, 1, 2, 3))
+    return d, ReferenceConfig(a=a, a_star=s, m1_star=m1, m2_star=m2,
+                              covariates=(c,), topology=Topology.SEQUENTIAL)
+
+
+def _union_axes(cells, stratum, exposures, m1_ref, m2_ref):
+    """_grid_axes by numpy's set routines."""
+    mine = (cells[:, 3] == stratum) & np.isin(cells[:, 0], exposures)
+    return (mine, np.union1d(cells[mine, 1], m1_ref),
+            np.union1d(cells[mine, 2], m2_ref))
+
+
+def _reference_off_the_stratum():
+    # m1 = 1.0 and m2 = 3.25 occur only in stratum c = 0.7, not in c = -1.0
+    rows = np.array([(0, 0, 0, -1), (1, 0, 0, -1), (1, 1, 3.25, 0.7)])
+    d = Dataset(a=rows[:, 0], m1=rows[:, 1], m2=rows[:, 2], y=np.arange(3.0),
+                covariates=rows[:, 3:])
+    return d, ReferenceConfig(a=1.0, a_star=0.0, m1_star=1.0, m2_star=3.25,
+                              covariates=(-1.0,), topology=Topology.SEQUENTIAL)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cells_and_references(), st.integers(0, 2**32 - 1))
+@example(_reference_off_the_stratum(), 0)
+def test_grid_axes_equal_numpys_set_routines(case, seed):
+    """The grid's cell mask and level axes, built with equality tests and
+    sets, are np.isin's and np.union1d's in values and dtype, and the
+    decomposition from them has the same bits."""
+    d, cfg = case
+    coder = CellCoder(d)
+    a_lv, m1_lv, m2_lv, c_lv = coder.levels
+    args = (coder.cells, c_lv.index(cfg.covariates),
+            [a_lv.index(cfg.a), a_lv.index(cfg.a_star)],
+            m1_lv.index(cfg.m1_star), m2_lv.index(cfg.m2_star))
+    for got, want in zip(twomed.empirical._grid_axes(*args), _union_axes(*args)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    rng = np.random.default_rng(seed)
+    resamples = [None] + [rng.integers(0, d.n, d.n) for _ in range(3)]
+    n, y_sum = (np.array(c, dtype=float)
+                for c in zip(*(coder.counts(i) for i in resamples)))
+    got = coder.decompose_counts(cfg, n, y_sum)
+    with mock.patch.object(twomed.empirical, "_grid_axes", _union_axes):
+        want = coder.decompose_counts(cfg, n, y_sum)
+    assert got[1].tolist() == want[1].tolist()
+    assert list(got[0]) == list(want[0])
+    for name, value in got[0].items():
+        assert value.tobytes() == want[0][name].tobytes(), name
 
 
 def test_an_overflowing_decomposition_fails_its_identities():

@@ -452,6 +452,28 @@ def test_block_csv_writer_writes_the_row_loop_bytes(tmp_path, monkeypatch,
         assert got.read_text().startswith('a,m1,m2,y,"c,1","say ""hi""",c3\n')
 
 
+@pytest.mark.parametrize("k", [0, 3], ids=["k0", "k3"])
+def test_csv_body_is_each_rows_repr_join(tmp_path, monkeypatch, k):
+    """The block format string's %r fields give each row's repr join, at
+    repr's switches between fixed and exponent form and at the signed zeros
+    and the smallest subnormal, in full blocks and a short last one."""
+    monkeypatch.setattr(twomed.dataio, "_CSV_BLOCK_ROWS", 4)
+    values = [0.0, -0.0, 1e16, 1e-5, 5e-324, 123456789012345.6, 1e22]
+    values += [-v for v in values]
+    # every value in every column
+    rows = [[values[(i + j) % len(values)] for j in range(4 + k)]
+            for i in range(len(values))]
+    cols = np.array(rows)
+    names = tuple(f"c{j + 1}" for j in range(k))
+    d = Dataset(a=cols[:, 0], m1=cols[:, 1], m2=cols[:, 2], y=cols[:, 3],
+                covariates=cols[:, 4:], covariate_names=names)
+    path = tmp_path / "data.csv"
+    write_dataset_csv(d, str(path))
+    header = ",".join(["a", "m1", "m2", "y", *names]) + "\n"
+    body = "".join(",".join(map(repr, row)) + "\n" for row in rows)
+    assert path.read_bytes() == (header + body).encode()
+
+
 def test_simulate_dataset_binary_outcome_modes():
     scm = parse_scm_spec(BINARY_SPEC, Topology.SEQUENTIAL)
     d = simulate_dataset(scm, n=100, seed=3)
@@ -1204,6 +1226,84 @@ def test_the_cli_loads_no_test_or_scientific_stack():
     packages, masked = out.splitlines()
     assert packages.split() == ["click", "numpy", "twomed"]
     assert masked == "False"
+
+
+_EACH_COMMAND = """
+import json, sys
+from twomed.cli import main
+for name, args in json.loads(sys.argv[1]):
+    try:
+        code = main.main(args, standalone_mode=False)
+    except SystemExit as exc:
+        code = exc.code
+    print("command:", json.dumps([name, code or 0, "numpy.ma" in sys.modules]))
+"""
+
+_MA_COMMANDS = {
+    "analyze closed-form": ["analyze", "--data", "{linear_csv}", "--bootstrap-B", "100"],
+    "analyze empirical-categorical": [
+        "analyze", "--data", "{binary_csv}", "--config", "{refs}", "--bootstrap-B", "100",
+        "--estimator", "empirical-categorical", "--dump-tables", "{dir}/tables.json",
+    ],
+    "simulate linear": ["simulate", "--spec", "{linear_sequential}", "--n", "200",
+                        "--data", "{dir}/lin.csv", "--truth", "{dir}/lin.json"],
+    "simulate binary": ["simulate", "--spec", "{binary_sequential}", "--n", "200",
+                        "--config", "{refs}", "--data", "{dir}/bin.csv",
+                        "--truth", "{dir}/bin.json"],
+    **{f"validate {kind} {topology.value}": [
+        "validate", "--spec", f"{{{kind}_{topology.value}}}",
+        "--topology", topology.value, "--mc-n", "20000"]
+       for kind in ("linear", "binary") for topology in Topology},
+}
+# the non-sequential specs keep M2 free of M1
+_SPECS = {
+    "linear": {"sequential": LINEAR_SPEC,
+               "nonsequential": dict(LINEAR_SPEC, beta=[0.0, 0.8, 0.0, 0.0])},
+    "binary": {"sequential": BINARY_SPEC,
+               "nonsequential": dict(BINARY_SPEC, p_m2={"0": {"0": 0.2, "1": 0.2},
+                                                        "1": {"0": 0.4, "1": 0.4}})},
+}
+
+
+@pytest.fixture(scope="module")
+def numpy_ma_after_each_command(tmp_path_factory):
+    """Run every command shape, in the order of _MA_COMMANDS, in one fresh
+    process; map each to its exit code and whether numpy.ma was loaded once
+    it had run."""
+    tmp = tmp_path_factory.mktemp("commands")
+    paths = {"dir": str(tmp), "linear_csv": _linear_csv(tmp),
+             "binary_csv": str(tmp / "binary.csv")}
+    d = simulate_dataset(parse_scm_spec(BINARY_SPEC, Topology.SEQUENTIAL), n=400, seed=6)
+    write_dataset_csv(d, paths["binary_csv"])
+    paths["refs"] = _write(tmp / "refs.json", json.dumps({"m1_star": 0, "m2_star": 0}))
+    for kind, specs in _SPECS.items():
+        for topology, spec in specs.items():
+            paths[f"{kind}_{topology}"] = _write(tmp / f"{kind}_{topology}.json",
+                                                 json.dumps(spec))
+    commands = [[name, [arg.format(**paths) for arg in args]]
+                for name, args in _MA_COMMANDS.items()]
+    src = os.path.dirname(os.path.dirname(twomed.dataio.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", _EACH_COMMAND, json.dumps(commands)],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    ran = [json.loads(line.removeprefix("command:"))
+           for line in out.splitlines() if line.startswith("command:")]
+    return {name: (code, loaded) for name, code, loaded in ran}
+
+
+@pytest.mark.parametrize("command", list(_MA_COMMANDS))
+def test_no_command_loads_numpy_ma(numpy_ma_after_each_command, command):
+    """numpy.ma costs a run about 13 ms of CPU and 1.3 MB of memory, and the
+    calls that import it (a vector np.unique, so np.union1d and np.quantile,
+    and np.isin's sort method) have exact replacements. After each command,
+    run in turn in one process, it is still unloaded."""
+    ran = numpy_ma_after_each_command
+    assert list(ran) == list(_MA_COMMANDS)
+    first = next((name for name, (_, loaded) in ran.items() if loaded), None)
+    code, loaded = ran[command]
+    assert (code, loaded) == (0, False), f"exit code {code}, numpy.ma loaded by {first}"
 
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
