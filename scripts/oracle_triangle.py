@@ -1,8 +1,10 @@
 """Cross-check the three computation paths on freshly drawn random models.
 
-Binary models: exact probability sums vs the sweep over latent response types
-vs the conditional-table estimator fed the true tables (sequential only).
-Linear models: closed forms vs Monte Carlo potential-outcome simulation.
+Each model goes through validate's checks, twomed.cli.validation_checks, with
+tol 1e-12 and |z| <= 5. Binary models: exact probability sums vs the sweep
+over latent response types vs the conditional-table estimator fed the true
+tables (sequential only). Linear models: closed forms vs Monte Carlo
+potential-outcome simulation, the total effect vs W1 - W8 too.
 
     python3 scripts/oracle_triangle.py --binary 100 --linear 10 --mc-n 500000
 """
@@ -12,27 +14,14 @@ import sys
 
 import numpy as np
 
-from twomed import (
-    BinaryScm,
-    LinearScm,
-    ProbTables,
-    ReferenceConfig,
-    Topology,
-    component_names,
-    decompose_closed_form,
-    decompose_empirical_sequential,
-    enumerate_binary_components,
-    enumerate_binary_components_by_individuals,
-    simulate_linear_components,
-)
+from twomed import BinaryScm, LinearScm, ReferenceConfig, Topology
+from twomed.cli import validation_checks
+
+TOL, MC_Z = 1e-12, 5.0
 
 
-def _value(cs, name):
-    return cs.aggregates[name] if name in cs.aggregates else cs.component(name)
-
-
-def _names(topology):
-    return list(component_names(topology)) + ["PDE", "TDE", "SIE_M1", "TE"]
+def _failures(where, checks):
+    return [f"{where}:{check.line()}" for check in checks if check.passed is False]
 
 
 def random_binary(rng, topology):
@@ -64,7 +53,7 @@ def random_linear(rng, sequential):
 
 
 def binary_stage(count, rng):
-    worst = 0.0
+    worst, failed = 0.0, []
     for i in range(count):
         for topology in (Topology.SEQUENTIAL, Topology.NONSEQUENTIAL):
             scm = random_binary(rng, topology)
@@ -74,26 +63,16 @@ def binary_stage(count, rng):
                 m2_star=float(rng.integers(0, 2)),
                 covariates=(), topology=topology,
             )
-            paths = [
-                enumerate_binary_components(scm, cfg),
-                enumerate_binary_components_by_individuals(scm, cfg),
-            ]
-            if topology is Topology.SEQUENTIAL:
-                paths.append(
-                    decompose_empirical_sequential(
-                        ProbTables.from_binary_scm(scm), cfg
-                    )
-                )
-            base = paths[0]
-            for other in paths[1:]:
-                for nm in _names(topology):
-                    worst = max(worst, abs(_value(base, nm) - _value(other, nm)))
+            # the Monte Carlo draw count and seed go unused on a binary model
+            checks = validation_checks(scm, cfg, 2, 0, TOL, MC_Z)
+            worst = max([worst, *(check.value for check in checks)])
+            failed += _failures(f"model {i}, {topology.value}", checks)
     print(f"binary: {count} models per topology, worst |delta| = {worst:.3e}")
-    return worst <= 1e-12
+    return failed
 
 
 def linear_stage(count, mc_n, rng, seed):
-    worst_z, worst_at = 0.0, ""
+    worst_z, worst_at, failed = 0.0, "", []
     for i in range(count):
         scm = random_linear(rng, sequential=True)
         cfg = ReferenceConfig(
@@ -101,17 +80,14 @@ def linear_stage(count, mc_n, rng, seed):
             m1_star=float(rng.normal()), m2_star=float(rng.normal()),
             covariates=(), topology=Topology.SEQUENTIAL,
         )
-        exact = decompose_closed_form(scm, cfg)
-        mc = simulate_linear_components(scm, cfg, n=mc_n, seed=seed + i, shards=8)
-        for nm in component_names(Topology.SEQUENTIAL):
-            se = mc.standard_errors[nm]
-            diff = abs(mc.components.component(nm) - exact.component(nm))
-            z = diff / se if se > 0.0 else (0.0 if diff < 1e-9 else float("inf"))
-            if z > worst_z:
-                worst_z, worst_at = z, f"model {i}, {nm}"
+        checks = validation_checks(scm, cfg, mc_n, seed + i, TOL, MC_Z)
+        for check in checks:
+            if check.measure == "worst |z|" and check.value > worst_z:
+                worst_z, worst_at = check.value, f"model {i}, {check.worst}"
+        failed += _failures(f"model {i}", checks)
     print(f"linear: {count} models at n={mc_n}, worst |z| = {worst_z:.2f} "
           f"({worst_at})")
-    return worst_z <= 5.0
+    return failed
 
 
 def main():
@@ -122,9 +98,10 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     opts = ap.parse_args()
     rng = np.random.default_rng(opts.seed)
-    ok = binary_stage(opts.binary, rng)
-    ok = linear_stage(opts.linear, opts.mc_n, rng, opts.seed) and ok
-    if not ok:
+    failed = binary_stage(opts.binary, rng)
+    failed += linear_stage(opts.linear, opts.mc_n, rng, opts.seed)
+    if failed:
+        print("\n".join(failed))
         sys.exit("FAIL: computation paths disagree")
     print("all paths agree")
 

@@ -57,8 +57,13 @@ from .oracle import (
 _TOPOLOGIES = tuple(t.value for t in Topology)
 
 
-def _with_model_covariates(rc, scm):
-    """Give the run config the model's covariates when it names none."""
+def _read_spec(config_path, spec_path, **options):
+    """The run config, the spec object and its model, as simulate and validate
+    read them. The run config takes the model's covariates when it names none."""
+    config_obj = load_json(config_path, "config") if config_path else None
+    rc = build_run_config(config_obj, **options)
+    spec_obj = load_json(spec_path, "model spec")
+    scm = parse_scm_spec(spec_obj, rc.topology_enum)
     if isinstance(scm, LinearScm) and scm.covariate_dim and not rc.covariates:
         k = scm.covariate_dim
         rc = dataclasses.replace(
@@ -66,7 +71,7 @@ def _with_model_covariates(rc, scm):
             covariates=tuple(f"c{i + 1}" for i in range(k)),
             covariate_values=("mean",) * k,
         )
-    return rc
+    return rc, spec_obj, scm
 
 
 def _die(code: int, exc: Exception) -> None:
@@ -244,11 +249,8 @@ def simulate(spec_path, n_rows, data_out, truth_out, config_path, topology, seed
     """Draw synthetic data from a model spec, with exact ground truth."""
 
     def body():
-        config_obj = load_json(config_path, "config") if config_path else None
-        rc = build_run_config(config_obj, topology=topology, seed=seed)
-        spec_obj = load_json(spec_path, "model spec")
-        scm = parse_scm_spec(spec_obj, rc.topology_enum)
-        rc = _with_model_covariates(rc, scm)
+        rc, spec_obj, scm = _read_spec(config_path, spec_path, topology=topology,
+                                       seed=seed)
         truth_path = truth_out or data_out + ".truth.json"
         _check_writable(data_out, "--data path")
         _check_writable(truth_path, "--truth path")
@@ -301,100 +303,16 @@ def validate(spec_path, config_path, topology, seed, mc_n, tol, mc_z):
     """Cross-check the computation paths on a model spec (exit 5 on failure)."""
 
     def body():
-        config_obj = load_json(config_path, "config") if config_path else None
-        rc = build_run_config(config_obj, topology=topology, seed=seed)
-        spec_obj = load_json(spec_path, "model spec")
-        scm = parse_scm_spec(spec_obj, rc.topology_enum)
-        rc = _with_model_covariates(rc, scm)
+        rc, _, scm = _read_spec(config_path, spec_path, topology=topology, seed=seed)
         cfg, resolved = resolve_reference(rc, None)
-        names = list(component_names(cfg.topology)) + list(AGGREGATE_NAMES)
-        failures = 0
-        if isinstance(scm, BinaryScm):
-            click.echo(f"binary model, topology {cfg.topology.value}")
-            sets = {
-                "probability sums": enumerate_binary_components(scm, cfg),
-                "latent individuals": enumerate_binary_components_by_individuals(
-                    scm, cfg
-                ),
-            }
-            if cfg.topology is Topology.SEQUENTIAL:
-                sets["table estimator"] = decompose_empirical_sequential(
-                    ProbTables.from_binary_scm(scm), cfg
-                )
-            base_tag = "probability sums"
-            base = sets[base_tag]
-            for tag, cs in sets.items():
-                if tag == base_tag:
-                    continue
-                worst = 0.0
-                for name in names:
-                    va = _value(base, name)
-                    vb = _value(cs, name)
-                    worst = max(worst, abs(va - vb))
-                ok = worst <= tol
-                failures += 0 if ok else 1
-                click.echo(
-                    f"  {base_tag} vs {tag}: max |delta| = {worst:.3e} "
-                    f"(tol {tol:g}) {'PASS' if ok else 'FAIL'}"
-                )
-        else:
-            click.echo(
-                f"linear model, topology {cfg.topology.value}, "
-                f"mc n={mc_n}, seed={rc.seed}"
-            )
-            exact = decompose_closed_form(scm, cfg)
-            mc = simulate_linear_components(scm, cfg, n=mc_n, seed=rc.seed)
-            worst_name, worst_z = "", 0.0
-            constant, worst_rel = [], 0.0
-            for name in names:
-                want = _value(exact, name)
-                delta = abs(_value(mc.components, name) - want)
-                se = mc.standard_errors[name]
-                if se == 0.0:
-                    # the same value for every individual: the Monte Carlo mean
-                    # is exact up to rounding, so compare it like an exact path
-                    constant.append(name)
-                    rel = delta / max(1.0, abs(want))
-                    if _worse(rel, worst_rel):
-                        worst_rel = rel
-                    continue
-                z = delta / se
-                if _worse(z, worst_z):
-                    worst_name, worst_z = name, z
-            if len(constant) == len(names):
-                click.echo(
-                    "  closed form vs Monte Carlo: no term has Monte Carlo "
-                    "spread, so none is z-tested"
-                )
-            else:
-                ok = worst_z <= mc_z
-                failures += 0 if ok else 1
-                click.echo(
-                    f"  closed form vs Monte Carlo: worst |z| = {worst_z:.2f} "
-                    f"({worst_name}; allowed {mc_z:g}) {'PASS' if ok else 'FAIL'}"
-                )
-            if constant:
-                ok = worst_rel <= tol
-                failures += 0 if ok else 1
-                click.echo(
-                    "  closed form vs Monte Carlo, zero-spread terms "
-                    f"({', '.join(constant)}): max rel |delta| = {worst_rel:.3e} "
-                    f"(rel tol {tol:g}) {'PASS' if ok else 'FAIL'}"
-                )
-            # W1 - W8, the table's TE row over the expected counterfactuals
-            te = exact.aggregates[TE]
-            w1_w8 = contrasts((TE,), lambda key: expected_counterfactual(key, scm, cfg))
-            delta = abs(te - w1_w8[TE])
-            ok = delta <= tol * max(1.0, abs(te))
-            failures += 0 if ok else 1
-            click.echo(
-                f"  total-effect polynomial vs W1 - W8: |delta| = {delta:.3e} "
-                f"(rel tol {tol:g}) {'PASS' if ok else 'FAIL'}"
-            )
-        click.echo(
-            "reference: "
-            + json.dumps(resolved, sort_keys=True)
-        )
+        topo = f"topology {cfg.topology.value}"
+        click.echo(f"binary model, {topo}" if isinstance(scm, BinaryScm)
+                   else f"linear model, {topo}, mc n={mc_n}, seed={rc.seed}")
+        checks = validation_checks(scm, cfg, mc_n, rc.seed, tol, mc_z)
+        for check in checks:
+            click.echo(check.line())
+        click.echo("reference: " + json.dumps(resolved, sort_keys=True))
+        failures = sum(check.passed is False for check in checks)
         if failures:
             click.echo(f"RESULT: FAIL ({failures} check(s) out of tolerance)")
             sys.exit(5)
@@ -403,10 +321,89 @@ def validate(spec_path, config_path, topology, seed, mc_n, tol, mc_z):
     _guarded(body)
 
 
-def _worse(value: float, worst: float) -> bool:
-    """Whether value replaces worst as the largest deviation so far. A NaN is
-    worse than any number and, once worst, stays so; it fails every check."""
-    return not (math.isnan(worst) or value <= worst)
+@dataclasses.dataclass(frozen=True)
+class Check:
+    """One line of validate's report: value, the measure named (a max |delta|,
+    a worst |z| or a relative |delta|), held to bound * scale. worst is the
+    term it was found at. A check without a bound is a note with no verdict.
+    """
+
+    label: str
+    measure: str = ""
+    value: float = math.nan
+    worst: str = ""
+    bound: float | None = None
+    bound_name: str = "tol"
+    scale: float = 1.0
+
+    @property
+    def passed(self) -> bool | None:
+        """value <= bound * scale, so a NaN fails; None for a note."""
+        return None if self.bound is None else self.value <= self.bound * self.scale
+
+    def line(self) -> str:
+        """The check as validate prints it: a z-test names its worst term."""
+        if self.passed is None:
+            return f"  {self.label}"
+        z = self.measure == "worst |z|"
+        value = f"{self.value:.2f} ({self.worst}; " if z else f"{self.value:.3e} ("
+        return (f"  {self.label}: {self.measure} = {value}{self.bound_name} "
+                f"{self.bound:g}) {'PASS' if self.passed else 'FAIL'}")
+
+
+def validation_checks(scm, cfg, mc_n: int, seed: int, tol: float,
+                      mc_z: float) -> list[Check]:
+    """validate's cross-checks of the computation paths on one model, one
+    Check per report line: a binary model's paths against its probability
+    sums; a linear model's closed form against mc_n Monte Carlo draws from
+    seed, by |z| where a term has spread, and its TE against W1 - W8."""
+    names = [*component_names(cfg.topology), *AGGREGATE_NAMES]
+    if isinstance(scm, BinaryScm):
+        base = enumerate_binary_components(scm, cfg)
+        paths = {"latent individuals":
+                 enumerate_binary_components_by_individuals(scm, cfg)}
+        if cfg.topology is Topology.SEQUENTIAL:
+            paths["table estimator"] = decompose_empirical_sequential(
+                ProbTables.from_binary_scm(scm), cfg
+            )
+        return [Check(f"probability sums vs {tag}", "max |delta|",
+                      *_worst({n: abs(_value(base, n) - _value(cs, n)) for n in names}),
+                      tol)
+                for tag, cs in paths.items()]
+    exact = decompose_closed_form(scm, cfg)
+    mc = simulate_linear_components(scm, cfg, n=mc_n, seed=seed)
+    z, rel = {}, {}
+    for name in names:
+        want = _value(exact, name)
+        delta = abs(_value(mc.components, name) - want)
+        if mc.standard_errors[name] == 0.0:
+            # the same value for every individual: the Monte Carlo mean is
+            # exact up to rounding, so compare it like an exact path
+            rel[name] = delta / max(1.0, abs(want))
+        else:
+            z[name] = delta / mc.standard_errors[name]
+    label = "closed form vs Monte Carlo"
+    checks = [Check(label, "worst |z|", *_worst(z), mc_z, "allowed") if z else
+              Check(f"{label}: no term has Monte Carlo spread, so none is z-tested")]
+    if rel:
+        checks.append(Check(f"{label}, zero-spread terms ({', '.join(rel)})",
+                            "max rel |delta|", *_worst(rel), tol, "rel tol"))
+    # W1 - W8, the table's TE row over the expected counterfactuals
+    te = exact.aggregates[TE]
+    w1_w8 = contrasts((TE,), lambda key: expected_counterfactual(key, scm, cfg))
+    checks.append(Check("total-effect polynomial vs W1 - W8", "|delta|",
+                        abs(te - w1_w8[TE]), TE, tol, "rel tol", max(1.0, abs(te))))
+    return checks
+
+
+def _worst(deviations: dict) -> tuple[float, str]:
+    """The largest of deviations (each >= 0) and its name, the first of equals.
+    A NaN is worse than any number and, once worst, stays so."""
+    worst, at = 0.0, ""
+    for name, value in deviations.items():
+        if not (math.isnan(worst) or value <= worst):
+            worst, at = value, name
+    return worst, at
 
 
 def _value(cs, name: str) -> float:

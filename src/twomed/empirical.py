@@ -36,7 +36,7 @@ from .core import (
     identity_violations,
 )
 from .oracle import BinaryScm
-from .table_engine import decompose_tables
+from .table_engine import decompose_tables, table_component_set
 
 _SUM_TOL = 1e-9
 
@@ -436,6 +436,7 @@ def decompose_empirical_sequential(
     grid = _Grid(*(np.array([g], dtype=float) for g in (p1, p2, y)),
                  sup1.index(m1r), sup2.index(m2r), sup1, sup2)
     _require_covered(grid, levels)
-    comps, aggs = _decompose_grid(grid)
-    return ComponentSet(Topology.SEQUENTIAL, *({k: v[0] for k, v in values.items()}
-                                               for values in (comps, aggs)))
+    return table_component_set(
+        Topology.SEQUENTIAL, *(np.where(np.isnan(t[0]), 0.0, t[0]) for t in grid[:3]),
+        grid.m1_ref, grid.m2_ref,
+    )

@@ -34,7 +34,7 @@ from twomed import (
 )
 import twomed.cli
 from twomed.bootstrap import ESTIMATORS
-from twomed.cli import main
+from twomed.cli import Check, main, validation_checks
 from twomed.dataio import OUTPUT_FORMATS
 
 
@@ -1194,6 +1194,58 @@ def test_cli_validate_rejects_binary_refs_off_support(runner, tmp_path):
     cfg = _write(tmp_path / "cfg.json", json.dumps({"a": 2.0}))
     res = runner.invoke(main, ["validate", "--spec", spec, "--config", cfg])
     assert res.exit_code == 2
+
+
+def _checks(spec, mc_n=1000, tol=1e-12, **options):
+    cfg, _ = resolve_reference(build_run_config(None, seed=1, **options), None)
+    return validation_checks(parse_scm_spec(spec, cfg.topology), cfg, mc_n, 1, tol, 4.0)
+
+
+def test_a_check_fails_a_nan_and_passes_a_value_at_its_bound():
+    nan = Check("paths", "max |delta|", math.nan, bound=1e-12)
+    at_bound = Check("paths", "max |delta|", 1e-12, bound=1e-12)
+    above = Check("paths", "max |delta|", math.nextafter(1e-12, 1.0), bound=1e-12)
+    assert (nan.passed, at_bound.passed, above.passed) == (False, True, False)
+    assert nan.line() == "  paths: max |delta| = nan (tol 1e-12) FAIL"
+
+
+def test_the_total_effect_check_scales_its_bound_by_the_total_effect():
+    """Its tol is relative to max(1, |TE|): a |delta| up to tol * |TE| passes."""
+    spec = dict(LINEAR_SPEC, theta=[v * 10.0 for v in LINEAR_SPEC["theta"]])
+    te_check = _checks(spec, tol=1e-3)[-1]
+    cfg, _ = resolve_reference(build_run_config(None, seed=1), None)
+    te = decompose_closed_form(parse_scm_spec(spec, cfg.topology), cfg).aggregates["TE"]
+    assert te_check.label == "total-effect polynomial vs W1 - W8"
+    assert abs(te) > 1.0 and te_check.scale == abs(te)
+    bound = te_check.bound * te_check.scale
+    assert dataclasses.replace(te_check, value=bound).passed
+    above = math.nextafter(bound, 2 * bound)
+    assert not dataclasses.replace(te_check, value=above).passed
+
+
+def test_the_no_spread_note_gives_no_verdict():
+    """At a == a* no term is z-tested: the note is a check without a bound,
+    which neither passes nor fails."""
+    spec = dict(LINEAR_SPEC, beta=[0.0, 0.8, 0.0, 0.0])
+    checks = _checks(spec, mc_n=10000, a=1.0, a_star=1.0)
+    note = checks[0]
+    assert (note.bound, note.passed) == (None, None)
+    assert note.line() == ("  closed form vs Monte Carlo: no term has Monte Carlo "
+                           "spread, so none is z-tested")
+    assert [check.passed for check in checks] == [None, True, True]
+
+
+@pytest.mark.parametrize("topology, paths", [
+    ("sequential", ["latent individuals", "table estimator"]),
+    ("nonsequential", ["latent individuals"]),
+])
+def test_a_binary_model_checks_each_path_against_its_probability_sums(topology, paths):
+    # Pr(M2 | A, M1) free of M1, as the non-sequential topology needs
+    spec = dict(BINARY_SPEC, p_m2={a: {"0": 0.2, "1": 0.2} for a in "01"})
+    checks = _checks(spec, topology=topology)
+    assert [check.label for check in checks] == [
+        f"probability sums vs {path}" for path in paths]
+    assert all(check.passed and check.measure == "max |delta|" for check in checks)
 
 
 def test_cli_version(runner):
