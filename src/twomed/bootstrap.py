@@ -38,13 +38,12 @@ import numpy as np
 
 from .closed_form import decompose_closed_form, decompose_closed_form_batch
 from .core import (
-    AGGREGATE_NAMES,
     ComponentSet,
     ConfigError,
     EstimationError,
     InferenceError,
     ReferenceConfig,
-    component_names,
+    value_names,
 )
 from .empirical import CellCoder, ProbTables, decompose_empirical_sequential
 from .regression import CountWeightedFit, Dataset, fit_all
@@ -125,19 +124,9 @@ def _chunk_size(n: int) -> int:
     return max(1, min(_CHUNK_REPLICATES, _CHUNK_BYTES // (8 * n)))
 
 
-def bootstrap_decomposition(
-    d: Dataset,
-    cfg: ReferenceConfig,
-    B: int = 1000,
-    level: float = 0.95,
-    seed: int = 0,
-    estimator: str = "closed-form",
-) -> BootstrapResult:
-    """Point decomposition plus percentile confidence bounds.
-
-    Quantiles are numpy's default linear interpolation between order
-    statistics at probabilities (1 - level)/2 and (1 + level)/2.
-    """
+def check_settings(B: int, level: float, seed: int, estimator: str) -> None:
+    """Raise ConfigError unless the bootstrap can run with these settings:
+    the one rule for every command's config and for bootstrap_decomposition."""
     if B < 100:
         raise ConfigError(f"bootstrap needs B >= 100 replicates, got {B}")
     if B > 1_000_000:  # kept values, 112 MB at most, and their copies
@@ -151,7 +140,22 @@ def bootstrap_decomposition(
             f"unknown estimator {estimator!r}; choose one of {ESTIMATORS}"
         )
 
-    names = list(component_names(cfg.topology)) + list(AGGREGATE_NAMES)
+
+def bootstrap_decomposition(
+    d: Dataset,
+    cfg: ReferenceConfig,
+    B: int = 1000,
+    level: float = 0.95,
+    seed: int = 0,
+    estimator: str = "closed-form",
+) -> BootstrapResult:
+    """Point decomposition plus percentile confidence bounds.
+
+    Quantiles are numpy's default linear interpolation between order
+    statistics at probabilities (1 - level)/2 and (1 + level)/2.
+    """
+    check_settings(B, level, seed, estimator)
+    names = value_names(cfg.topology)
     # blocks of kept replicates' values, one row per replicate in names order
     draws = []
     n = d.n
@@ -178,7 +182,7 @@ def bootstrap_decomposition(
                     cs = _closed_form_estimate(d.take(_resample_indices(seed, b, n)), cfg)
                 except (EstimationError, ConfigError):
                     continue  # a failed replicate
-                draws.append([[*cs.components.values(), *cs.aggregates.values()]])
+                draws.append([[cs.value(k) for k in names]])
     else:
         # the cells are coded once, for the point estimate and every replicate
         coder = CellCoder(d)

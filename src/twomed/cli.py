@@ -32,6 +32,7 @@ from .core import (
     Topology,
     component_names,
     contrasts,
+    value_names,
 )
 from .dataio import (
     OUTPUT_FORMATS,
@@ -254,17 +255,18 @@ def simulate(spec_path, n_rows, data_out, truth_out, config_path, topology, seed
         truth_path = truth_out or data_out + ".truth.json"
         _check_writable(data_out, "--data path")
         _check_writable(truth_path, "--truth path")
+        binary = isinstance(scm, BinaryScm)
         d = simulate_dataset(
             scm,
             n=n_rows,
             seed=rc.seed,
             exposure_p=spec_exposure_p(spec_obj),
-            binary_sigma_y=(
-                spec_binary_sigma_y(spec_obj) if isinstance(scm, BinaryScm) else None
-            ),
+            binary_sigma_y=spec_binary_sigma_y(spec_obj) if binary else None,
         )
-        cfg, resolved = resolve_reference(rc, d)
-        if isinstance(scm, BinaryScm):
+        # a binary model's "mean" references resolve without data, to 0.0, as
+        # validate resolves them: the binary oracle takes levels 0 and 1 only
+        cfg, resolved = resolve_reference(rc, None if binary else d)
+        if binary:
             truth = enumerate_binary_components(scm, cfg)
         else:
             truth = decompose_closed_form(scm, cfg)
@@ -357,7 +359,7 @@ def validation_checks(scm, cfg, mc_n: int, seed: int, tol: float,
     Check per report line: a binary model's paths against its probability
     sums; a linear model's closed form against mc_n Monte Carlo draws from
     seed, by |z| where a term has spread, and its TE against W1 - W8."""
-    names = [*component_names(cfg.topology), *AGGREGATE_NAMES]
+    names = value_names(cfg.topology)
     if isinstance(scm, BinaryScm):
         base = enumerate_binary_components(scm, cfg)
         paths = {"latent individuals":
@@ -367,15 +369,15 @@ def validation_checks(scm, cfg, mc_n: int, seed: int, tol: float,
                 ProbTables.from_binary_scm(scm), cfg
             )
         return [Check(f"probability sums vs {tag}", "max |delta|",
-                      *_worst({n: abs(_value(base, n) - _value(cs, n)) for n in names}),
+                      *_worst({n: abs(base.value(n) - cs.value(n)) for n in names}),
                       tol)
                 for tag, cs in paths.items()]
     exact = decompose_closed_form(scm, cfg)
     mc = simulate_linear_components(scm, cfg, n=mc_n, seed=seed)
     z, rel = {}, {}
     for name in names:
-        want = _value(exact, name)
-        delta = abs(_value(mc.components, name) - want)
+        want = exact.value(name)
+        delta = abs(mc.components.value(name) - want)
         if mc.standard_errors[name] == 0.0:
             # the same value for every individual: the Monte Carlo mean is
             # exact up to rounding, so compare it like an exact path
@@ -404,10 +406,6 @@ def _worst(deviations: dict) -> tuple[float, str]:
         if not (math.isnan(worst) or value <= worst):
             worst, at = value, name
     return worst, at
-
-
-def _value(cs, name: str) -> float:
-    return cs.aggregates[name] if name in cs.aggregates else cs.component(name)
 
 
 if __name__ == "__main__":

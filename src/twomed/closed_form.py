@@ -288,27 +288,17 @@ def _components(m, cfg, b4c, g2c):
 
 
 def _decomposition(m, cfg):
-    """Components, aggregates and rounding scale, from floats or arrays alike."""
+    """Every value of cfg's topology, by name in value_names order, and the
+    rounding scale, from floats or arrays alike."""
     if cfg.topology is Topology.NONSEQUENTIAL:
         check_nonsequential_beta(m)
     t8c, b4c, g2c = contractions(m, cfg.covariates)
     # PDE, TDE and SIE_M1 off the contrast table; TE from its own polynomial,
     # which the component-set identities check against them
-    aggs = contrasts((PDE, TDE, SIE_M1), _worlds(m, cfg, t8c, b4c, g2c))
-    aggs[TE] = _te_polynomial(m, cfg, t8c, b4c, g2c)
-    return _components(m, cfg, b4c, g2c), aggs, _rounding_scale(m, cfg, t8c, b4c, g2c)
-
-
-def _finite_decomposition(m, cfg):
-    """_decomposition of one coefficient set, refusing a result that is not
-    finite, as huge exposure levels or coefficients give."""
-    comps, aggs, scale = _decomposition(m, cfg)
-    if not all(map(math.isfinite, (*comps.values(), *aggs.values()))):
-        raise EstimationError(
-            "the closed-form decomposition is not finite at exposure levels "
-            f"a={cfg.a!r}, a_star={cfg.a_star!r}"
-        )
-    return comps, aggs, scale
+    values = _components(m, cfg, b4c, g2c) | contrasts(
+        (PDE, TDE, SIE_M1), _worlds(m, cfg, t8c, b4c, g2c))
+    values[TE] = _te_polynomial(m, cfg, t8c, b4c, g2c)
+    return values, _rounding_scale(m, cfg, t8c, b4c, g2c)
 
 
 def decompose_sequential_closed_form(
@@ -322,7 +312,7 @@ def decompose_sequential_closed_form(
     """
     if cfg.topology is not Topology.SEQUENTIAL:
         raise ConfigError("decompose_sequential_closed_form needs Sequential topology")
-    return ComponentSet(Topology.SEQUENTIAL, *_finite_decomposition(m, cfg))
+    return decompose_closed_form(m, cfg)
 
 
 def _rounding_scale(m, cfg, t8c, b4c, g2c):
@@ -364,12 +354,20 @@ def decompose_nonsequential_closed_form(
         raise ConfigError(
             "decompose_nonsequential_closed_form needs NonSequential topology"
         )
-    return ComponentSet(Topology.NONSEQUENTIAL, *_finite_decomposition(m, cfg))
+    return decompose_closed_form(m, cfg)
 
 
 def decompose_closed_form(m: ModelCoefficients, cfg: ReferenceConfig) -> ComponentSet:
-    """All components of the config's topology in closed form."""
-    return ComponentSet(cfg.topology, *_finite_decomposition(m, cfg))
+    """All components of the config's topology in closed form. A result that
+    is not finite, as huge exposure levels or coefficients give, raises
+    EstimationError."""
+    values, scale = _decomposition(m, cfg)
+    if not all(map(math.isfinite, values.values())):
+        raise EstimationError(
+            "the closed-form decomposition is not finite at exposure levels "
+            f"a={cfg.a!r}, a_star={cfg.a_star!r}"
+        )
+    return ComponentSet.from_values(cfg.topology, values, scale)
 
 
 def decompose_closed_form_batch(
@@ -377,13 +375,13 @@ def decompose_closed_form_batch(
 ) -> tuple[dict, np.ndarray]:
     """decompose_closed_form for every replicate of a batch at once.
 
-    Returns the component and aggregate values, one array per name, and a
+    Returns the values, one array per name in value_names order, and a
     boolean array that is true for each replicate violating an identity that
     ComponentSet enforces; such a replicate's values are not a decomposition.
     """
     # a replicate whose values overflow fails its identities; numpy's
     # warnings about it carry nothing more
     with np.errstate(over="ignore", invalid="ignore"):
-        comps, aggs, scale = _decomposition(m, cfg)
-        violated = identity_violations(cfg.topology, comps, aggs, scale)
-    return comps | aggs, violated
+        values, scale = _decomposition(m, cfg)
+        violated = identity_violations(cfg.topology, values, scale)
+    return values, violated

@@ -11,12 +11,16 @@ CONTRASTS writes every component and aggregate of both topologies once, as a
 signed sum of nested worlds; contrasts() evaluates rows of it. The oracle's
 worlds, the table engine's components and aggregates, and the closed form's
 W aggregates all read their values off it.
+
+A decomposition is one mapping from name to value, in the order of
+value_names: the components, then the aggregates. Every route returns that
+mapping, and ComponentSet.from_values is the one place it splits in two.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass
 from enum import Enum
 from typing import Mapping
 
@@ -128,6 +132,12 @@ def component_names(topology: Topology) -> tuple[str, ...]:
     return NONSEQUENTIAL_COMPONENT_NAMES
 
 
+def value_names(topology: Topology) -> tuple[str, ...]:
+    """A decomposition's report order: the components, then the aggregates.
+    Every producer returns its values as one mapping in this order."""
+    return (*component_names(topology), *AGGREGATE_NAMES)
+
+
 def contrasts(names, world) -> dict:
     """The CONTRASTS rows of names, from world(key), the value of world key.
 
@@ -195,14 +205,10 @@ class ReferenceConfig:
             raise ConfigError(f"topology must be a Topology, got {self.topology!r}")
 
 
-def identity_checks(
-    topology: Topology,
-    components: Mapping,
-    aggregates: Mapping,
-    rounding_scale=0.0,
-) -> list:
-    """The five defining identities of a component set, as (label, lhs, rhs,
-    tolerance, violated) tuples.
+def identity_checks(topology: Topology, values: Mapping, rounding_scale=0.0) -> list:
+    """The five defining identities of a decomposition's values, a mapping
+    of every name of value_names(topology), as (label, lhs, rhs, tolerance,
+    violated) tuples.
 
     Values may be floats or equal-length arrays over replicates; violated is
     then a boolean array, true where the identity fails or a value is not
@@ -212,31 +218,18 @@ def identity_checks(
     Algorithms, ch. 4). |TE| is no such bound: it can cancel to near zero. So
     the tolerance is 1e-10 of max(1, sum |components|, rounding_scale).
     """
-    comps = [components[k] for k in component_names(topology)]
-    scale = np.maximum(sum(abs(v) for v in comps), rounding_scale)
+    v = values
+    comps = [v[k] for k in component_names(topology)]
+    scale = np.maximum(sum(abs(c) for c in comps), rounding_scale)
     tol = _IDENTITY_RTOL * np.maximum(1.0, scale)
-    te = aggregates[TE]
-    pde_sum = components[CDE] + sum(components[n] for n in INT_REF_NAMES[topology])
-    tde_sum = (
-        aggregates[PDE]
-        + components[NATINT_AM1]
-        + components[NATINT_AM2]
-        + components[NATINT_AM1M2]
-    )
+    pde_sum = v[CDE] + sum(v[n] for n in INT_REF_NAMES[topology])
+    tde_sum = v[PDE] + v[NATINT_AM1] + v[NATINT_AM2] + v[NATINT_AM1M2]
     identities = (
-        ("sum(components) = TE", sum(comps), te),
-        ("PDE = CDE + INT_ref terms", aggregates[PDE], pde_sum),
-        ("TDE = PDE + NatINT_A*", aggregates[TDE], tde_sum),
-        (
-            "SIE_M1 = PIE_M1 + NatINT_M1M2",
-            aggregates[SIE_M1],
-            components[PIE_M1] + components[NATINT_M1M2],
-        ),
-        (
-            "TE = TDE + SIE_M1 + PIE_M2",
-            te,
-            aggregates[TDE] + aggregates[SIE_M1] + components[PIE_M2],
-        ),
+        ("sum(components) = TE", sum(comps), v[TE]),
+        ("PDE = CDE + INT_ref terms", v[PDE], pde_sum),
+        ("TDE = PDE + NatINT_A*", v[TDE], tde_sum),
+        ("SIE_M1 = PIE_M1 + NatINT_M1M2", v[SIE_M1], v[PIE_M1] + v[NATINT_M1M2]),
+        ("TE = TDE + SIE_M1 + PIE_M2", v[TE], v[TDE] + v[SIE_M1] + v[PIE_M2]),
     )
     return [
         (label, lhs, rhs, tol, ~np.less_equal(abs(lhs - rhs), tol))
@@ -244,14 +237,10 @@ def identity_checks(
     ]
 
 
-def identity_violations(
-    topology: Topology,
-    components: Mapping,
-    aggregates: Mapping,
-    rounding_scale=0.0,
-) -> np.ndarray:
+def identity_violations(topology: Topology, values: Mapping,
+                        rounding_scale=0.0) -> np.ndarray:
     """True for each replicate that breaks any of the identity_checks."""
-    checks = identity_checks(topology, components, aggregates, rounding_scale)
+    checks = identity_checks(topology, values, rounding_scale)
     return np.logical_or.reduce([violated for *_, violated in checks])
 
 
@@ -261,12 +250,14 @@ class ComponentSet:
 
     components is an ordered map in canonical (report) order; the constructor
     accepts any mapping with exactly the right keys for the topology and
-    re-orders it. aggregates holds PDE, TDE, SIE_M1, TE. The defining
-    identities (components sum to TE; TDE = PDE + exposure-mediator
-    interactions; SIE_M1 = PIE_M1 + NatINT_M1M2) are enforced at construction
-    to 1e-10 of the summed absolute components. A producer whose values are
-    differences of larger intermediates passes the intermediates' magnitude as
-    rounding_scale, which then sets the tolerance when it is the larger.
+    re-orders it. aggregates holds PDE, TDE, SIE_M1, TE. from_values builds
+    one from a producer's single mapping, and value() looks up a component or
+    an aggregate alike. The defining identities (components sum to TE; TDE =
+    PDE + exposure-mediator interactions; SIE_M1 = PIE_M1 + NatINT_M1M2) are
+    enforced at construction to 1e-10 of the summed absolute components. A
+    producer whose values are differences of larger intermediates passes the
+    intermediates' magnitude as rounding_scale, which then sets the tolerance
+    when it is the larger.
     """
 
     topology: Topology
@@ -301,7 +292,7 @@ class ComponentSet:
         object.__setattr__(self, "aggregates", aggs)
 
         for label, lhs, rhs, tol, violated in identity_checks(
-            self.topology, ordered, aggs, rounding_scale
+            self.topology, ordered | aggs, rounding_scale
         ):
             if violated:
                 raise EstimationError(
@@ -309,12 +300,26 @@ class ComponentSet:
                     f"{lhs!r} != {rhs!r} (tolerance {tol:g})"
                 )
 
+    @classmethod
+    def from_values(cls, topology: Topology, values: Mapping,
+                    rounding_scale=0.0) -> "ComponentSet":
+        """The component set of a decomposition's values, one mapping by
+        name: the one place they split into components and aggregates. A
+        missing or unexpected name fails as the constructor fails it."""
+        comps = {k: v for k, v in values.items() if k not in AGGREGATE_NAMES}
+        aggs = {k: v for k, v in values.items() if k in AGGREGATE_NAMES}
+        return cls(topology, comps, aggs, rounding_scale)
+
     def component(self, name: str) -> float:
         if name not in self.components:
             raise EstimationError(
                 f"component {name!r} not defined for {self.topology.value} topology"
             )
         return self.components[name]
+
+    def value(self, name: str) -> float:
+        """The component or aggregate called name."""
+        return self.aggregates[name] if name in self.aggregates else self.component(name)
 
 
 def total_from_components(cs: ComponentSet) -> float:

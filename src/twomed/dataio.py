@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import linear
-from .bootstrap import ESTIMATORS
+from .bootstrap import check_settings
 from .core import ConfigError, DataError, ReferenceConfig, Topology
 from .linear import LinearScm
 from .oracle import BinaryScm
@@ -54,10 +54,6 @@ class RunConfig:
             raise ConfigError(
                 f"topology must be one of "
                 f"{[t.value for t in Topology]}, got {self.topology!r}"
-            )
-        if self.estimator not in ESTIMATORS:
-            raise ConfigError(
-                f"estimator must be one of {ESTIMATORS}, got {self.estimator!r}"
             )
         if self.output not in OUTPUT_FORMATS:
             raise ConfigError(
@@ -101,9 +97,9 @@ class RunConfig:
                 _as_number(v, f"covariate_values[{cname}]")
         for name in ("bootstrap_B", "seed"):
             object.__setattr__(self, name, _as_integer(getattr(self, name), name))
-        if self.seed < 0:
-            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed}")
         object.__setattr__(self, "level", _as_number(self.level, "level"))
+        # every command holds a config to the bootstrap's rules
+        check_settings(self.bootstrap_B, self.level, self.seed, self.estimator)
 
     @property
     def topology_enum(self) -> Topology:
@@ -184,9 +180,10 @@ def load_dataset(path: str, rc: RunConfig) -> tuple[Dataset, int]:
 
     A clean numeric CSV is parsed in bulk by numpy's text reader, which
     converts each field exactly as float() does. The row-by-row reader
-    (_load_rows) defines the drop and error policy; it runs whenever the
-    bulk parse declines a file, such as one with a quoted, empty or
-    non-numeric field or a row too short for a needed column.
+    (_load_rows) runs whenever the bulk parse declines a file, such as one
+    with a quoted, empty or non-numeric field or a row too short for a
+    needed column; it drops only the rows it cannot parse. _drop_in_bulk
+    applies the rest of the drop policy to either reader's rows.
     """
     needed = [rc.exposure, rc.m1, rc.m2, rc.outcome, *rc.covariates]
     # utf-8-sig: a byte-order mark, as spreadsheet programs write, is no part
@@ -202,11 +199,11 @@ def load_dataset(path: str, rc: RunConfig) -> tuple[Dataset, int]:
             # last column
             column_of = {name: i for i, name in enumerate(header)}
             values = _parse_in_bulk(fh, [column_of[col] for col in needed])
+            unparsed = 0
             if values is None:
                 fh.seek(0)
-                values, dropped = _load_rows(fh, needed, rc.log_m2)
-            else:
-                values, dropped = _drop_in_bulk(values, rc.log_m2)
+                values, unparsed = _load_rows(fh, needed)
+            values, dropped = _drop_in_bulk(values, rc.log_m2)
         except (UnicodeDecodeError, csv.Error) as exc:
             # text that is not UTF-8, or a field over csv's size limit
             raise DataError(f"data file {path} cannot be read as CSV: {exc}") from None
@@ -217,7 +214,7 @@ def load_dataset(path: str, rc: RunConfig) -> tuple[Dataset, int]:
         covariates=values[:, 4:].copy(),
         covariate_names=rc.covariates,
     )
-    return d, dropped
+    return d, unparsed + dropped
 
 
 def _parse_in_bulk(fh, usecols: list[int]) -> np.ndarray | None:
@@ -258,7 +255,9 @@ def _plain_lines(fh):
 
 
 def _drop_in_bulk(values: np.ndarray, log_m2: bool) -> tuple[np.ndarray, int]:
-    """_load_rows' drop policy and log directive, applied to parsed rows."""
+    """The drop policy and log directive, applied to either reader's rows: a
+    row with a non-finite field is dropped, and under log_m2 so is one whose
+    second mediator is not positive."""
     keep = np.isfinite(values).all(axis=1)
     if log_m2:
         keep &= values[:, 2] > 0.0
@@ -271,28 +270,17 @@ def _drop_in_bulk(values: np.ndarray, log_m2: bool) -> tuple[np.ndarray, int]:
     return values, dropped
 
 
-def _load_rows(fh, needed: list[str], log_m2: bool) -> tuple[np.ndarray, int]:
-    """The kept rows of a CSV, read one at a time, and the dropped count.
-
-    This loop defines the drop policy; _drop_in_bulk applies it with numpy.
-    """
+def _load_rows(fh, needed: list[str]) -> tuple[np.ndarray, int]:
+    """A CSV's needed fields, read one row at a time as csv.DictReader reads
+    them, and the count of rows dropped because a field is missing or
+    float() rejects it."""
     rows = []
     dropped = 0
     for row in csv.DictReader(fh):
         try:
-            vals = [float(row[col]) for col in needed]
+            rows.append([float(row[col]) for col in needed])
         except (TypeError, ValueError):
             dropped += 1
-            continue
-        if not all(math.isfinite(v) for v in vals):
-            dropped += 1
-            continue
-        if log_m2:
-            if vals[2] <= 0.0:
-                dropped += 1
-                continue
-            vals[2] = math.log(vals[2])
-        rows.append(vals)
     return np.array(rows, dtype=float).reshape(-1, len(needed)), dropped
 
 

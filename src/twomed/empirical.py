@@ -36,7 +36,7 @@ from .core import (
     identity_violations,
 )
 from .oracle import BinaryScm
-from .table_engine import decompose_tables, table_component_set
+from .table_engine import decompose_tables
 
 _SUM_TOL = 1e-9
 
@@ -295,11 +295,11 @@ class CellCoder:
         """The components and aggregates of replicates whose cell counts and
         outcome sums, as counts() returns them, are the rows of n and y_sum.
 
-        Returns one array per name, over the replicates, and a mask of the
-        replicates that fail: those whose resampled rows' estimate_tables
-        would raise, and those whose component set would break an identity.
-        The values of the others are those of decompose_empirical_sequential
-        on their tables, bit for bit.
+        Returns one array per name, over the replicates, in value_names
+        order, and a mask of the replicates that fail: those whose resampled
+        rows' estimate_tables would raise, and those whose component set
+        would break an identity. The values of the others are those of
+        decompose_empirical_sequential on their tables, bit for bit.
         """
         levels = _sequential_levels(cfg, *self.levels)
         grid = self._grid(levels, n, y_sum)
@@ -307,11 +307,11 @@ class CellCoder:
         # A replicate that loses a level or the stratum cfg names (tables()
         # raises ConfigError) loses the reference cells, failing the mask.
         failed = ~np.isfinite(y_sum).all(axis=1) | _uncovered(grid)
-        comps, aggs = _decompose_grid(grid)
+        values = _decompose_grid(grid)
         # an overflowed replicate, already failed, warns of nothing new
         with np.errstate(invalid="ignore"):
-            failed |= identity_violations(Topology.SEQUENTIAL, comps, aggs)
-        return comps | aggs, failed
+            failed |= identity_violations(Topology.SEQUENTIAL, values)
+        return values, failed
 
 
 def estimate_tables(d, cfg: ReferenceConfig) -> ProbTables:
@@ -407,7 +407,7 @@ def _no_outcome(a: str, m1: str, m2: str, c: str) -> EstimationError:
     return EstimationError(f"no data for E[Y | A={a}, M1={m1}, M2={m2}, {c}]")
 
 
-def _decompose_grid(g: _Grid) -> tuple[dict, dict]:
+def _decompose_grid(g: _Grid) -> dict:
     """decompose_tables on the grid, every missing entry read as a zero."""
     return decompose_tables(
         Topology.SEQUENTIAL, *(np.where(np.isnan(t), 0.0, t) for t in g[:3]),
@@ -436,7 +436,5 @@ def decompose_empirical_sequential(
     grid = _Grid(*(np.array([g], dtype=float) for g in (p1, p2, y)),
                  sup1.index(m1r), sup2.index(m2r), sup1, sup2)
     _require_covered(grid, levels)
-    return table_component_set(
-        Topology.SEQUENTIAL, *(np.where(np.isnan(t[0]), 0.0, t[0]) for t in grid[:3]),
-        grid.m1_ref, grid.m2_ref,
-    )
+    return ComponentSet.from_values(
+        Topology.SEQUENTIAL, {k: v[0] for k, v in _decompose_grid(grid).items()})

@@ -27,15 +27,14 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .core import (
-    AGGREGATE_NAMES,
     ComponentSet,
     ConfigError,
     EstimationError,
     ReferenceConfig,
     SingleMediatorComponents,
     Topology,
-    component_names,
     contrasts,
+    value_names,
 )
 from . import linear
 from .linear import LinearScm, check_nonsequential_beta
@@ -67,7 +66,8 @@ class SingleMediatorPotentials:
 
 
 def _worlds(cfg, y_at, m1, m2):
-    """Every component and aggregate of cfg's topology, from potential values.
+    """Every value of cfg's topology, by name in value_names order, from
+    potential values.
 
     m1(x) and m2(z, m1) give the mediators' potential values, and y_at(x, m1)
     the outcome's at exposure x and first mediator m1, as a function of the
@@ -91,13 +91,7 @@ def _worlds(cfg, y_at, m1, m2):
             m2_slot[slot] = m2(level[j], m1_slot[i])
         return y_slot[x, i](m2_slot[slot])
 
-    return contrasts((*component_names(cfg.topology), *AGGREGATE_NAMES), world)
-
-
-def _component_set(cfg, values) -> ComponentSet:
-    """The ComponentSet of cfg's topology holding _worlds' values."""
-    comps = {k: values[k] for k in component_names(cfg.topology)}
-    return ComponentSet(cfg.topology, comps, {k: values[k] for k in AGGREGATE_NAMES})
+    return contrasts(value_names(cfg.topology), world)
 
 
 def _y_at(p: IndividualPotentials):
@@ -112,7 +106,8 @@ def individual_components_sequential(
     """Nine-component decomposition of one individual, sequential topology."""
     if cfg.topology is not Topology.SEQUENTIAL:
         raise ConfigError("individual_components_sequential needs Sequential topology")
-    return _component_set(cfg, _worlds(cfg, _y_at(p), p.m1_of, p.m2_of))
+    return ComponentSet.from_values(cfg.topology,
+                                    _worlds(cfg, _y_at(p), p.m1_of, p.m2_of))
 
 
 def individual_components_nonsequential(
@@ -136,7 +131,7 @@ def individual_components_nonsequential(
                 "m2_of varies with its m1 argument; not a non-sequential individual"
             )
     values = _worlds(cfg, _y_at(p), p.m1_of, lambda z, _m1: p.m2_of(z, m1_a))
-    return _component_set(cfg, values)
+    return ComponentSet.from_values(cfg.topology, values)
 
 
 def single_mediator_four_way(
@@ -303,17 +298,13 @@ def enumerate_binary_components_by_individuals(
         if cfg.topology is Topology.SEQUENTIAL
         else individual_components_nonsequential
     )
-    comp_terms: dict[str, list[float]] = {}
-    agg_terms: dict[str, list[float]] = {}
+    terms = {k: [] for k in value_names(cfg.topology)}
     for weight, pot in enumerate_binary_individuals(scm):
         cs = evaluate(pot, cfg)
-        for k, v in cs.components.items():
-            comp_terms.setdefault(k, []).append(weight * v)
-        for k, v in cs.aggregates.items():
-            agg_terms.setdefault(k, []).append(weight * v)
-    comps = {k: math.fsum(v) for k, v in comp_terms.items()}
-    aggs = {k: math.fsum(v) for k, v in agg_terms.items()}
-    return ComponentSet(cfg.topology, comps, aggs)
+        for k, v in terms.items():
+            v.append(weight * cs.value(k))
+    return ComponentSet.from_values(
+        cfg.topology, {k: math.fsum(v) for k, v in terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +388,7 @@ def simulate_linear_components(
 
     t8c, b4c, g2c = linear.contractions(scm, cfg.covariates)
 
-    names = list(component_names(cfg.topology)) + list(AGGREGATE_NAMES)
+    names = value_names(cfg.topology)
     sums = {k: [] for k in names}
     sumsqs = {k: [] for k in names}
 
@@ -441,5 +432,6 @@ def simulate_linear_components(
         )
 
     return MonteCarloResult(
-        components=_component_set(cfg, means), standard_errors=ses, n=n, seed=seed
+        components=ComponentSet.from_values(cfg.topology, means),
+        standard_errors=ses, n=n, seed=seed,
     )

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import AGGREGATE_NAMES, ComponentSet, Topology, component_names, contrasts
+from .core import ComponentSet, Topology, contrasts, value_names
 
 
 def _sum(terms: np.ndarray, axes: int) -> np.ndarray:
@@ -45,8 +45,9 @@ def _sum(terms: np.ndarray, axes: int) -> np.ndarray:
 def decompose_tables(
     topology: Topology, p1: np.ndarray, p2: np.ndarray, y: np.ndarray,
     m1_ref: int, m2_ref: int,
-) -> tuple[dict, dict]:
-    """Every component and aggregate of each replicate, as arrays over r.
+) -> dict:
+    """Every component and aggregate of each replicate, as arrays over r, by
+    name in value_names order.
 
     m1_ref and m2_ref index the reference levels in the i and j axes.
     Overflow gives inf or nan values, which the component-set identities
@@ -66,9 +67,7 @@ def decompose_tables(
         return _sum(y[:, x] * p1[:, i, :, None] * p2[:, j], 2)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        values = contrasts((*component_names(topology), *AGGREGATE_NAMES), world)
-    return ({k: values[k] for k in component_names(topology)},
-            {k: values[k] for k in AGGREGATE_NAMES})
+        return contrasts(value_names(topology), world)
 
 
 def table_component_set(
@@ -76,9 +75,8 @@ def table_component_set(
 ) -> ComponentSet:
     """decompose_tables for one set of tables, given without the replicate
     axis, as a checked ComponentSet."""
-    comps, aggs = decompose_tables(
+    values = decompose_tables(
         topology, *(np.asarray(t, dtype=float)[None] for t in (p1, p2, y)),
         m1_ref, m2_ref,
     )
-    return ComponentSet(topology, *({k: v[0] for k, v in values.items()}
-                                    for values in (comps, aggs)))
+    return ComponentSet.from_values(topology, {k: v[0] for k, v in values.items()})

@@ -644,15 +644,16 @@ def test_batched_identity_check_flags_only_the_planted_replicate(batch, data):
     """A 1e-8 relative error in one replicate's largest component flags that
     replicate whenever it exceeds the tolerance tenfold, and never another."""
     models, cfg = batch
-    comps, aggs, scale = _decomposition(CoefficientBatch.stack(models), cfg)
+    values, scale = _decomposition(CoefficientBatch.stack(models), cfg)
+    comps = {k: values[k] for k in component_names(cfg.topology)}
     i = data.draw(st.integers(0, len(models) - 1))
     name = max(comps, key=lambda k: abs(comps[k][i]))
-    planted = dict(comps)
+    planted = dict(values)
     planted[name] = comps[name].copy()
     planted[name][i] *= 1.0 + 1e-8
-    flagged = identity_violations(cfg.topology, planted, aggs, scale)
+    flagged = identity_violations(cfg.topology, planted, scale)
     assert not np.delete(flagged, i).any()
-    tol = identity_checks(cfg.topology, comps, aggs, scale)[0][3][i]
+    tol = identity_checks(cfg.topology, values, scale)[0][3][i]
     if 1e-8 * abs(comps[name][i]) > 10.0 * tol:
         assert flagged[i]
 
@@ -688,7 +689,7 @@ def test_every_polynomial_matches_its_contrast_row(model):
     cs = decompose_closed_form(m, cfg)
     values = cs.components | cs.aggregates
     rows = contrasts(values, lambda key: expected_counterfactual(key, m, cfg))
-    tol = 64 * np.finfo(float).eps * max(1.0, _decomposition(m, cfg)[2])
+    tol = 64 * np.finfo(float).eps * max(1.0, _decomposition(m, cfg)[1])
     for name, row in rows.items():
         if name in (PDE, TDE, SIE_M1):
             assert values[name].hex() == row.hex(), name

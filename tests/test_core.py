@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import random_binary_scm, random_linear_scm
 from twomed import (
     AGGREGATE_NAMES,
     NONSEQUENTIAL_COMPONENT_NAMES,
@@ -14,8 +15,11 @@ from twomed import (
     ReferenceConfig,
     SingleMediatorComponents,
     Topology,
+    simulate_dataset,
+    simulate_linear_components,
     total_from_components,
 )
+from twomed.closed_form import CoefficientBatch, decompose_closed_form_batch
 from twomed.core import (
     CONTRASTS,
     INT_REF_AM1M2,
@@ -26,7 +30,10 @@ from twomed.core import (
     component_names,
     contrasts,
     identity_checks,
+    value_names,
 )
+from twomed.empirical import CellCoder
+from twomed.table_engine import decompose_tables
 
 
 def test_canonical_component_names():
@@ -103,6 +110,59 @@ def test_component_set_rejects_missing_and_extra_keys():
     renamed["INT_ref_AM2"] = renamed.pop("INT_ref_AM2+AM1M2")
     with pytest.raises(EstimationError):
         ComponentSet(Topology.SEQUENTIAL, renamed, aggs)
+
+
+def test_from_values_splits_one_mapping_and_value_reads_both_halves():
+    comps, aggs = _consistent_sequential_set()
+    cs = ComponentSet.from_values(Topology.SEQUENTIAL, {**aggs, **comps})
+    assert cs == ComponentSet(Topology.SEQUENTIAL, comps, aggs)
+    assert [cs.value(k) for k in value_names(Topology.SEQUENTIAL)] == [
+        *comps.values(), *aggs.values()]
+    for name in ("NDE", "INT_ref_AM2"):
+        with pytest.raises(EstimationError, match=name):
+            cs.value(name)
+
+
+@pytest.mark.parametrize("change", ["missing component", "missing aggregate",
+                                    "extra name"])
+def test_from_values_refuses_what_the_constructor_refuses(change):
+    comps, aggs = _consistent_sequential_set()
+    values = {**comps, **aggs}
+    if change == "extra name":
+        values["NDE"] = 0.0
+    else:
+        del values["PIE_M2" if change == "missing component" else "TDE"]
+    with pytest.raises(EstimationError, match="malformed|aggregates must be"):
+        ComponentSet.from_values(Topology.SEQUENTIAL, values)
+
+
+@pytest.mark.parametrize("topology", list(Topology))
+def test_every_producer_returns_one_mapping_in_value_names_order(topology):
+    """The table engine, the batched closed form, the batched empirical
+    decomposition and the Monte Carlo standard errors each return one
+    mapping, keyed by value_names(topology) in that order."""
+    names = list(value_names(topology))
+    sequential = topology is Topology.SEQUENTIAL
+    rng = np.random.default_rng(5)
+    p1 = rng.dirichlet(np.ones(3), size=(4, 2))
+    p2 = rng.dirichlet(np.ones(2), size=(4, 2, 1 if not sequential else 3))
+    y = rng.normal(size=(4, 2, 3, 2))
+    p2 = np.broadcast_to(p2, (4, 2, 3, 2))
+    assert list(decompose_tables(topology, p1, p2, y, 1, 0)) == names
+
+    scm = random_linear_scm(rng, k=1, sequential=sequential)
+    cfg = ReferenceConfig(1.0, 0.0, 0.5, -0.5, covariates=(0.3,), topology=topology)
+    values, _ = decompose_closed_form_batch(CoefficientBatch.stack([scm, scm]), cfg)
+    assert list(values) == names
+    assert list(simulate_linear_components(scm, cfg, n=50, seed=1).standard_errors) \
+        == names
+
+    if sequential:
+        binary_cfg = ReferenceConfig(1.0, 0.0, 0.0, 0.0)
+        coder = CellCoder(simulate_dataset(random_binary_scm(rng), n=400, seed=2))
+        n, y_sum = coder.counts()
+        values, _ = coder.decompose_counts(binary_cfg, n[None], y_sum[None])
+        assert list(values) == names
 
 
 def test_component_set_enforces_sum_identity():
@@ -223,9 +283,8 @@ def test_the_contrast_table_satisfies_every_identity_exactly():
     assert all(row.startswith("+") for row in CONTRASTS.values())
     rows = {name: _coefficients(row) for name, row in CONTRASTS.items()}
     for topology in Topology:
-        comps = {k: rows[k] for k in component_names(topology)}
-        aggs = {k: rows[k] for k in AGGREGATE_NAMES}
-        for label, lhs, rhs, *_ in identity_checks(topology, comps, aggs):
+        values = {k: rows[k] for k in value_names(topology)}
+        for label, lhs, rhs, *_ in identity_checks(topology, values):
             assert np.array_equal(lhs, rhs), (topology, label)
     assert np.array_equal(
         rows[INT_REF_AM2_PLUS_AM1M2], rows[INT_REF_AM2] + rows[INT_REF_AM1M2]

@@ -22,9 +22,11 @@ from twomed import (
     DataError,
     Dataset,
     LinearScm,
+    ReferenceConfig,
     Topology,
     build_run_config,
     decompose_closed_form,
+    enumerate_binary_components,
     load_dataset,
     parse_scm_spec,
     resolve_reference,
@@ -67,7 +69,7 @@ _CONFIG_VALUES = {
     "a": st.floats(-10.0, 10.0),
     "a_star": st.integers(-3, 3),
     "m1_star": st.one_of(st.just("mean"), st.floats(-10.0, 10.0)),
-    "bootstrap_B": st.integers(1, 5000),
+    "bootstrap_B": st.integers(100, 5000),
     "level": st.floats(0.5, 0.999),
     "seed": st.integers(0, 2 ** 32),
     "estimator": st.sampled_from(ESTIMATORS),
@@ -961,15 +963,79 @@ def test_cli_simulate_default_truth_path(runner, tmp_path):
     assert (tmp_path / "sim.csv.truth.json").exists()
 
 
-def test_cli_simulate_binary_mean_reference_is_rejected(runner, tmp_path):
-    # a binary model cannot take the continuous "mean" default as a reference
+def test_cli_simulate_binary_reference_off_the_levels_is_rejected(runner, tmp_path):
+    # a binary model takes reference levels 0 and 1 only
     spec = _write(tmp_path / "spec.json", json.dumps(BINARY_SPEC))
+    cfg = _write(tmp_path / "cfg.json", json.dumps({"m1_star": 0.5}))
     out = tmp_path / "sim.csv"
     res = runner.invoke(
-        main, ["simulate", "--spec", spec, "--n", "30", "--data", str(out)]
+        main, ["simulate", "--spec", spec, "--config", cfg, "--n", "30",
+               "--data", str(out)]
     )
     assert res.exit_code == 2
     assert "must be 0 or 1" in res.output
+
+
+# BINARY_SPEC with Pr(M2 | a, m1) the same for both m1: a non-sequential model
+NONSEQUENTIAL_BINARY_SPEC = {
+    **BINARY_SPEC, "p_m2": {"0": {"0": 0.2, "1": 0.2}, "1": {"0": 0.4, "1": 0.4}},
+}
+
+
+@pytest.mark.parametrize("topology", list(Topology))
+@pytest.mark.parametrize("seed", [3, 7, 11])
+def test_cli_simulate_binary_resolves_mean_references_to_zero(
+    runner, tmp_path, topology, seed
+):
+    """With no config, a binary spec's "mean" references resolve without
+    data, to 0.0, as validate resolves them, not to the drawn data's means:
+    the truth file is the exact decomposition at m1* = m2* = 0."""
+    spec_obj = (BINARY_SPEC if topology is Topology.SEQUENTIAL
+                else NONSEQUENTIAL_BINARY_SPEC)
+    spec = _write(tmp_path / "spec.json", json.dumps(spec_obj))
+    truth = tmp_path / "truth.json"
+    res = runner.invoke(main, [
+        "simulate", "--spec", spec, "--n", "200", "--data", str(tmp_path / "sim.csv"),
+        "--truth", str(truth), "--topology", topology.value, "--seed", str(seed),
+    ])
+    assert res.exit_code == 0, res.output
+    doc = json.loads(truth.read_text())
+    want = enumerate_binary_components(
+        parse_scm_spec(spec_obj, topology),
+        ReferenceConfig(1.0, 0.0, 0.0, 0.0, topology=topology),
+    )
+    assert doc["reference"] == {"a": 1.0, "a_star": 0.0, "m1_star": 0.0,
+                                "m2_star": 0.0, "covariates": {}}
+    assert {c["name"]: c["estimate"] for c in doc["components"]} == want.components
+    assert doc["aggregates"] == want.aggregates
+
+
+@pytest.mark.parametrize("config, error", [
+    ({"bootstrap_B": 5, "level": 7}, "bootstrap needs B >= 100 replicates, got 5"),
+    ({"bootstrap_B": 1_000_001},
+     "bootstrap needs B <= 1000000 replicates, got 1000001"),
+    ({"level": 7}, "confidence level must be in (0, 1), got 7.0"),
+    ({"estimator": "ridge"}, "unknown estimator 'ridge'; choose one of "
+                             "('closed-form', 'empirical-categorical')"),
+], ids=["B-and-level", "B-over-the-cap", "level", "estimator"])
+def test_every_command_holds_a_config_to_the_bootstrap_rules(
+    runner, tmp_path, config, error
+):
+    """analyze, simulate and validate refuse the same bootstrap settings, with
+    the same one error line, before any work."""
+    spec = _write(tmp_path / "spec.json", json.dumps(LINEAR_SPEC))
+    cfg = _write(tmp_path / "cfg.json", json.dumps(config))
+    commands = [
+        ["analyze", "--data", _linear_csv(tmp_path)],
+        ["simulate", "--spec", spec, "--n", "30", "--data", str(tmp_path / "sim.csv")],
+        ["validate", "--spec", spec, "--mc-n", "1000"],
+    ]
+    for args in commands:
+        res = runner.invoke(main, [*args, "--config", cfg])
+        assert res.exit_code == 2, (args[0], res.output)
+        assert res.stderr.splitlines() == [f"error: {error}"], args[0]
+        assert res.stdout == "", args[0]
+    assert not (tmp_path / "sim.csv").exists()
 
 
 def test_cli_validate_binary_pass(runner, tmp_path):

@@ -610,7 +610,7 @@ def test_every_route_gives_exact_zeros_when_a_equals_a_star(topology, seed, leve
     y = rng.normal(offset, 10.0, size=(8, 1, n1, n2))
     tables = [np.repeat(t, 2, axis=1) for t in (p1, p2, y)]
     tables[1] = np.broadcast_to(tables[1], (8, 2, n1, n2))
-    comps, aggs = decompose_tables(topology, *tables, int(rng.integers(n1)),
-                                   int(rng.integers(n2)))
-    for name, value in (comps | aggs).items():
+    values = decompose_tables(topology, *tables, int(rng.integers(n1)),
+                              int(rng.integers(n2)))
+    for name, value in values.items():
         assert np.all(value == 0.0), name

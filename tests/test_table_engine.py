@@ -89,13 +89,12 @@ def test_one_replicate_equals_its_row_in_a_batch(topology, equal_rows):
             for t in (p1, p2, y):
                 t[:, 1] = t[:, 0]
         refs = (int(rng.integers(n1)), int(rng.integers(n2)))
-        comps, aggs = decompose_tables(topology, p1, p2, y, *refs)
-        batch = comps | aggs
+        batch = decompose_tables(topology, p1, p2, y, *refs)
         for r in range(len(y)):
-            c1, a1 = decompose_tables(
+            one = decompose_tables(
                 topology, p1[r:r + 1], p2[r:r + 1], y[r:r + 1], *refs
             )
-            for name, value in (c1 | a1).items():
+            for name, value in one.items():
                 assert value.tobytes() == batch[name][r:r + 1].tobytes(), name
 
 
@@ -104,9 +103,9 @@ def test_a_level_without_data_leaves_every_sum_unchanged(topology):
     """An inserted level with probability 0 and outcome 0 adds exact zeros."""
     rng = np.random.default_rng(23)
     p1, p2, y = _random_tables(rng, topology, 20, 3, 3)
-    comps, aggs = decompose_tables(topology, p1, p2, y, 1, 2)
+    values = decompose_tables(topology, p1, p2, y, 1, 2)
     wide = [np.insert(t, 1, 0.0, axis=2) for t in (p1, p2, y)]
     wide[1:] = [np.insert(t, 0, 0.0, axis=3) for t in wide[1:]]
-    c2, a2 = decompose_tables(topology, *wide, 2, 3)
-    for name, value in (comps | aggs).items():
-        assert np.array_equal((c2 | a2)[name], value), name
+    widened = decompose_tables(topology, *wide, 2, 3)
+    for name, value in values.items():
+        assert np.array_equal(widened[name], value), name
