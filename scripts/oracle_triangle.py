@@ -4,7 +4,7 @@ Each model goes through validate's checks, twomed.cli.validation_checks, with
 tol 1e-12 and |z| <= 5. Binary models: exact probability sums vs the sweep
 over latent response types vs the conditional-table estimator fed the true
 tables (sequential only). Linear models: closed forms vs Monte Carlo
-potential-outcome simulation, the total effect vs W1 - W8 too.
+potential-outcome simulation, the component sum vs W1 - W8 too.
 
     python3 scripts/oracle_triangle.py --binary 100 --linear 10 --mc-n 500000
 """

@@ -5,12 +5,12 @@ LinearScm is one). Everything here is a polynomial in the exposure levels,
 the model coefficients, the conditioning covariate values, and the first
 mediator's error variance (which enters through E[M1^2]). One evaluator gives
 the expected outcome of every world of core.CONTRASTS, reference slots
-included, and expected_counterfactual exposes it: PDE, TDE and SIE_M1 are
-their table rows over it, and every component polynomial equals its row,
-which localizes transcription errors. The component polynomials are written
-once, for the sequential topology; the non-sequential ones are the same at
-beta[2] = beta[3] = 0. The total effect is computed BOTH from its own long
-polynomial and as the component sum, with the two required to agree.
+included, and expected_counterfactual exposes it: the aggregates PDE, TDE,
+SIE_M1 and TE are their table rows over it, and every component polynomial
+equals its row, which localizes transcription errors. The component
+polynomials are written once, for the sequential topology; the non-sequential
+ones are the same at beta[2] = beta[3] = 0. Their sum is a second route to the
+total effect, and the component-set identities require it to agree with TE.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
+    AGGREGATE_NAMES,
     CDE,
     INT_REF_AM1,
     INT_REF_AM1M2,
@@ -30,12 +31,8 @@ from .core import (
     NATINT_AM1M2,
     NATINT_AM2,
     NATINT_M1M2,
-    PDE,
     PIE_M1,
     PIE_M2,
-    SIE_M1,
-    TDE,
-    TE,
     ComponentSet,
     ConfigError,
     EstimationError,
@@ -152,70 +149,13 @@ def _worlds(m, cfg, t8c, b4c, g2c):
     return world
 
 
-def _te_polynomial(m, cfg, t8c, b4c, g2c):
-    """The total effect as an explicit quartic in the exposure levels."""
-    t = m.theta
-    b = m.beta
-    g = m.gamma
-    a, s = cfg.a, cfg.a_star
-    var1 = _var1(m)
-    g1sq = g[1] * g[1]
-    b0c = b[0] + b4c
-    g0c = g[0] + g2c
-    c1 = (
-        t[1]
-        + t[5] * b0c
-        + b[1] * t[3]
-        + t[4] * g0c
-        + g[1] * t[2]
-        + t[7] * b0c * g0c
-        + b[1] * t[6] * g0c
-        + g[1] * t[6] * b0c
-        + t[5] * b[2] * g0c
-        + t[3] * b[3] * g0c
-        + t[3] * b[2] * g[1]
-        + t[7] * b[2] * var1
-        + t[6] * b[3] * var1
-        + t[7] * b[2] * g0c * g0c
-        + t[6] * b[3] * g0c * g0c
-        + 2.0 * g[1] * t[6] * b[2] * g0c
-    )
-    c2 = (
-        b[1] * t[5]
-        + g[1] * t[4]
-        + b[1] * t[7] * g0c
-        + g[1] * t[7] * b0c
-        + g[1] * b[1] * t[6]
-        + t[5] * b[3] * g0c
-        + t[5] * b[2] * g[1]
-        + t[3] * b[3] * g[1]
-        + t[7] * b[3] * var1
-        + t[7] * b[3] * g0c * g0c
-        + 2.0 * g[1] * t[7] * b[2] * g0c
-        + 2.0 * g[1] * t[6] * b[3] * g0c
-        + t[6] * b[2] * g1sq
-    )
-    c3 = (
-        g[1] * b[1] * t[7]
-        + t[5] * b[3] * g[1]
-        + 2.0 * g[1] * t[7] * b[3] * g0c
-        + t[7] * b[2] * g1sq
-        + t[6] * b[3] * g1sq
-    )
-    c4 = t[7] * b[3] * g1sq
-    return (
-        c1 * (a - s)
-        + c2 * (a * a - s * s)
-        + c3 * (a * a * a - s * s * s)
-        + c4 * (a * a * a * a - s * s * s * s)
-    )
-
-
 def _components(m, cfg, b4c, g2c):
     """The component polynomials of cfg's topology. The non-sequential ones
     are the sequential ones at beta[2] = beta[3] = 0, where every ks and
     beta[3] term is an exact zero, with the combined reference interaction
-    split into its AM2 and AM1M2 parts."""
+    split into its AM2 and AM1M2 parts. Those terms multiply from their ks or
+    beta[3] factor, so the zero stays zero where the product of the other
+    factors would overflow to inf and give inf * 0 = NaN."""
     t = m.theta
     b = m.beta
     g = m.gamma
@@ -249,21 +189,21 @@ def _components(m, cfg, b4c, g2c):
         NATINT_AM1: (
             t[4] * g[1]
             + t[7] * g[1] * bs
-            + t[5] * g[1] * ks
-            + 2.0 * t[7] * g[1] * ks * g0c
-            + t[7] * g1sq * ks * (a + s)
+            + ks * t[5] * g[1]
+            + ks * 2.0 * t[7] * g[1] * g0c
+            + ks * t[7] * g1sq * (a + s)
         ) * d * d,
         NATINT_AM2: (
             t[5] * b[1]
             + t[7] * b[1] * gs
-            + t[5] * b[3] * gs
-            + t[7] * b[3] * (var1 + gs * gs)
+            + b[3] * t[5] * gs
+            + b[3] * t[7] * (var1 + gs * gs)
         ) * d * d,
         NATINT_AM1M2: (
             t[7] * b[1] * g[1]
-            + t[5] * b[3] * g[1]
-            + 2.0 * t[7] * b[3] * g[1] * g0c
-            + t[7] * b[3] * g1sq * (a + s)
+            + b[3] * t[5] * g[1]
+            + b[3] * 2.0 * t[7] * g[1] * g0c
+            + b[3] * t[7] * g1sq * (a + s)
         ) * d * d * d,
         NATINT_M1M2: (
             b[1] * g[1] * (t[6] + t[7] * s)
@@ -274,9 +214,9 @@ def _components(m, cfg, b4c, g2c):
         PIE_M1: (
             g[1] * (t[2] + t[4] * s)
             + g[1] * (t[6] + t[7] * s) * bs
-            + g[1] * (t[3] + t[5] * s) * ks
-            + 2.0 * g[1] * (t[6] + t[7] * s) * ks * g0c
-            + g1sq * (t[6] + t[7] * s) * ks * (a + s)
+            + ks * g[1] * (t[3] + t[5] * s)
+            + ks * 2.0 * g[1] * (t[6] + t[7] * s) * g0c
+            + ks * g1sq * (t[6] + t[7] * s) * (a + s)
         ) * d,
         PIE_M2: (
             b[1] * (t[3] + t[5] * s)
@@ -293,11 +233,10 @@ def _decomposition(m, cfg):
     if cfg.topology is Topology.NONSEQUENTIAL:
         check_nonsequential_beta(m)
     t8c, b4c, g2c = contractions(m, cfg.covariates)
-    # PDE, TDE and SIE_M1 off the contrast table; TE from its own polynomial,
-    # which the component-set identities check against them
+    # the aggregates off the contrast table, which the component-set
+    # identities check the component polynomials against
     values = _components(m, cfg, b4c, g2c) | contrasts(
-        (PDE, TDE, SIE_M1), _worlds(m, cfg, t8c, b4c, g2c))
-    values[TE] = _te_polynomial(m, cfg, t8c, b4c, g2c)
+        AGGREGATE_NAMES, _worlds(m, cfg, t8c, b4c, g2c))
     return values, _rounding_scale(m, cfg, t8c, b4c, g2c)
 
 
@@ -306,9 +245,9 @@ def decompose_sequential_closed_form(
 ) -> ComponentSet:
     """All nine sequential components from their summary polynomials.
 
-    Aggregates come from W-differences and the total effect from its own long
-    polynomial, so constructing the result cross-checks the summary formulas
-    against the W route on every call.
+    The aggregates, the total effect included, come from W-differences, so
+    constructing the result cross-checks the summary formulas against the W
+    route on every call.
     """
     if cfg.topology is not Topology.SEQUENTIAL:
         raise ConfigError("decompose_sequential_closed_form needs Sequential topology")

@@ -484,12 +484,13 @@ def _bound_columns(rng, n):
     return np.column_stack([normal, ties, np.full(n, 0.7), infs, nan, zeros])
 
 
-@pytest.mark.parametrize("n", [1, 2, 95, 200, 997])
+@pytest.mark.parametrize("n", [1, 2, 95, 101, 200, 997])
 @pytest.mark.parametrize("level", [1e-9, 0.5, 0.95, 1 - 1e-9, 1 - 1e-16])
 def test_percentile_bounds_are_numpys_quantiles(n, level):
     """Bit for bit np.quantile's, ties, constant, infinite and NaN columns
     and signed zeros included, at levels near 0 and 1: at 1 - 1e-16 the upper
-    probability rounds to 1, where numpy reads the largest value."""
+    probability rounds to 1, where numpy reads the largest value. At n = 101
+    and level 0.95 both bounds fall halfway between two order statistics."""
     vals = _bound_columns(np.random.default_rng(n), n)
     probs = [(1.0 - level) / 2.0, (1.0 + level) / 2.0]
     with np.errstate(invalid="ignore"):  # inf - inf, in both

@@ -1,5 +1,6 @@
 """Closed-form decompositions under the linear-Gaussian outcome system."""
 
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -36,9 +37,7 @@ from twomed.closed_form import (
 )
 from twomed.core import (
     AGGREGATE_NAMES,
-    PDE,
-    SIE_M1,
-    TDE,
+    CONTRASTS,
     component_names,
     contrasts,
     identity_checks,
@@ -308,18 +307,59 @@ def test_dispatcher_routes_on_topology():
     assert "INT_ref_AM2" in decompose_closed_form(m, ns_cfg).components
 
 
-@pytest.mark.parametrize("topology", list(Topology))
-@pytest.mark.parametrize("a, theta7", [(1e100, 1.0), (1e10, 1e300)],
-                         ids=["power-overflows", "product-is-infinite"])
-def test_a_closed_form_that_is_not_finite_is_an_estimation_error(
-    topology, a, theta7
-):
+def _power_model(a, theta7, topology):
     m = ModelCoefficients(
         theta=(1.0,) * 7 + (theta7,), beta=(0.5, 1.0, 0.0, 0.0),
         gamma=(0.3, 1.0), sigma_m1=1.0,
     )
     cfg = ReferenceConfig(a=a, a_star=0.0, m1_star=0.0, m2_star=0.0,
                           covariates=(), topology=topology)
+    return m, cfg
+
+
+@pytest.mark.parametrize("topology", list(Topology))
+def test_a_closed_form_whose_worlds_are_finite_is_finite(topology):
+    """At a = 1e100 the largest world is 1e300: every value is finite, though
+    a**4 is not, and TE is W1 - W8."""
+    m, cfg = _power_model(1e100, 1.0, topology)
+    cs = decompose_closed_form(m, cfg)
+    assert all(map(math.isfinite, (cs.components | cs.aggregates).values()))
+    w1_w8 = (expected_counterfactual("W1", m, cfg)
+             - expected_counterfactual("W8", m, cfg))
+    assert cs.aggregates["TE"] == w1_w8 == 1e300
+    _, violated = decompose_closed_form_batch(CoefficientBatch.stack([m, m]), cfg)
+    assert violated.tolist() == [False, False]
+
+
+def test_a_zero_term_stays_zero_where_its_other_factors_overflow():
+    """Non-sequential, theta5 * gamma1 overflows, but every ks and beta[3]
+    term it enters is an exact zero: each route gives finite values, equal to
+    their contrast rows."""
+    m = ModelCoefficients(
+        theta=(0.3, 1.0, 0.5, 0.7, 0.2, 1e300, 0.4, 0.1),
+        beta=(0.0, 0.8, 0.0, 0.0), gamma=(0.2, 1e10), sigma_m1=1.0,
+    )
+    cfg = ReferenceConfig(a=1.0, a_star=0.0, m1_star=0.0, m2_star=0.0,
+                          topology=Topology.NONSEQUENTIAL)
+    cs = decompose_closed_form(m, cfg)
+    values = cs.components | cs.aggregates
+    rows = contrasts(values, lambda key: expected_counterfactual(key, m, cfg))
+    tol = 64 * np.finfo(float).eps * _decomposition(m, cfg)[1]
+    for name, row in rows.items():
+        assert math.isfinite(values[name]) and abs(values[name] - row) <= tol, name
+    batch, violated = decompose_closed_form_batch(CoefficientBatch.stack([m, m]), cfg)
+    assert violated.tolist() == [False, False]
+    for name, want in values.items():
+        assert batch[name].tolist() == [want, want], name
+
+
+@pytest.mark.parametrize("topology", list(Topology))
+@pytest.mark.parametrize("a, theta7", [(1e103, 1.0), (1e10, 1e300)],
+                         ids=["power-overflows", "product-is-infinite"])
+def test_a_closed_form_that_is_not_finite_is_an_estimation_error(
+    topology, a, theta7
+):
+    m, cfg = _power_model(a, theta7, topology)
     with pytest.raises(EstimationError, match=re.escape(f"a={a!r}, a_star=0.0")):
         decompose_closed_form(m, cfg)
     values, violated = decompose_closed_form_batch(CoefficientBatch.stack([m, m]), cfg)
@@ -575,9 +615,9 @@ def _wide_batch(draw, min_size=1):
     return models, draw(_wide_reference(topology, st.booleans()))
 
 
-# found by random search: TE's own polynomial and the component sum differ by
-# 12 in 2.2e9, which is rounding in terms far larger than TE, yet more than
-# the old 1e-10 * |TE| tolerance allowed
+# found by random search: TE and the component sum differ by 12 in 2.2e9,
+# which is rounding in terms far larger than TE, yet more than the old
+# 1e-10 * |TE| tolerance allowed
 _CANCELLING = (
     ModelCoefficients(
         theta=(1e3, -1e5, 10.0, 1e6, -10.0, -10.0, 1e3, -1e6),
@@ -681,17 +721,40 @@ def _gapped_model(draw):
           phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(_gapped_model())
 def test_every_polynomial_matches_its_contrast_row(model):
-    """Each component polynomial, and TE's, equals its core.CONTRASTS row over
-    the worlds expected_counterfactual evaluates, reference slots included,
-    to a few roundings of the largest world monomial. PDE, TDE and SIE_M1 are
-    those rows, bit for bit."""
+    """Each component polynomial equals its core.CONTRASTS row over the
+    worlds expected_counterfactual evaluates, reference slots included, to a
+    few roundings of the largest world monomial. The aggregates are those
+    rows, bit for bit."""
     m, cfg = model
     cs = decompose_closed_form(m, cfg)
     values = cs.components | cs.aggregates
     rows = contrasts(values, lambda key: expected_counterfactual(key, m, cfg))
     tol = 64 * np.finfo(float).eps * max(1.0, _decomposition(m, cfg)[1])
     for name, row in rows.items():
-        if name in (PDE, TDE, SIE_M1):
+        if name in AGGREGATE_NAMES:
             assert values[name].hex() == row.hex(), name
         else:
             assert abs(values[name] - row) <= tol, name
+
+
+@st.composite
+def _wide_model_and_references(draw):
+    """A wide-scale model with mediator reference levels as wide."""
+    m, cfg = draw(_wide_model())
+    return m, dataclasses.replace(cfg, m1_star=draw(_wide), m2_star=draw(_wide))
+
+
+_WORLD_KEYS = {term[1:] for row in CONTRASTS.values() for term in row.split()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_wide_model_and_references())
+def test_the_rounding_scale_bounds_every_world(model):
+    """No world of core.CONTRASTS, reference slots included, exceeds
+    _rounding_scale in magnitude, so the identity tolerance covers the
+    rounding of every aggregate's terms."""
+    m, cfg = model
+    scale = _decomposition(m, cfg)[1]
+    assert len(_WORLD_KEYS) == 14
+    for key in sorted(_WORLD_KEYS):
+        assert abs(expected_counterfactual(key, m, cfg)) <= scale, key

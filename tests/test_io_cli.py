@@ -1195,7 +1195,7 @@ def test_cli_validate_checks_equal_exposures_by_tolerance(runner, tmp_path):
 def test_cli_validate_checks_the_total_effect_in_both_topologies(
     runner, tmp_path, topology
 ):
-    """The total-effect polynomial is held to W1 - W8 in either layout."""
+    """The component sum is held to W1 - W8 in either layout."""
     # m2 free of m1, as the non-sequential topology needs
     spec = _write(tmp_path / "spec.json",
                   json.dumps(dict(LINEAR_SPEC, beta=[0.0, 0.8, 0.0, 0.0])))
@@ -1203,7 +1203,7 @@ def test_cli_validate_checks_the_total_effect_in_both_topologies(
                                "--mc-n", "20000", "--seed", "1"])
     assert res.exit_code == 0, res.output
     lines = res.output.splitlines()
-    te = [line for line in lines if "total-effect polynomial vs W1 - W8" in line]
+    te = [line for line in lines if "component sum vs W1 - W8" in line]
     assert len(te) == 1 and te[0].endswith(" PASS"), res.output
     assert lines[-1] == "RESULT: PASS"
 
@@ -1267,6 +1267,14 @@ def _checks(spec, mc_n=1000, tol=1e-12, **options):
     return validation_checks(parse_scm_spec(spec, cfg.topology), cfg, mc_n, 1, tol, 4.0)
 
 
+def test_the_worst_deviation_is_the_first_of_equals_and_a_nan_stays_worst():
+    worst = twomed.cli._worst
+    assert worst({"CDE": 1.0, "PIE_M1": 2.0, "PIE_M2": 2.0}) == (2.0, "PIE_M1")
+    assert worst({"CDE": 0.0, "PIE_M1": 0.0}) == (0.0, "CDE")
+    value, at = worst({"CDE": 1.0, "PIE_M1": math.nan, "PIE_M2": math.inf})
+    assert math.isnan(value) and at == "PIE_M1"
+
+
 def test_a_check_fails_a_nan_and_passes_a_value_at_its_bound():
     nan = Check("paths", "max |delta|", math.nan, bound=1e-12)
     at_bound = Check("paths", "max |delta|", 1e-12, bound=1e-12)
@@ -1281,7 +1289,7 @@ def test_the_total_effect_check_scales_its_bound_by_the_total_effect():
     te_check = _checks(spec, tol=1e-3)[-1]
     cfg, _ = resolve_reference(build_run_config(None, seed=1), None)
     te = decompose_closed_form(parse_scm_spec(spec, cfg.topology), cfg).aggregates["TE"]
-    assert te_check.label == "total-effect polynomial vs W1 - W8"
+    assert te_check.label == "component sum vs W1 - W8"
     assert abs(te) > 1.0 and te_check.scale == abs(te)
     bound = te_check.bound * te_check.scale
     assert dataclasses.replace(te_check, value=bound).passed
