@@ -12,8 +12,9 @@ count-weighted least-squares problems of the whole chunk against the one QR of
 the full data that also gives the point fit, and decompose_closed_form_batch
 evaluates the closed forms and checks the component-set identities on the
 chunk's coefficient arrays. A replicate the fitter's condition gate does not
-pass is refit from its copied rows and decomposed on its own instead, so
-failures are decided exactly as a plain per-replicate refit decides them.
+pass, or one that draws a row more than 255 times, more than a count's one
+byte holds, is refit from its copied rows and decomposed on its own instead,
+so failures are decided exactly as a plain per-replicate refit decides them.
 The gate and the rank decision read one SVD of each R_p block at unit-norm
 columns (regression._COND_LIMIT), so the units of a covariate decide neither.
 
@@ -51,11 +52,11 @@ from .regression import CountWeightedFit, Dataset, fit_all
 ESTIMATORS = ("closed-form", "empirical-categorical")
 
 # Replicates per chunk, and the most bytes a chunk's counts may take as
-# float64 (_chunk_size); the count block itself holds them in the narrowest
-# unsigned type that holds n, so it takes half that or less (a quarter up to
-# n = 65,535). 32 replicates keep the count-weighted sums matrix-matrix
-# products; at n = 2,000 doubling that added 2.4 MB of peak memory for no
-# measurable gain. The byte bound caps the chunk from n = 65,536 rows on.
+# float64 (_chunk_size); the count block itself holds them one byte each
+# (_fill_counts), an eighth of that. 32 replicates keep the count-weighted
+# sums matrix-matrix products; at n = 2,000 doubling that added 2.4 MB of
+# peak memory for no measurable gain. The byte bound caps the chunk from
+# n = 65,536 rows on.
 _CHUNK_REPLICATES = 32
 _CHUNK_BYTES = 16 * 1024 * 1024
 
@@ -83,6 +84,16 @@ class BootstrapResult:
 def _resample_indices(seed: int, b: int, n: int) -> np.ndarray:
     """Replicate b's row indices: the seeding contract."""
     return np.random.default_rng([seed, b]).integers(0, n, size=n)
+
+
+def _fill_counts(row: np.ndarray, seed: int, b: int) -> bool:
+    """Write replicate b's count of each data row into the uint8 row: true
+    when it holds every count exactly, false when one is above 255, and the
+    caller refits that replicate the reference way. The n-length tally is
+    freed on return, before the chunk is fit."""
+    tally = np.bincount(_resample_indices(seed, b, len(row)), minlength=len(row))
+    row[:] = tally
+    return tally.max() <= 255
 
 
 def _percentile_bounds(vals: np.ndarray, probs) -> list[np.ndarray]:
@@ -165,18 +176,18 @@ def bootstrap_decomposition(
         fitter = CountWeightedFit(d, cfg.topology)
         point = decompose_closed_form(fitter.full_fit.coefficients, cfg)
         # one count block for every chunk: a fresh one per chunk would be
-        # allocated while the last is still held. A count is at most n, so
-        # the narrowest unsigned type that holds n holds every count exactly
-        block = np.empty((min(chunk, B), n), dtype=np.min_scalar_type(n))
+        # allocated while the last is still held
+        block = np.empty((min(chunk, B), n), dtype=np.uint8)
         for start in range(0, B, chunk):
             reps = range(start, min(start + chunk, B))
             counts = block[: len(reps)]
-            for row, b in zip(counts, reps):
-                row[:] = np.bincount(_resample_indices(seed, b, n), minlength=n)
+            exact = [_fill_counts(row, seed, b) for row, b in zip(counts, reps)]
             coefficients, ok = fitter.fit(counts)
+            ok &= exact
             values, violated = decompose_closed_form_batch(coefficients, cfg)
             draws.append(np.column_stack([values[k][ok & ~violated] for k in names]))
-            # resampled designs not clearly full rank: the reference refit
+            # resampled designs not clearly full rank, and counts above a byte:
+            # the reference refit
             for b in [b for b, good in zip(reps, ok) if not good]:
                 try:
                     cs = _closed_form_estimate(d.take(_resample_indices(seed, b, n)), cfg)

@@ -293,9 +293,9 @@ def simulate(spec_path, n_rows, data_out, truth_out, config_path, topology, seed
 @click.option("--config", "config_path", default=None, help="JSON run-config path.")
 @click.option("--topology", type=click.Choice(_TOPOLOGIES), default=None)
 @click.option("--seed", type=int, default=None)
-@click.option("--mc-n", "mc_n", type=click.IntRange(min=2, max=1_000_000_000),
+@click.option("--mc-n", "mc_n", type=click.IntRange(min=100, max=1_000_000_000),
               default=1_000_000,
-              help="Monte Carlo draws for linear models (2 to 1,000,000,000).")
+              help="Monte Carlo draws for linear models (100 to 1,000,000,000).")
 @click.option("--tol", type=float, default=1e-12, callback=_finite_nonnegative,
               help="Tolerance for exact path agreement.")
 @click.option("--mc-z", "mc_z", type=float, default=4.0, callback=_finite_nonnegative,

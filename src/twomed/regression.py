@@ -242,11 +242,11 @@ def _nested_qr(d: Dataset, topology: Topology):
     """Q' and R of the nested design X = QR (_nested_design), factored in place
     (_qr_in_place), and each model's full-data fit read off them. The QR of
     X's leading p columns is Q_p R_p, the leading blocks of Q and R, so each
-    model, by its design columns, has z0 = Q_p'y and the residual
-    r0 = y - Q_p z0. Each model also has s, the singular values of X_p with
-    unit-norm columns, from one SVD per distinct R_p block: the one
-    conditioning measure of the rank decision (_read_fits) and the bootstrap
-    gate (CountWeightedFit.fit)."""
+    model, by its design columns, has z0 = Q_p'y and the residual sum of
+    squares r0'r0, r0 = y - Q_p z0; r0 itself is not kept. Each model also
+    has s, the singular values of X_p with unit-norm columns, from one SVD
+    per distinct R_p block: the one conditioning measure of the rank
+    decision (_read_fits) and the bootstrap gate (CountWeightedFit.fit)."""
     if not isinstance(topology, Topology):
         raise ConfigError(f"unknown topology {topology!r}")
     if d.n <= 8 + d.k:
@@ -274,7 +274,8 @@ def _nested_qr(d: Dataset, topology: Topology):
                                       compute_uv=False)
         z0 = qt[:p] @ y
         r0 = z0 @ qt[:p]
-        models[key] = (cols, z0, np.subtract(y, r0, out=r0), scaled[p])
+        np.subtract(y, r0, out=r0)
+        models[key] = (cols, z0, float(r0 @ r0), scaled[p])
     return qt, r, models
 
 
@@ -300,7 +301,7 @@ def _read_fits(d: Dataset, topology: Topology, r: np.ndarray, models) -> FittedM
     decision, coefficients, covariances, standard errors and R^2."""
     names = _design_names(topology, d.covariate_names)
     fits, stderr, r2, vcov, rss = {}, {}, {}, {}, {}
-    for key, (cols, z0, r0, s) in models.items():
+    for key, (cols, z0, model_rss, s) in models.items():
         p, y = len(cols), getattr(d, key)
         # an SVD solver's rank cutoff, rcond = eps * max(n, p), on the singular
         # values of X_p with unit-norm columns, so that units do not decide rank
@@ -311,7 +312,7 @@ def _read_fits(d: Dataset, topology: Topology, r: np.ndarray, models) -> FittedM
                 + ", ".join(bad or ["(numerically degenerate)"])
             )
         rinv = np.linalg.inv(r[:p, :p])
-        rss[key] = float(r0 @ r0)
+        rss[key] = model_rss
         fits[key] = (rinv @ z0)[cols]
         # s^2 (X'X)^{-1} = s^2 R_p^{-1} R_p^{-T}, at the design's columns
         vcov[key] = (rss[key] / (d.n - p) * (rinv @ rinv.T))[np.ix_(cols, cols)]
@@ -362,13 +363,15 @@ class CountWeightedFit:
     counts @ columns.T, where each row of columns is one column of
     [q_i * q_j for i <= j | r0 * Q_p, r0^2 per model]; a model's G is the
     leading p x p block of the outcome model's. The fitter keeps only that
-    Q' and each model's r0, and fit builds the columns for _SLICE_ROWS data
-    rows at a time into one buffer, allocated at set-up, so its memory beyond
-    Q' and the counts does not grow with n. The buffer is refilled only for a slice
-    it does not hold: with n <= _SLICE_ROWS, once per fitter. The counts may
-    be of any numeric dtype, narrow integers included: fit copies each slice
-    of them into one float64 window for its product, so the sums are those of
-    float64 counts bit for bit.
+    Q', each model's z0 and the data's own outcome columns, and fit builds
+    the columns for _SLICE_ROWS data rows at a time into one buffer,
+    allocated at set-up, so its memory beyond Q' and the counts does not
+    grow with n. Each slice's r0 = y - Q_p z0 is formed there, so no
+    n-length residual is kept. The buffer is refilled only for a slice it
+    does not hold: with n <= _SLICE_ROWS, once per fitter.
+    The counts may be of any numeric dtype, narrow integers included: fit
+    copies each slice of them into one float64 window for its product, so
+    the sums are those of float64 counts bit for bit.
     """
 
     def __init__(self, d: Dataset, topology: Topology):
@@ -382,8 +385,8 @@ class CountWeightedFit:
         # rank decision read: it passed, so s[-1] > 0
         self._models, self._cond_r = {}, {}
         row = len(self._pairs[0])
-        for key, (cols, z0, r0, s) in models.items():
-            self._models[key] = (cols, z0, r0, row)
+        for key, (cols, z0, _, s) in models.items():
+            self._models[key] = (cols, z0, getattr(d, key), row)
             self._cond_r[len(cols)] = s[0] / s[-1]
             row += len(cols) + 1
         # the slice buffer, and the first data row of the slice it holds
@@ -399,10 +402,11 @@ class CountWeightedFit:
         for i in range(len(qt)):  # the pairs (i, j >= i), in triu_indices order
             np.multiply(qt[i], qt[i:], out=out[at : at + len(qt) - i])
             at += len(qt) - i
-        for cols, _, r0, row in self._models.values():
-            p, r0 = len(cols), r0[lo:hi]
+        for cols, z0, y, row in self._models.values():
+            p = len(cols)
+            r0 = np.subtract(y[lo:hi], z0 @ qt[:p], out=out[row + p])
             np.multiply(qt[:p], r0, out=out[row : row + p])
-            np.multiply(r0, r0, out=out[row + p])
+            np.multiply(r0, r0, out=r0)
         self._held = lo
         return out
 

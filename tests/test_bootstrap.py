@@ -30,6 +30,7 @@ from twomed import (
     estimate_tables,
     fit_all,
 )
+from twomed.core import value_names
 from twomed.regression import CountWeightedFit
 
 
@@ -512,12 +513,13 @@ def test_chunk_size_keeps_matrix_products_and_bounds_memory():
 
 @pytest.mark.parametrize("topology", list(Topology))
 def test_count_block_does_not_set_the_closed_form_peak(topology):
-    """The count block holds a chunk's counts in the narrowest unsigned type
-    that holds n: at n = 50,000, 3.2 MB for 32 replicates, where float64
-    counts would take 12.8 MB. The fitter factors the n x p_y outcome design
-    in place and keeps that one array, so with the block (0.8 of a design
-    here), the three residuals, the slice buffer and the counts' float64
-    window the bootstrap's traced peak stays under three designs' bytes."""
+    """The count block holds a chunk's counts one byte each: at n = 50,000,
+    1.6 MB for 32 replicates, where float64 counts would take 12.8 MB. The
+    fitter factors the n x p_y outcome design in place and keeps that one
+    array and no residual, so beside Q' (4 MB here) the peak holds the
+    block, the 1.2 MB slice buffer, the counts' float64 window and one
+    replicate's indices and tally: under two designs' bytes, and so under
+    three."""
     n, k = 50_000, 2
     rng = np.random.default_rng(23)
     scm = random_linear_scm(rng, k=k, sequential=topology is Topology.SEQUENTIAL)
@@ -533,6 +535,53 @@ def test_count_block_does_not_set_the_closed_form_peak(topology):
         tracemalloc.stop()
     assert r.failed_replicates == 0
     assert peak <= 3 * n * (8 + k) * 8, peak / 2**20
+    assert peak <= 2 * n * (8 + k) * 8, peak / 2**20
+
+
+@pytest.mark.parametrize("topology", list(Topology))
+def test_a_count_above_255_takes_the_exact_refit(monkeypatch, topology):
+    """A count is held in one byte. A replicate that draws one row 300 times
+    is refit from its copied rows, so its values are those of
+    _closed_form_estimate bit for bit, and the run's bounds and failures
+    are the reference route's to the README's 1e-13."""
+    d, _ = _noisy_dataset(6, n=400)
+    cfg = ReferenceConfig(
+        a=1.0, a_star=0.0, m1_star=0.0, m2_star=0.0,
+        covariates=(0.0, 0.0), topology=topology,
+    )
+    seed, heavy = 8, 37
+    draw = twomed.bootstrap._resample_indices
+
+    def resample(seed, b, n):
+        idx = draw(seed, b, n)
+        if b == heavy:
+            idx[:300] = 5
+        return idx
+
+    monkeypatch.setattr(twomed.bootstrap, "_resample_indices", resample)
+    idx = resample(seed, heavy, d.n)
+    assert np.bincount(idx).max() == 300
+    want = twomed.bootstrap._closed_form_estimate(d.take(idx), cfg)
+    want = np.array([want.value(name) for name in value_names(topology)])
+
+    taken, seen = [], []
+    take, quantiles = Dataset.take, twomed.bootstrap._percentile_bounds
+    monkeypatch.setattr(
+        Dataset, "take", lambda ds, idx: taken.append(idx) or take(ds, idx)
+    )
+    monkeypatch.setattr(twomed.bootstrap, "_percentile_bounds",
+                        lambda vals, probs: seen.append(vals) or quantiles(vals, probs))
+    batched = bootstrap_decomposition(d, cfg, B=100, seed=seed)
+    assert len(taken) == 1 and taken[0].tobytes() == idx.tobytes()
+    assert any(row.tobytes() == want.tobytes() for row in seen[0])
+    monkeypatch.setattr(twomed.regression, "_COND_LIMIT", 0.0)
+    reference = bootstrap_decomposition(d, cfg, B=100, seed=seed)
+
+    assert batched.failed_replicates == reference.failed_replicates == 0
+    for bounds, want in ((batched.lower, reference.lower),
+                         (batched.upper, reference.upper)):
+        for name, value in bounds.items():
+            assert math.isclose(value, want[name], rel_tol=1e-13), name
 
 
 # a config, and 4 rare rows (a, m1, m2, c, y), for each way a resample fails;

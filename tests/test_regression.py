@@ -240,10 +240,11 @@ def test_count_weighted_fit_of_unit_counts_is_the_full_data_fit(topology, k):
 @pytest.mark.parametrize("k", [0, 2])
 @pytest.mark.parametrize("topology", list(Topology))
 def test_count_weighted_fit_memory_does_not_grow_beyond_q(topology, k):
-    """The fitter keeps the outcome model's Q' and each model's r0, and builds
-    the count-weighted sums' columns one slice of rows at a time. So its
-    set-up peaks under four copies of the n x p_y outcome design, and a fit's
-    peak beyond its count block is the same at n = 20,000 as at 200,000."""
+    """The fitter keeps the outcome model's Q', and builds the count-weighted
+    sums' columns, each model's r0 among them, one slice of rows at a time.
+    So its set-up peaks under four copies of the n x p_y outcome design, and
+    a fit's peak beyond its count block is the same at n = 20,000 as at
+    200,000."""
     p_y = 8 + k
     fit_peaks = []
     for n in (20_000, 200_000):
@@ -266,18 +267,21 @@ def test_count_weighted_fit_memory_does_not_grow_beyond_q(topology, k):
 @pytest.mark.parametrize("topology", list(Topology))
 def test_count_weighted_fit_set_up_holds_one_copy_of_the_design(topology):
     """The set-up writes the design once and factors it in place into Q', so
-    beside that one n x p_y array it holds only the three residuals and the
-    slice buffer: its traced peak stays under two designs' bytes at
-    n = 200,000."""
+    beside that one n x p_y array it holds only one residual at a time and
+    the slice buffer: its traced peak stays under two designs' bytes at
+    n = 200,000. Once set up, it keeps Q' and the slice buffer and no
+    n-length residual: each slice's r0 is formed in the buffer."""
     n, k = 200_000, 2
     d = _topology_dataset(topology, k, n=n)
     tracemalloc.start()
     try:
-        CountWeightedFit(d, topology)
-        peak = tracemalloc.get_traced_memory()[1]
+        fitter = CountWeightedFit(d, topology)
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak <= 2 * n * (8 + k) * 8, peak / (n * (8 + k) * 8)
+    design = n * (8 + k) * 8
+    assert held <= design + fitter._buffer.nbytes + 2**16, held - design
 
 
 def _qr_reference_designs():
@@ -402,8 +406,8 @@ def test_count_weighted_fit_refills_its_slices_for_every_call(monkeypatch):
 def test_count_dtype_does_not_change_a_fit(monkeypatch, topology, n):
     """fit copies each slice of the counts into a float64 window, so the same
     counts held as float64 or as unsigned integers give the same fit bit for
-    bit. The rows are in slices of 64, the last one short; n <= 255 is uint8,
-    np.min_scalar_type(n), and the first replicate takes one row n times, the
+    bit. The rows are in slices of 64, the last one short; n <= 255, the most
+    a uint8 count holds, and the first replicate takes one row n times, the
     top of that range (a design the condition gate refuses)."""
     monkeypatch.setattr(twomed.regression, "_SLICE_ROWS", 64)
     d = _topology_dataset(topology, 2, n=n)
@@ -412,7 +416,7 @@ def test_count_dtype_does_not_change_a_fit(monkeypatch, topology, n):
                        for _ in range(5)])
     counts[0] = 0
     counts[0, 7] = n
-    assert np.min_scalar_type(n) == np.uint8
+    assert counts.max() == n <= np.iinfo(np.uint8).max
     fitter = CountWeightedFit(d, topology)
     want, want_ok = fitter.fit(counts.astype(np.float64))
     assert not want_ok[0] and want_ok[1:].all()
