@@ -24,11 +24,12 @@ bincounts over its indices' codes, without copying rows, and fill one row of
 a chunk array. CellCoder.decompose_counts lays the whole chunk on the grid
 every empirical decomposition works on (the tables of cfg's stratum, a row
 per replicate, nan where a cell has no data) and decomposes it with one call
-of the table engine. A replicate fails when the coverage mask, the same one
-that checks the point estimate's tables, finds a weighted cell without data;
-when a cell mean overflowed; or when its component set breaks an identity.
-Estimates, bounds and failures are those of decomposing each replicate's
-tables on its own, bit for bit.
+of the table engine. A replicate fails when the coverage mask finds a
+weighted cell without data; when a cell mean overflowed; or when its
+component set breaks an identity. Estimates, bounds and failures are those
+of decomposing each replicate's tables on its own, bit for bit. The point
+estimate is all rows' counts decomposed as one such replicate, once
+CellCoder.tables has checked them against cfg and built the result's tables.
 """
 
 from __future__ import annotations
@@ -44,9 +45,10 @@ from .core import (
     EstimationError,
     InferenceError,
     ReferenceConfig,
+    Topology,
     value_names,
 )
-from .empirical import CellCoder, ProbTables, decompose_empirical_sequential
+from .empirical import CellCoder, ProbTables
 from .regression import CountWeightedFit, Dataset, fit_all
 
 ESTIMATORS = ("closed-form", "empirical-categorical")
@@ -67,8 +69,8 @@ class BootstrapResult:
 
     lower/upper cover components and aggregates alike. A percentile interval
     may exclude the point estimate in skewed cases; lower <= upper always
-    holds. tables are the full data's, which the empirical-categorical
-    estimator decomposed; None for the closed form.
+    holds. tables are the full data's, checked against cfg, whose counts give
+    the empirical-categorical point estimate; None for the closed form.
     """
 
     point: ComponentSet
@@ -135,7 +137,8 @@ def _chunk_size(n: int) -> int:
     return max(1, min(_CHUNK_REPLICATES, _CHUNK_BYTES // (8 * n)))
 
 
-def check_settings(B: int, level: float, seed: int, estimator: str) -> None:
+def check_settings(B: int, level: float, seed: int, estimator: str,
+                   topology: Topology) -> None:
     """Raise ConfigError unless the bootstrap can run with these settings:
     the one rule for every command's config and for bootstrap_decomposition."""
     if B < 100:
@@ -149,6 +152,11 @@ def check_settings(B: int, level: float, seed: int, estimator: str) -> None:
     if estimator not in ESTIMATORS:
         raise ConfigError(
             f"unknown estimator {estimator!r}; choose one of {ESTIMATORS}"
+        )
+    if estimator == "empirical-categorical" and topology is not Topology.SEQUENTIAL:
+        raise ConfigError(
+            f"estimator {estimator!r} needs the sequential topology, "
+            f"got {topology.value}"
         )
 
 
@@ -165,7 +173,7 @@ def bootstrap_decomposition(
     Quantiles are numpy's default linear interpolation between order
     statistics at probabilities (1 - level)/2 and (1 + level)/2.
     """
-    check_settings(B, level, seed, estimator)
+    check_settings(B, level, seed, estimator, cfg.topology)
     names = value_names(cfg.topology)
     # blocks of kept replicates' values, one row per replicate in names order
     draws = []
@@ -195,10 +203,13 @@ def bootstrap_decomposition(
                     continue  # a failed replicate
                 draws.append([[cs.value(k) for k in names]])
     else:
-        # the cells are coded once, for the point estimate and every replicate
+        # the cells are coded once, for the point estimate and every replicate;
+        # tables() raises what the full data lacks
         coder = CellCoder(d)
         tables = coder.tables(cfg)
-        point = decompose_empirical_sequential(tables, cfg)
+        values, _ = coder.decompose_counts(cfg, *(c[None] for c in coder.counts()))
+        point = ComponentSet.from_values(
+            cfg.topology, {k: v[0] for k, v in values.items()})
         for start in range(0, B, chunk):
             reps = range(start, min(start + chunk, B))
             counts = np.empty((len(reps), len(coder.cells)))

@@ -74,8 +74,14 @@ def _read_spec(config_path, spec_path, **options):
     return rc, spec_obj, scm
 
 
+# what str.splitlines() breaks a line at, each written as its escape, so that
+# a config key or a column name holding one cannot split the error line
+_LINE_BREAKS = str.maketrans(
+    {c: repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
+
+
 def _die(code: int, exc: Exception) -> None:
-    click.echo(f"error: {exc}", err=True)
+    click.echo(f"error: {str(exc).translate(_LINE_BREAKS)}", err=True)
     sys.exit(code)
 
 

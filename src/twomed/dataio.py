@@ -99,7 +99,8 @@ class RunConfig:
             object.__setattr__(self, name, _as_integer(getattr(self, name), name))
         object.__setattr__(self, "level", _as_number(self.level, "level"))
         # every command holds a config to the bootstrap's rules
-        check_settings(self.bootstrap_B, self.level, self.seed, self.estimator)
+        check_settings(self.bootstrap_B, self.level, self.seed, self.estimator,
+                       self.topology_enum)
 
     @property
     def topology_enum(self) -> Topology:

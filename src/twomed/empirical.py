@@ -8,8 +8,10 @@ continuous covariates belong to the regression path.
 Decomposition works on one grid: the tables of cfg's stratum on the
 (x, i, j) grid the table engine takes, with a leading replicate axis and nan
 for each entry the tables lack. CellCoder.decompose_counts fills it from a
-batch of resamples' cell counts, decompose_empirical_sequential from a
-ProbTables. One mask, _uncovered, decides for both which replicates lack an
+batch of cell counts: resamples', or all rows' as the one replicate of the
+bootstrap's point estimate. decompose_empirical_sequential fills it from a
+ProbTables, for hand-built tables: validate's table estimator and library
+callers. One mask, _uncovered, decides for both which replicates lack an
 entry the sums weight, and only a single grid that fails it is walked, to
 name the first entry missing. CellCoder.tables checks the data's counts
 before it builds the ProbTables, in the same walk order over the cells

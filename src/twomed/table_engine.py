@@ -35,11 +35,13 @@ def _sum(terms: np.ndarray, axes: int) -> np.ndarray:
     """Sum over the trailing axes, one term at a time in support order.
 
     A running sum (not numpy's pairwise reduction) gives each replicate the
-    same bits whatever the number of replicates in the call, and an exact
-    zero term leaves it unchanged, so levels without data do not matter.
+    same bits whatever the number of replicates in the call. Adding +0.0
+    turns a sum of -0.0 terms (products that underflowed) into +0.0, the sum
+    that any further +0.0 term would give; so an exact zero term leaves the
+    sum unchanged, sign included, and levels without data do not matter.
     """
     flat = terms.reshape(terms.shape[: terms.ndim - axes] + (-1,))
-    return np.cumsum(flat, axis=-1)[..., -1]
+    return np.cumsum(flat, axis=-1)[..., -1] + 0.0
 
 
 def decompose_tables(

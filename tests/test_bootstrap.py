@@ -1,10 +1,13 @@
 """Percentile-bootstrap behavior: determinism, seeding contract, failure policy."""
 
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import twomed.bootstrap
 import twomed.regression
@@ -274,6 +277,80 @@ def test_empirical_bootstrap_equals_the_per_replicate_loop(monkeypatch):
     for name, vals in draws.items():
         assert r.lower[name] == float(np.quantile(vals, (1.0 - 0.95) / 2.0)), name
         assert r.upper[name] == float(np.quantile(vals, (1.0 + 0.95) / 2.0)), name
+
+
+@st.composite
+def _multi_stratum_dataset(draw):
+    """Categorical data over two to four strata. The reference stratum holds
+    every cell under a and a* of its own m1 and m2 levels, a dozen rows or
+    more each, so no replicate is likely to lose one; the other strata hold
+    any cells, over levels the reference stratum may lack, which the tables'
+    supports then hold and the count grid does not. Cell means include
+    exact and signed zeros and values whose products underflow."""
+    levels = [sorted(draw(st.lists(st.sampled_from((-1.0, 0.0, 0.5, 1.0, 2.0)),
+                                   min_size=2, max_size=3, unique=True)))
+              for _ in range(3)]
+    k = draw(st.integers(1, 2))
+    strata = list(itertools.product((0.0, 1.0), repeat=k))
+    stratum = draw(st.sampled_from(strata))
+    a, a_star = draw(st.sampled_from(levels[0])), draw(st.sampled_from(levels[0]))
+    held = [sorted(draw(st.sets(st.sampled_from(lv), min_size=1))) for lv in levels[1:]]
+    m1_star, m2_star = draw(st.sampled_from(held[0])), draw(st.sampled_from(held[1]))
+    reference = [(x, i, j, *stratum)
+                 for x, i, j in itertools.product(sorted({a, a_star}), *held)]
+    strata.remove(stratum)
+    others = draw(st.lists(st.tuples(*map(st.sampled_from, levels),
+                                     st.sampled_from(strata)), max_size=20))
+    cells = reference * draw(st.integers(12, 16)) + [
+        (x, i, j, *c) for x, i, j, c in others]
+    cols = np.array(cells).T
+    values = st.sampled_from((0.0, -0.0, 1.5, -2.25, 1e-300, -1e-300, 5e-324, -5e-324))
+    # a mean per cell, or one per exposure, so that all of a world's products
+    # may underflow
+    if draw(st.booleans()):
+        means = [draw(values) for _ in reference]
+    else:
+        by_exposure = {x: draw(values) for x in (a, a_star)}
+        means = [by_exposure[cell[0]] for cell in reference]
+    y = np.array(means)[np.arange(len(cells)) % len(reference)]
+    y += draw(st.sampled_from((0.0, 1.0))) * np.random.default_rng(
+        draw(st.integers(0, 2 ** 32 - 1))).standard_normal(len(cells))
+    d = Dataset(a=cols[0], m1=cols[1], m2=cols[2], y=y, covariates=cols[3:].T)
+    cfg = ReferenceConfig(a=a, a_star=a_star, m1_star=m1_star, m2_star=m2_star,
+                          covariates=stratum, topology=Topology.SEQUENTIAL)
+    return d, cfg
+
+
+def _an_m1_level_outside_the_reference_stratum(a_star, y_under_a):
+    """Every (a, m1, m2) cell of stratum 0, twelve rows each, outcome y_under_a
+    under a = 1 and 0 under a = 0, and one row in stratum 1 at m1 level 2,
+    which the tables' support holds and stratum 0's count grid does not."""
+    cells = list(itertools.product((0.0, 1.0), (0.0, 1.0), (0.0, 1.0), (0.0,))) * 12
+    cols = np.array(cells + [(1.0, 2.0, 0.0, 1.0)]).T
+    y = np.where(cols[0] == 1.0, y_under_a, 0.0)
+    cfg = ReferenceConfig(a=1.0, a_star=a_star, m1_star=0.0, m2_star=1.0,
+                          covariates=(0.0,), topology=Topology.SEQUENTIAL)
+    return Dataset(a=cols[0], m1=cols[1], m2=cols[2], y=y,
+                   covariates=cols[3:].T), cfg
+
+
+@settings(max_examples=200, deadline=None)
+@given(_multi_stratum_dataset())
+# a == a*: every contrast is an exact zero
+@example(_an_m1_level_outside_the_reference_stratum(1.0, -0.5))
+# each term of a world under a underflows to -0.0, and the sum is +0.0
+@example(_an_m1_level_outside_the_reference_stratum(0.0, -5e-324))
+def test_the_empirical_point_is_the_table_decomposition_bit_for_bit(case):
+    """The bootstrap decomposes the full data's counts as a one-replicate
+    batch; every value, the sign of a zero included, is the one that
+    decomposing the row-by-row tally's tables gives."""
+    d, cfg = case
+    point = bootstrap_decomposition(
+        d, cfg, B=100, seed=0, estimator="empirical-categorical").point
+    want = decompose_empirical_sequential(loop_estimate_tables(d, cfg), cfg)
+    for name in value_names(Topology.SEQUENTIAL):
+        got, value = point.value(name), want.value(name)
+        assert got == value and np.signbit(got) == np.signbit(value), name
 
 
 @pytest.mark.parametrize("level", [0.0, 1.0])

@@ -1,16 +1,19 @@
 """CSV/config plumbing and the click entry points, including exit codes."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import twomed.dataio
@@ -98,6 +101,10 @@ def _config_sources(draw):
     flags = {key: draw(st.one_of(st.none(), values[key])) for key in keys}
     if flags["covariates"] is None:
         obj.setdefault("covariates", draw(values["covariates"]))
+    # the one pair of accepted values that is refused together
+    merged = obj | {key: flag for key, flag in flags.items() if flag is not None}
+    assume((merged.get("estimator"), merged.get("topology"))
+           != ("empirical-categorical", "nonsequential"))
     return obj, flags
 
 
@@ -870,13 +877,26 @@ def _json_leaves(doc, path=""):
     return [leaf for key, value in items for leaf in _json_leaves(value, f"{path}/{key}")]
 
 
-def _under_blas_threads(threads, *args):
-    """stdout of a CLI run whose BLAS may start that many threads, no more."""
+def _under_blas_threads(threads, *args, **env):
+    """stdout of a CLI run whose BLAS may start that many threads, no more,
+    with env added to the environment."""
     pins = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                           "MKL_NUM_THREADS"), str(threads))
-    res = _run_cli(*args, **pins)
+    res = _run_cli(*args, **pins, **env)
     assert res.returncode == 0, res.stderr
     return res.stdout
+
+
+def _closed_form_run(tmp_path, rng):
+    """analyze arguments for a closed-form run on n = 2,000 rows with two
+    covariates, B = 200."""
+    data = make_linear_dataset(random_linear_scm(rng, k=2), 2_000, seed=1)
+    write_dataset_csv(Dataset(a=data["a"], m1=data["m1"], m2=data["m2"],
+                              y=data["y"], covariates=data["covariates"]),
+                      str(tmp_path / "linear.csv"))
+    config = _write(tmp_path / "run.json", json.dumps(
+        {"covariates": ["c1", "c2"], "bootstrap_B": 200, "seed": 0, "output": "json"}))
+    return ("analyze", "--data", str(tmp_path / "linear.csv"), "--config", config)
 
 
 def test_blas_threads_move_values_within_the_stated_bound(tmp_path):
@@ -885,13 +905,7 @@ def test_blas_threads_move_values_within_the_stated_bound(tmp_path):
     not its failed-replicate count, and leaves an empirical report's bytes
     as they are."""
     rng = np.random.default_rng(0)
-    data = make_linear_dataset(random_linear_scm(rng, k=2), 2_000, seed=1)
-    write_dataset_csv(Dataset(a=data["a"], m1=data["m1"], m2=data["m2"],
-                              y=data["y"], covariates=data["covariates"]),
-                      str(tmp_path / "linear.csv"))
-    config = _write(tmp_path / "run.json", json.dumps(
-        {"covariates": ["c1", "c2"], "bootstrap_B": 200, "seed": 0, "output": "json"}))
-    args = ("analyze", "--data", str(tmp_path / "linear.csv"), "--config", config)
+    args = _closed_form_run(tmp_path, rng)
     one, two = (dict(_json_leaves(json.loads(_under_blas_threads(t, *args))))
                 for t in (1, 2))
     assert one.keys() == two.keys()
@@ -911,6 +925,27 @@ def test_blas_threads_move_values_within_the_stated_bound(tmp_path):
                 {"covariates": ["c1"], "covariate_values": [1], "m1_star": 0,
                  "m2_star": 0, "bootstrap_B": 200, "seed": 2, "output": "json"})))
     assert _under_blas_threads(1, *args) == _under_blas_threads(2, *args)
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                    reason="the OpenBLAS kernel named is an x86-64 one")
+def test_blas_kernels_move_values_within_the_stated_bound(tmp_path):
+    """The README's contract across BLAS kernels: at one thread, OpenBLAS's
+    Nehalem kernel against the one it picks for the CPU moves each value of
+    a closed-form report by at most 1e-13 times max(1, the sum of the point
+    components' magnitudes), and not its failed-replicate count."""
+    args = _closed_form_run(tmp_path, np.random.default_rng(0))
+    picked, nehalem = (json.loads(_under_blas_threads(1, *args, **env))
+                       for env in ({}, {"OPENBLAS_CORETYPE": "Nehalem"}))
+    scale = max(1.0, sum(abs(c["estimate"]) for c in picked["components"]))
+    one, two = dict(_json_leaves(picked)), dict(_json_leaves(nehalem))
+    assert one.keys() == two.keys()
+    assert one["/meta/failed_replicates"] == two["/meta/failed_replicates"]
+    for key, value in one.items():
+        if isinstance(value, float):
+            assert abs(value - two[key]) <= 1e-13 * scale, key
+        else:
+            assert value == two[key], key
 
 
 def test_cli_exit_code_4_for_an_overflowing_design(tmp_path):
@@ -1077,7 +1112,11 @@ def test_cli_simulate_binary_resolves_mean_references_to_zero(
     ({"level": 7}, "confidence level must be in (0, 1), got 7.0"),
     ({"estimator": "ridge"}, "unknown estimator 'ridge'; choose one of "
                              "('closed-form', 'empirical-categorical')"),
-], ids=["B-and-level", "B-over-the-cap", "level", "estimator"])
+    ({"estimator": "empirical-categorical", "topology": "nonsequential"},
+     "estimator 'empirical-categorical' needs the sequential topology, "
+     "got nonsequential"),
+], ids=["B-and-level", "B-over-the-cap", "level", "estimator",
+        "estimator-and-topology"])
 def test_every_command_holds_a_config_to_the_bootstrap_rules(
     runner, tmp_path, config, error
 ):
@@ -1096,6 +1135,91 @@ def test_every_command_holds_a_config_to_the_bootstrap_rules(
         assert res.stderr.splitlines() == [f"error: {error}"], args[0]
         assert res.stdout == "", args[0]
     assert not (tmp_path / "sim.csv").exists()
+
+
+# any JSON value: huge, negative and non-finite numbers, bools, lists, null
+_JSON_VALUES = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(-2 ** 70, 2 ** 70),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.sampled_from([1e300, -1e300, -0.0, 0.5, 1.0]),
+        st.text(max_size=4), st.sampled_from(["mean", "c1", "m1", "json", "table"]),
+    ),
+    lambda inner: st.lists(inner, max_size=3), max_leaves=4,
+)
+# bootstrap_B values the config refuses, so that no drawn run is larger
+_REFUSED_B = st.one_of(
+    st.integers(max_value=99), st.integers(min_value=1_000_001),
+    st.sampled_from([100.5, 1e300, math.nan, math.inf, True, None, "100", [100]]),
+)
+
+
+# values each key accepts, with levels of the CSV below and its columns
+_ACCEPTED = {
+    **_CONFIG_VALUES,
+    "m1": st.sampled_from(["m1", "c1"]),
+    "m2": st.just("m2"),
+    "m1_star": st.one_of(_CONFIG_VALUES["m1_star"], st.sampled_from([0, 1])),
+    "m2_star": st.sampled_from(["mean", 0, 1, 0.5]),
+    "covariates": st.sampled_from([[], ["c1"]]),
+    "covariate_values": st.sampled_from([[], [0], [1], ["mean"]]),
+}
+
+
+@st.composite
+def _any_config(draw):
+    """A config object: for some known keys a value it accepts or, one time in
+    four, any JSON value; bootstrap_B refused or 100; sometimes an unknown
+    key."""
+    obj = {}
+    for key in draw(st.sets(st.sampled_from(sorted(_ACCEPTED)))):
+        arbitrary = draw(st.integers(0, 3)) == 0
+        obj[key] = draw(_JSON_VALUES if arbitrary else _ACCEPTED[key])
+    refused = draw(st.integers(0, 3)) == 0
+    obj["bootstrap_B"] = draw(_REFUSED_B) if refused else 100
+    if draw(st.integers(0, 4)) == 0:
+        unknown = st.text(max_size=6).filter(
+            lambda k: k not in twomed.dataio._CONFIG_KEYS)
+        obj[draw(unknown)] = draw(_JSON_VALUES)
+    return obj
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_any_config())
+@example({"seed": 1e300, "bootstrap_B": 100})
+@example({"estimator": "empirical-categorical", "topology": "nonsequential",
+          "bootstrap_B": 100})
+# a line break in an unknown key once split the error line
+@example({"bootstrap_B": 100, "a\nb": 1})
+def test_any_config_ends_in_a_result_or_one_error_line(tmp_path, config):
+    """analyze, run in-process on a fixed CSV under any config object, exits
+    0, 2, 3 or 4; a failure writes nothing to stdout and one error line to
+    stderr."""
+    data = tmp_path / "cat.csv"
+    if not data.exists():
+        rng = np.random.default_rng(5)
+        a, m1, m2, c1 = (rng.integers(0, 2, 80) for _ in range(4))
+        write_dataset_csv(Dataset(a=a, m1=m1, m2=m2, y=a + m1 - m2 + rng.normal(size=80),
+                                  covariates=c1[:, None]), str(data))
+    path = _write(tmp_path / "run.json", json.dumps(config))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main.main(["analyze", "--data", str(data), "--config", path],
+                      standalone_mode=False)
+            code = 0
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3, 4), (code, err.getvalue())
+    if config == {"seed": 1e300, "bootstrap_B": 100}:
+        assert code == 0, err.getvalue()
+    if code == 0:
+        assert out.getvalue() and not err.getvalue()
+        return
+    assert out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
 
 
 def test_cli_validate_binary_pass(runner, tmp_path):
